@@ -20,53 +20,29 @@ from .closed_forms import (HatDatum, as_grid_norm, build_c2_psi10, build_fN,
                            l_hat_time_quadrature, modulated_sinc, normalize_hats,
                            resonance_phi, scaling_embed, small_dispersion_solution,
                            smooth_plateau, synthesize_hat_field, trig_interpolate)
-from .config import (KINDS, ConfigError, ExperimentSpec, apply_overrides,
-                     default_spec, emit_config, parse_config)
-from .evolution import (BlowUpError, StepperConfig, evolve, linear_halfstep,
-                        nonlinear_step, strang_step)
-from .experiments import (CheckResult, ExperimentResult, FitResult,
-                          expected_c2_slope, expected_inflation_slope, fit_loglog,
-                          inflate_member, inflation_grid, run_c2probe,
-                          run_conserve, run_decohere, run_experiment, run_growth,
-                          run_inflate, run_simulate)
-from .grid import ComplexField, RealField, SpectralGrid, next_pow2
-from .model import (ConservedReport, ExternalPotential, FieldState,
-                    GeneralCoefficients, PhysicalParams, Schedule,
+from .evolution import BlowUpError, StepperConfig, evolve, strang_step
+from .grid import ComplexField, SpectralGrid, next_pow2
+from .model import (FieldState, GeneralCoefficients, PhysicalParams, Schedule,
                     coefficients_from_params, conserved_quantities,
                     from_physical_vars, iteration_schedule,
                     modified_system_coefficients, normalized_coefficients,
                     plane_wave_state, to_physical_vars, unit_physical_params)
-from .records import (RunManifest, RunRecord, read_fit_file, read_record_csv,
-                      write_fit_file, write_manifest, write_record_csv)
 
 __all__ = [
     "__version__",
     # grid
-    "SpectralGrid", "ComplexField", "RealField", "next_pow2",
+    "SpectralGrid", "ComplexField", "next_pow2",
     # model
-    "PhysicalParams", "GeneralCoefficients", "ExternalPotential", "FieldState",
-    "ConservedReport", "Schedule", "coefficients_from_params",
-    "normalized_coefficients", "unit_physical_params",
+    "PhysicalParams", "GeneralCoefficients", "FieldState", "Schedule",
+    "coefficients_from_params", "normalized_coefficients", "unit_physical_params",
     "modified_system_coefficients", "to_physical_vars", "from_physical_vars",
     "conserved_quantities", "plane_wave_state", "iteration_schedule",
     # evolution
-    "StepperConfig", "BlowUpError", "evolve", "strang_step", "linear_halfstep",
-    "nonlinear_step",
+    "StepperConfig", "BlowUpError", "evolve", "strang_step",
     # closed forms
     "HatDatum", "build_fN", "build_c2_psi10", "hat_sobolev_norm", "normalize_hats",
     "synthesize_hat_field", "as_grid_norm", "resonance_phi", "l_hat", "l_hat_norm",
     "l_hat_time_quadrature", "first_order_psi1", "first_order_psi1_time_quadrature",
     "small_dispersion_solution", "scaling_embed", "trig_interpolate",
     "smooth_plateau", "modulated_sinc",
-    # experiments
-    "FitResult", "CheckResult", "ExperimentResult", "fit_loglog",
-    "expected_inflation_slope", "expected_c2_slope", "inflation_grid",
-    "inflate_member", "run_simulate", "run_conserve", "run_inflate",
-    "run_c2probe", "run_decohere", "run_growth", "run_experiment",
-    # config
-    "ConfigError", "ExperimentSpec", "parse_config", "apply_overrides",
-    "emit_config", "default_spec", "KINDS",
-    # records
-    "RunRecord", "RunManifest", "write_record_csv", "read_record_csv",
-    "write_fit_file", "read_fit_file", "write_manifest",
 ]

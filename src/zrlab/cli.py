@@ -11,11 +11,12 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import (KINDS, ConfigError, ExperimentSpec, apply_overrides,
+from .config import (DECLARATIONS, ConfigError, ExperimentSpec, apply_overrides,
                      emit_config, parse_config)
 from .evolution import BlowUpError
 from .experiments import ExperimentResult, run_experiment
@@ -24,15 +25,6 @@ from .records import RunManifest, write_fit_file, write_manifest, write_record_c
 __all__ = ["main", "build_parser"]
 
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
-
-_HELP = {
-    "simulate": "evolve preset data and record invariants and norms",
-    "conserve": "audit Q1-Q4 drift (mass to round-off, energy to o(dt^2))",
-    "inflate": "frequency-sweep norm inflation of the transport field",
-    "c2probe": "bilinear-kernel growth probe (smoothness failure), quadrature only",
-    "decohere": "small-dispersion pair drifting O(1) apart from identical data",
-    "growth": "long-horizon Sobolev growth against a priori envelopes",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="increase log verbosity (-v info, -vv debug)")
     sub = parser.add_subparsers(dest="kind", metavar="command", parser_class=_Parser)
     sub.required = True
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=_HELP[kind])
+    for kind, decl in DECLARATIONS.items():
+        p = sub.add_parser(kind, help=decl.help)
         p.add_argument("--config", type=Path, default=None,
                        help="sectioned key=value config file (defaults used if omitted)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -72,14 +64,9 @@ def _jsonable(obj):
 
 
 def _spec_resolved(spec: ExperimentSpec) -> dict:
-    return _jsonable({
-        "kind": spec.kind, "grid_n": spec.grid_n, "grid_length": spec.grid_length,
-        "preset": spec.preset, "theta": spec.theta, "gamma": spec.gamma,
-        "omega": spec.omega, "beta": spec.beta, "nu": spec.nu,
-        "dt": spec.dt, "t_end": spec.t_end, "record_every": spec.record_every,
-        "dealias": spec.dealias, "out_dir": spec.out_dir, "prefix": spec.prefix,
-        "experiment": spec.table,
-    })
+    resolved = asdict(spec)
+    resolved["experiment"] = resolved.pop("table")
+    return _jsonable(resolved)
 
 
 def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[str]:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .evolution import whole_steps
 from .model import PhysicalParams
 
 __all__ = [
@@ -33,10 +34,11 @@ __all__ = [
     "apply_overrides",
     "emit_config",
     "default_spec",
+    "inflation_band",
+    "check_inflation_band",
+    "DECLARATIONS",
     "KINDS",
 ]
-
-KINDS = ("simulate", "conserve", "inflate", "c2probe", "decohere", "growth")
 
 _SECTIONS = ("grid", "params", "stepper", "experiment", "output")
 
@@ -81,18 +83,11 @@ def _str(text: str) -> str:
     return text.strip()
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
-        return ()
-    return tuple(_float(p) for p in items)
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
-        return ()
-    return tuple(_int(p) for p in items)
+def _list_of(item: Callable) -> Callable:
+    """Converter for a comma-separated list of `item` values (empty -> ())."""
+    def convert(text: str) -> tuple:
+        return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+    return convert
 
 
 def _render(value) -> str:
@@ -117,100 +112,106 @@ _STEPPER_SCHEMA: dict[str, Callable] = {
 }
 _OUTPUT_SCHEMA: dict[str, Callable] = {"dir": _str, "prefix": _str}
 
-# per-kind experiment keys: name -> (converter, default)
-_EXPERIMENT_SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
-    "simulate": {
-        "seed": (_int, 0),
-        "initial": (_str, "gaussian"),
-        "amplitude": (_float, 1.0),
-        "width": (_float, 2.0),
-        "kappa": (_float, 1.0),
-        "c1": (_float, 0.0),
-        "c2": (_float, 0.0),
-        "psi_amplitude": (_float, 0.0),
-        "psi_width": (_float, 2.0),
-        "s_list": (_float_list, (1.0,)),
-        "psi_index": (_float, -0.5),
-    },
-    "conserve": {
-        "seed": (_int, 0),
-        "initial": (_str, "gaussian"),
-        "amplitude": (_float, 0.5),
-        "width": (_float, 4.0),
-        "psi_amplitude": (_float, 0.0),
-        "psi_width": (_float, 4.0),
-        "s_list": (_float_list, (1.0,)),
-        "psi_index": (_float, -0.5),
-        "q1_tol": (_float, 1e-10),
-        "q4_tol": (_float, 1e-6),
-        "richardson": (_bool, True),
-    },
-    "inflate": {
-        "seed": (_int, 0),
-        "k": (_float, 0.25),
-        "l": (_float, 0.25),
-        "n_list": (_int_list, (32, 64, 128, 256)),
-        "t_probe": (_float, 0.1),
-        "variant": (_str, "f"),
-        "modes_per_hat": (_int, 4),
-        "nodes": (_int, 64),
-    },
-    "c2probe": {
-        "seed": (_int, 0),
-        "k": (_float, 0.0),
-        "l": (_float, -1.0),
-        "n_list": (_int_list, (16, 32, 64, 128, 256)),
-        "t_probe": (_float, 0.01),
-        "nodes": (_int, 64),
-    },
-    "decohere": {
-        "seed": (_int, 0),
-        "mu": (_float, 0.05),
-        "m": (_float, 20.0),
-        "c": (_float, 0.5),
-        "k_reg": (_float, 1.0),
-        "mu_list": (_float_list, (0.1, 0.05, 0.025)),
-    },
-    "growth": {
-        "seed": (_int, 0),
-        "amplitude": (_float, 1.0),
-        "width": (_float, 2.0),
-        "psi_amplitude": (_float, 0.5),
-        "psi_width": (_float, 2.0),
-        "s_list": (_float_list, (1.0, 3.0)),
-        "psi_index": (_float, -0.5),
-        "c_one": (_float, 10.0),
-    },
+
+@dataclass(frozen=True)
+class KindDeclaration:
+    """Everything one experiment kind adds to the dialect.
+
+    `keys` maps each [experiment] key to (converter, default).  `grid` is the
+    default (n, length); (None, None) means auto-sized (inflate) or unused
+    (c2probe).  `stepper` is the default (dt, t_end, record_every).
+    """
+
+    help: str
+    preset: str
+    grid: tuple[Optional[int], Optional[float]]
+    stepper: tuple[float, float, int]
+    keys: dict[str, tuple[Callable, object]]
+
+
+DECLARATIONS: dict[str, KindDeclaration] = {
+    "simulate": KindDeclaration(
+        help="evolve preset data and record invariants and norms",
+        preset="normalized", grid=(512, 64.0), stepper=(1e-3, 1.0, 10),
+        keys={
+            "seed": (_int, 0),
+            "initial": (_str, "gaussian"),
+            "amplitude": (_float, 1.0),
+            "width": (_float, 2.0),
+            "kappa": (_float, 1.0),
+            "c1": (_float, 0.0),
+            "c2": (_float, 0.0),
+            "psi_amplitude": (_float, 0.0),
+            "psi_width": (_float, 2.0),
+            "s_list": (_list_of(_float), (1.0,)),
+            "psi_index": (_float, -0.5),
+        }),
+    "conserve": KindDeclaration(
+        help="audit Q1-Q4 drift (mass to round-off, energy to o(dt^2))",
+        preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
+        keys={
+            "seed": (_int, 0),
+            "initial": (_str, "gaussian"),
+            "amplitude": (_float, 0.5),
+            "width": (_float, 4.0),
+            "psi_amplitude": (_float, 0.0),
+            "psi_width": (_float, 4.0),
+            "s_list": (_list_of(_float), (1.0,)),
+            "psi_index": (_float, -0.5),
+            "q1_tol": (_float, 1e-10),
+            "q4_tol": (_float, 1e-6),
+            "richardson": (_bool, True),
+        }),
+    "inflate": KindDeclaration(
+        help="frequency-sweep norm inflation of the transport field",
+        # t_end comes from t_probe
+        preset="normalized", grid=(None, None), stepper=(2.5e-3, 0.0, 1),
+        keys={
+            "k": (_float, 0.25),
+            "l": (_float, 0.25),
+            "n_list": (_list_of(_int), (32, 64, 128, 256)),
+            "t_probe": (_float, 0.1),
+            "variant": (_str, "f"),
+            "modes_per_hat": (_int, 4),
+            "nodes": (_int, 64),
+        }),
+    "c2probe": KindDeclaration(
+        help="bilinear-kernel growth probe (smoothness failure), quadrature only",
+        # pure quadrature: grid and stepper unused
+        preset="normalized", grid=(None, None), stepper=(1e-3, 0.0, 1),
+        keys={
+            "k": (_float, 0.0),
+            "l": (_float, -1.0),
+            "n_list": (_list_of(_int), (16, 32, 64, 128, 256)),
+            "t_probe": (_float, 0.01),
+            "nodes": (_int, 64),
+        }),
+    "decohere": KindDeclaration(
+        help="small-dispersion pair drifting O(1) apart from identical data",
+        # coefficients are built from (mu, m, c); dt is the internal-time step
+        preset="none", grid=(2048, 100.0), stepper=(5e-3, 0.0, 20),
+        keys={
+            "mu": (_float, 0.05),
+            "m": (_float, 20.0),
+            "c": (_float, 0.5),
+            "k_reg": (_float, 1.0),
+            "mu_list": (_list_of(_float), (0.1, 0.05, 0.025)),
+        }),
+    "growth": KindDeclaration(
+        help="long-horizon Sobolev growth against a priori envelopes",
+        preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),
+        keys={
+            "amplitude": (_float, 1.0),
+            "width": (_float, 2.0),
+            "psi_amplitude": (_float, 0.5),
+            "psi_width": (_float, 2.0),
+            "s_list": (_list_of(_float), (1.0, 3.0)),
+            "psi_index": (_float, -0.5),
+            "c_one": (_float, 10.0),
+        }),
 }
 
-# kinds whose grid is auto-sized (inflate) or unused (c2probe)
-_GRID_DEFAULTS: dict[str, tuple[Optional[int], Optional[float]]] = {
-    "simulate": (512, 64.0),
-    "conserve": (512, 64.0),
-    "inflate": (None, None),
-    "c2probe": (None, None),
-    "decohere": (2048, 100.0),
-    "growth": (512, 64.0),
-}
-
-_STEPPER_DEFAULTS: dict[str, tuple[float, float, int, bool]] = {
-    # kind: (dt, t_end, record_every, dealias)
-    "simulate": (1e-3, 1.0, 10, True),
-    "conserve": (1e-3, 5.0, 50, True),
-    "inflate": (2.5e-3, 0.0, 1, True),   # t_end comes from t_probe
-    "c2probe": (1e-3, 0.0, 1, True),     # stepper unused (pure quadrature)
-    "decohere": (5e-3, 0.0, 20, True),   # dt is the internal-time step
-    "growth": (1e-3, 50.0, 50, True),
-}
-
-_PRESET_DEFAULTS: dict[str, str] = {
-    "simulate": "normalized",
-    "conserve": "unit_physical",
-    "inflate": "normalized",
-    "c2probe": "normalized",
-    "decohere": "none",      # coefficients built from (mu, m, c) internally
-    "growth": "unit_physical",
-}
+KINDS = tuple(DECLARATIONS)
 
 _PRESETS = ("normalized", "unit_physical", "physical", "none")
 
@@ -241,23 +242,20 @@ class ExperimentSpec:
             return PhysicalParams(self.theta, self.gamma, self.omega, self.beta, self.nu)
         return PhysicalParams()
 
-    def option(self, key: str):
-        return self.table[key]
-
 
 def default_spec(kind: str) -> ExperimentSpec:
     """The fully resolved spec for `kind` with every default applied."""
-    if kind not in KINDS:
+    if kind not in DECLARATIONS:
         raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {', '.join(KINDS)})")
-    n, length = _GRID_DEFAULTS[kind]
-    dt, t_end, record_every, dealias = _STEPPER_DEFAULTS[kind]
-    table = {name: default for name, (_, default) in _EXPERIMENT_SCHEMA[kind].items()}
+    decl = DECLARATIONS[kind]
+    n, length = decl.grid
+    dt, t_end, record_every = decl.stepper
     return ExperimentSpec(
-        kind=kind, grid_n=n, grid_length=length,
-        preset=_PRESET_DEFAULTS[kind],
+        kind=kind, grid_n=n, grid_length=length, preset=decl.preset,
         theta=1.0, gamma=1.0, omega=1.0, beta=1.0, nu=0.0,
-        dt=dt, t_end=t_end, record_every=record_every, dealias=dealias,
-        out_dir="runs", prefix=kind, table=table,
+        dt=dt, t_end=t_end, record_every=record_every, dealias=True,
+        out_dir="runs", prefix=kind,
+        table={name: default for name, (_, default) in decl.keys.items()},
     )
 
 
@@ -308,6 +306,7 @@ def _build_spec(kind: str, sections: dict[str, dict[str, tuple[str, int]]],
     base = default_spec(kind)
     updates: dict[str, object] = {}
     table = dict(base.table)
+    experiment_schema = {name: conv for name, (conv, _) in DECLARATIONS[kind].keys.items()}
     explicit_params = False
 
     for section, entries in sections.items():
@@ -333,8 +332,7 @@ def _build_spec(kind: str, sections: dict[str, dict[str, tuple[str, int]]],
                             f"experiment.kind = {raw.strip()!r} does not match "
                             f"the requested kind {kind!r}", where)
                     continue
-                schema = {name: conv for name, (conv, _) in _EXPERIMENT_SCHEMA[kind].items()}
-                table[key] = _convert(section, key, raw, where, schema)
+                table[key] = _convert(section, key, raw, where, experiment_schema)
 
     if explicit_params and base.preset == "none":
         raise ConfigError(f"[params] section is not consulted by kind={kind} "
@@ -443,6 +441,21 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def inflation_band(n_freq: int) -> float:
+    """Half-width 2N + 2 + 2/N of the doubled data support of inflation member N."""
+    return 2.0 * n_freq + 2.0 + 2.0 / n_freq
+
+
+def check_inflation_band(grid_n: int, grid_length: float, n_freq: int) -> None:
+    """Raise ConfigError unless the dealiased band of the grid (n, length)
+    covers `inflation_band(n_freq)`; config validation and the inflate run
+    share this one predicate."""
+    band = (2.0 * math.pi / grid_length) * (grid_n // 3)
+    need = inflation_band(n_freq)
+    _require(band >= need, f"grid must resolve |xi| <= {need:.2f} after dealiasing "
+                           f"for N = {n_freq} (resolved band is {band:.2f})")
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
     """Check every per-kind constraint; raise ConfigError naming the violated one."""
     _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
@@ -472,29 +485,34 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.kind in ("simulate", "conserve", "growth"):
         _require(spec.grid_n is not None and spec.grid_length is not None,
                  "grid.n and grid.length are required for this kind")
-        steps = spec.t_end / spec.dt
-        _require(abs(steps - round(steps)) < 1e-9 * max(1.0, steps),
+        _require(whole_steps(spec.dt, spec.t_end) is not None,
                  f"stepper.t_end = {spec.t_end} is not an integer multiple of dt = {spec.dt}")
+        _require(t["width"] > 0, "experiment.width must be positive")
+        _require(t["psi_width"] > 0, "experiment.psi_width must be positive")
+        if spec.kind != "simulate" and spec.preset == "physical":
+            p = spec.physical_params()
+            _require(p.omega > 0 and p.beta - p.nu**2 > 0,
+                     f"{spec.kind} requires the global-existence conditions "
+                     f"omega > 0 and beta - nu^2 > 0 (got omega={p.omega}, "
+                     f"beta-nu^2={p.beta - p.nu**2})")
+
+    if spec.kind in ("inflate", "c2probe"):
+        _require(len(t["n_list"]) >= 2, "experiment.n_list needs at least two entries")
+        _require(all(n >= 2 for n in t["n_list"]), "experiment.n_list entries must be >= 2")
+        _require(all(a < b for a, b in zip(t["n_list"], t["n_list"][1:])),
+                 "experiment.n_list must be strictly ascending")
+        _require(t["t_probe"] > 0, "experiment.t_probe must be positive")
+        _require(t["nodes"] >= 16, "experiment.nodes must be >= 16")
 
     if spec.kind == "simulate":
         _require(t["initial"] in ("gaussian", "plane_wave", "plateau", "random"),
                  f"experiment.initial: unknown preset {t['initial']!r}")
-        _require(t["width"] > 0, "experiment.width must be positive")
-        _require(t["psi_width"] > 0, "experiment.psi_width must be positive")
         _require(len(t["s_list"]) > 0, "experiment.s_list must be nonempty")
 
     elif spec.kind == "conserve":
         _require(t["initial"] in ("gaussian", "random"),
                  f"experiment.initial: unknown preset {t['initial']!r}")
-        _require(t["width"] > 0, "experiment.width must be positive")
-        _require(t["psi_width"] > 0, "experiment.psi_width must be positive")
         _require(t["q1_tol"] > 0 and t["q4_tol"] > 0, "tolerances must be positive")
-        if spec.preset == "physical":
-            p = spec.physical_params()
-            _require(p.omega > 0 and p.beta - p.nu**2 > 0,
-                     "conserve requires the global-existence conditions "
-                     f"omega > 0 and beta - nu^2 > 0 (got omega={p.omega}, "
-                     f"beta-nu^2={p.beta - p.nu**2})")
 
     elif spec.kind == "inflate":
         k, l = t["k"], t["l"]
@@ -504,29 +522,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
                  f"(k={k} -> need l >= {2.0 * k - 0.5}, got l={l})")
         _require(t["variant"] in ("f", "g"),
                  f"experiment.variant must be 'f' or 'g', got {t['variant']!r}")
-        _require(len(t["n_list"]) >= 2, "experiment.n_list needs at least two entries")
-        _require(all(n >= 2 for n in t["n_list"]), "experiment.n_list entries must be >= 2")
-        _require(all(a < b for a, b in zip(t["n_list"], t["n_list"][1:])),
-                 "experiment.n_list must be strictly ascending")
-        _require(t["t_probe"] > 0, "experiment.t_probe must be positive")
         _require(t["modes_per_hat"] >= 1, "experiment.modes_per_hat must be >= 1")
-        _require(t["nodes"] >= 16, "experiment.nodes must be >= 16")
         if spec.grid_n is not None and spec.grid_length is not None:
-            band = (2.0 * math.pi / spec.grid_length) * (spec.grid_n // 3)
-            need = 2.0 * max(t["n_list"]) + 2.0
-            _require(band >= need,
-                     f"grid must resolve |xi| <= {need} after dealiasing "
-                     f"(resolved band is {band:.1f})")
+            check_inflation_band(spec.grid_n, spec.grid_length, max(t["n_list"]))
 
     elif spec.kind == "c2probe":
         _require(t["l"] <= -0.5,
                  f"second-derivative probe requires l <= -1/2, got l={t['l']}")
-        _require(len(t["n_list"]) >= 2, "experiment.n_list needs at least two entries")
-        _require(all(n >= 2 for n in t["n_list"]), "experiment.n_list entries must be >= 2")
-        _require(all(a < b for a, b in zip(t["n_list"], t["n_list"][1:])),
-                 "experiment.n_list must be strictly ascending")
-        _require(t["t_probe"] > 0, "experiment.t_probe must be positive")
-        _require(t["nodes"] >= 16, "experiment.nodes must be >= 16")
 
     elif spec.kind == "decohere":
         mu, m, c = t["mu"], t["m"], t["c"]
@@ -544,13 +546,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(len(t["s_list"]) > 0, "experiment.s_list must be nonempty")
         _require(all(1.0 <= s <= 8.0 for s in t["s_list"]),
                  f"experiment.s_list must lie within [1, 8], got {t['s_list']}")
-        _require(t["width"] > 0 and t["psi_width"] > 0, "widths must be positive")
         _require(t["c_one"] > 0, "experiment.c_one must be positive")
-        if spec.preset == "physical":
-            p = spec.physical_params()
-            _require(p.omega > 0 and p.beta - p.nu**2 > 0,
-                     "growth requires the global-existence conditions "
-                     "omega > 0 and beta - nu^2 > 0")
 
     _require(bool(spec.out_dir), "output.dir must be nonempty")
     _require(bool(spec.prefix), "output.prefix must be nonempty")

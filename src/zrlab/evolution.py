@@ -41,6 +41,7 @@ from .records import RunRecord
 __all__ = [
     "StepperConfig",
     "BlowUpError",
+    "whole_steps",
     "linear_halfstep",
     "nonlinear_step",
     "strang_step",
@@ -62,21 +63,26 @@ class BlowUpError(RuntimeError):
         self.time = time
 
 
+def whole_steps(dt: float, t_end: float) -> Optional[int]:
+    """Number of steps of size dt > 0 spanning [0, t_end], or None when t_end
+    is not a whole multiple of dt to within roundoff."""
+    steps = round(t_end / dt) if t_end > 0 else 0
+    return steps if abs(steps * dt - t_end) <= 1e-9 * max(1.0, t_end) else None
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Time-stepping controls.
 
     dt must divide t_end to within roundoff; states are recorded at t = 0,
     every `record_every` steps, and at t_end.  `dealias` applies the 2/3 mask
-    to the quadratic source feeding the psi fields.  `external_midpoint`
-    evaluates travelling external potentials at t + dt/2 (else at t).
+    to the quadratic source feeding the psi fields.
     """
 
     dt: float
     t_end: float
     record_every: int = 1
     dealias: bool = True
-    external_midpoint: bool = True
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.dt) or self.dt <= 0:
@@ -85,13 +91,12 @@ class StepperConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        steps = round(self.t_end / self.dt) if self.t_end > 0 else 0
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if whole_steps(self.dt, self.t_end) is None:
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
 
     @property
     def steps(self) -> int:
-        return round(self.t_end / self.dt) if self.t_end > 0 else 0
+        return whole_steps(self.dt, self.t_end)
 
 
 def _take_real(arr: np.ndarray, time: float, scale: float) -> np.ndarray:
@@ -157,9 +162,10 @@ class _ExternalCache:
 
 
 def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                   t_external: Optional[float] = None, dealias: bool = True,
+                   dealias: bool = True,
                    _ext: Optional[_ExternalCache] = None) -> FieldState:
-    """Advance the potential/source sub-flow by dt (symmetric, reversible)."""
+    """Advance the potential/source sub-flow by dt (symmetric, reversible);
+    travelling external potentials are sampled at the midpoint time."""
     g = state.grid
     absb2 = np.abs(state.b) ** 2
     ghat = g.forward(absb2)
@@ -176,7 +182,7 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
     v = (coeffs.potential_plus * state.psi1 + coeffs.potential_minus * state.psi2
          + coeffs.cubic * absb2)
     ext = _ext if _ext is not None else _ExternalCache(g, coeffs)
-    ext_pot = ext.potential(g, state.time + 0.5 * dt if t_external is None else t_external)
+    ext_pot = ext.potential(g, state.time + 0.5 * dt)
     if ext_pot is not None:
         v = v + ext_pot
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
@@ -195,13 +201,12 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
 
 
 def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                dealias: bool = True, t_external: Optional[float] = None,
+                dealias: bool = True,
                 _lin: Optional[_LinearCache] = None,
                 _ext: Optional[_ExternalCache] = None) -> FieldState:
     """One full Strang step; advances state.time by dt."""
-    t_ext = state.time + 0.5 * dt if t_external is None else t_external
     linear_halfstep(state, coeffs, 0.5 * dt, _cache=_lin)
-    nonlinear_step(state, coeffs, dt, t_external=t_ext, dealias=dealias, _ext=_ext)
+    nonlinear_step(state, coeffs, dt, dealias=dealias, _ext=_ext)
     linear_halfstep(state, coeffs, 0.5 * dt, _cache=_lin)
     state.time += dt
     return state
@@ -229,9 +234,7 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
     snapshot()
     n_steps = config.steps
     for i in range(1, n_steps + 1):
-        t_ext = t0 + (i - 1) * config.dt + (0.5 * config.dt if config.external_midpoint else 0.0)
-        strang_step(state, coeffs, config.dt, dealias=config.dealias,
-                    t_external=t_ext, _lin=lin, _ext=ext)
+        strang_step(state, coeffs, config.dt, dealias=config.dealias, _lin=lin, _ext=ext)
         state.time = t0 + i * config.dt  # avoid accumulated addition drift
         if i % config.record_every == 0 or i == n_steps:
             snapshot()

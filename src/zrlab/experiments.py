@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import closed_forms as cf
-from .config import ConfigError, ExperimentSpec
+from .config import ConfigError, ExperimentSpec, check_inflation_band, inflation_band
 from .evolution import BlowUpError, StepperConfig, evolve
 from .grid import SpectralGrid, next_pow2
 from .model import (ExternalPotential, FieldState, GeneralCoefficients,
@@ -216,7 +216,8 @@ def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
 
 def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
                    coeffs: GeneralCoefficients) -> tuple[FieldState, Optional[float]]:
-    """Initial data for simulate/conserve/growth; returns (state, plane-wave Omega)."""
+    """Initial data for simulate/conserve/growth; returns (state, plane-wave Omega).
+    growth has no `initial` key and always starts from the Gaussian."""
     t = spec.table
     x = grid.x
     kind_initial = t.get("initial", "gaussian")
@@ -226,19 +227,19 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
         return state, omega_freq
     if kind_initial == "gaussian":
         b = _gaussian(x, t["amplitude"], t["width"]).astype(np.complex128)
-        psi = _gaussian(x, t.get("psi_amplitude", 0.0), t.get("psi_width", t["width"]))
+        psi = _gaussian(x, t["psi_amplitude"], t["psi_width"])
         return FieldState(grid, b, psi.copy(), psi.copy(), 0.0), None
     if kind_initial == "plateau":
         b = (t["amplitude"] * cf.smooth_plateau(x)).astype(np.complex128)
-        psi = _gaussian(x, t.get("psi_amplitude", 0.0), t.get("psi_width", t["width"]))
+        psi = _gaussian(x, t["psi_amplitude"], t["psi_width"])
         return FieldState(grid, b, psi.copy(), psi.copy(), 0.0), None
     if kind_initial == "random":
-        rng = np.random.default_rng(t.get("seed", 0))
+        rng = np.random.default_rng(t["seed"])
         b = _smooth_random(grid, rng, t["amplitude"], t["width"], real=False)
-        psi_amp = t.get("psi_amplitude", 0.0)
-        psi1 = _smooth_random(grid, rng, psi_amp, t.get("psi_width", t["width"]), real=True) \
+        psi_amp = t["psi_amplitude"]
+        psi1 = _smooth_random(grid, rng, psi_amp, t["psi_width"], real=True) \
             if psi_amp else np.zeros(grid.n)
-        psi2 = _smooth_random(grid, rng, psi_amp, t.get("psi_width", t["width"]), real=True) \
+        psi2 = _smooth_random(grid, rng, psi_amp, t["psi_width"], real=True) \
             if psi_amp else np.zeros(grid.n)
         return FieldState(grid, b, psi1, psi2, 0.0), None
     raise ConfigError(f"unknown initial preset {kind_initial!r}")
@@ -283,22 +284,36 @@ def _rel_drift(series: Sequence[float]) -> float:
     return float(np.max(np.abs(arr - base))) / scale
 
 
+def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence[float]):
+    """Set up a simulate/conserve/growth run: build the initial data (noting
+    boundary mass and the iteration schedule in `result`) and return
+    (initial state, plane-wave Omega or None, run), where run(dt) evolves the
+    data with step dt under the invariant observer, recording at the spec's
+    record times."""
+    grid = _grid_for(spec)
+    coeffs = _coeffs_for(spec)
+    state0, omega_freq = _initial_state(spec, grid, coeffs)
+    _boundary_note(result, state0)
+    _log_schedule(result, state0)
+    obs = _observer(_report_params(spec), s_list, spec.table["psi_index"])
+
+    def run(dt: float) -> tuple[FieldState, RunRecord]:
+        steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
+        config = StepperConfig(dt=dt, t_end=spec.t_end,
+                               record_every=steps_per_record, dealias=spec.dealias)
+        return evolve(state0, coeffs, config, observers=(obs,))
+
+    return state0, omega_freq, run
+
+
 # -- simulate -----------------------------------------------------------------------
 
 def run_simulate(spec: ExperimentSpec) -> ExperimentResult:
     """Plain evolution with invariant/norm recording; verdict = completion."""
     result = ExperimentResult("simulate")
-    grid = _grid_for(spec)
-    coeffs = _coeffs_for(spec)
-    state, omega_freq = _initial_state(spec, grid, coeffs)
-    _boundary_note(result, state)
-    _log_schedule(result, state)
-    params = _report_params(spec)
-    obs = _observer(params, spec.table["s_list"], spec.table["psi_index"])
-    config = StepperConfig(dt=spec.dt, t_end=spec.t_end,
-                           record_every=spec.record_every, dealias=spec.dealias)
+    _, omega_freq, run = _preset_run(spec, result, spec.table["s_list"])
     try:
-        final, record = evolve(state, coeffs, config, observers=(obs,))
+        final, record = run(spec.dt)
     except BlowUpError as exc:
         result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
         return result
@@ -311,27 +326,10 @@ def run_simulate(spec: ExperimentSpec) -> ExperimentResult:
 
 # -- conserve -----------------------------------------------------------------------
 
-def _drift_run(spec: ExperimentSpec, dt: float) -> tuple[RunRecord, FieldState]:
-    grid = _grid_for(spec)
-    coeffs = _coeffs_for(spec)
-    state, _ = _initial_state(spec, grid, coeffs)
-    params = _report_params(spec)
-    obs = _observer(params, spec.table["s_list"], spec.table["psi_index"])
-    steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
-    config = StepperConfig(dt=dt, t_end=spec.t_end,
-                           record_every=steps_per_record, dealias=spec.dealias)
-    final, record = evolve(state, coeffs, config, observers=(obs,))
-    return record, final
-
-
 def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
     """Invariant-drift audit: Q1 to near round-off, Q4 to o(dt^2)."""
     result = ExperimentResult("conserve")
-    grid = _grid_for(spec)
-    coeffs = _coeffs_for(spec)
-    state0, _ = _initial_state(spec, grid, coeffs)
-    _boundary_note(result, state0)
-    _log_schedule(result, state0)
+    _, _, run = _preset_run(spec, result, spec.table["s_list"])
 
     # Q3/Q4 back a verdict only when the run is an actual physical-parameter
     # flow with the global-existence signs; the normalized preset gets the
@@ -342,7 +340,7 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
         physical_flow = p.omega > 0 and p.beta - p.nu**2 > 0
 
     try:
-        record, _ = _drift_run(spec, spec.dt)
+        _, record = run(spec.dt)
     except BlowUpError as exc:
         result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
         return result
@@ -362,7 +360,7 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
         result.info["q3_drift"] = _rel_drift(record.column("Q3"))
 
         if spec.table["richardson"]:
-            record_half, _ = _drift_run(spec, 0.5 * spec.dt)
+            _, record_half = run(0.5 * spec.dt)
             result.records["series_half_dt"] = record_half
             half_drift = _rel_drift(record_half.column("Q4"))
             ratio = q4_drift / half_drift if half_drift > 0 else math.inf
@@ -387,15 +385,10 @@ def inflation_grid(n_freq: int, modes_per_hat: int,
     """Grid whose frequency lattice contains the hat edges exactly and whose
     dealiased band covers the doubled data support |xi| <= 2N + 2 + 2/N."""
     if explicit is not None:
-        band = np.max(np.abs(explicit.wavenumbers[explicit.dealias_mask]))
-        need = 2.0 * n_freq + 2.0 + 2.0 / n_freq
-        if band < need:
-            raise ConfigError(
-                f"grid must resolve |xi| <= {need:.2f} after dealiasing for N = {n_freq} "
-                f"(resolved band is {band:.2f})")
+        check_inflation_band(explicit.n, explicit.length, n_freq)
         return explicit
     length = 2.0 * math.pi * modes_per_hat * n_freq
-    need = 2.0 * n_freq + 2.0 + 2.0 / n_freq
+    need = inflation_band(n_freq)
     n = next_pow2(int(math.ceil(3.0 * modes_per_hat * n_freq * need)))
     return SpectralGrid(length, n)
 
@@ -555,8 +548,9 @@ def _decohere_profiles(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def _decohere_run(grid: SpectralGrid, mu: float, big_l: float, c: float,
                   theta_sq: float, t_end: float, dt_hint: float, record_every: int,
-                  k_reg: float, dealias: bool) -> tuple[RunRecord, FieldState, dict]:
-    """One rescaled-frame run up to internal time t_end."""
+                  k_reg: float, dealias: bool) -> dict:
+    """One rescaled-frame run up to internal time t_end: its record, initial
+    and final states, and diagnostics."""
     b0, psi_plus0 = _decohere_profiles(grid)
     coeffs = modified_system_coefficients(mu, big_l, c, theta_sq)
     coeffs = coeffs.with_externals(
@@ -577,11 +571,13 @@ def _decohere_run(grid: SpectralGrid, mu: float, big_l: float, c: float,
     state = FieldState(grid, b0.astype(np.complex128), np.zeros(grid.n),
                        np.zeros(grid.n), 0.0)
     params = unit_physical_params()
+    b0_field = cf.ComplexField(grid, b0)
+    psi_minus0 = np.zeros(grid.n)
 
     def observe(st: FieldState) -> dict[str, float]:
         rep = conserved_quantities(st, params, (k_reg,), -0.5)
-        target = np.exp(-1j * st.time * psi_plus0) * b0
-        diff = st.b - target
+        target = cf.small_dispersion_solution(b0_field, psi_plus0, psi_minus0, st.time)
+        diff = st.b - target.values
         return {"Q1": rep.q1, "Q2": rep.q2, "Q3": rep.q3, "Q4": rep.q4,
                 f"HsB_{k_reg:g}": rep.b_norms[k_reg],
                 "Hpsi1": rep.psi1_norm, "Hpsi2": rep.psi2_norm,
@@ -597,7 +593,7 @@ def _decohere_run(grid: SpectralGrid, mu: float, big_l: float, c: float,
         "dev_sup_L2": float(np.max(record.column("devA_L2"))),
         "dev_sup_Hk": float(np.max(record.column("devA_Hk"))),
     }
-    return record, final, diag
+    return {"record": record, "initial": state, "final": final, "diag": diag}
 
 
 def _decohere_pair(grid: SpectralGrid, mu: float, m_big: float, c: float,
@@ -612,12 +608,9 @@ def _decohere_pair(grid: SpectralGrid, mu: float, m_big: float, c: float,
 
     out: dict = {"mu": mu, "m": m_big, "T": big_t, "L1": l1, "L2": l2,
                  "theta_sq": theta_sq, "t_internal": ends}
-    runs = {}
-    for tag, big_l in (("L1", l1), ("L2", l2)):
-        record, final, diag = _decohere_run(grid, mu, big_l, c, theta_sq,
-                                            ends[tag], dt_hint, record_every,
-                                            k_reg, dealias)
-        runs[tag] = {"record": record, "final": final, "diag": diag}
+    runs = {tag: _decohere_run(grid, mu, big_l, c, theta_sq, ends[tag], dt_hint,
+                               record_every, k_reg, dealias)
+            for tag, big_l in (("L1", l1), ("L2", l2))}
     out["runs"] = runs
 
     b0, psi_plus0 = _decohere_profiles(grid)
@@ -625,7 +618,8 @@ def _decohere_pair(grid: SpectralGrid, mu: float, m_big: float, c: float,
     sep_final = grid.sobolev_norm(runs["L2"]["final"].b - runs["L1"]["final"].b, 0.0)
     out["analytic_target"] = target
     out["separation_final"] = sep_final
-    out["separation_initial"] = 0.0  # identical rescaled-frame data by construction
+    out["separation_initial"] = grid.sobolev_norm(
+        runs["L2"]["initial"].b - runs["L1"]["initial"].b, 0.0)
     out["dev_over_mu_Hk"] = max(runs["L1"]["diag"]["dev_sup_Hk"],
                                 runs["L2"]["diag"]["dev_sup_Hk"]) / mu
     out["dev_over_mu_L2"] = max(runs["L1"]["diag"]["dev_sup_L2"],
@@ -746,18 +740,10 @@ def run_growth(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult("growth")
     t = spec.table
     s_list = tuple(sorted(set(float(s) for s in t["s_list"])))
-    grid = _grid_for(spec)
-    coeffs = _coeffs_for(spec)
-    params = _report_params(spec)
-    state0, _ = _initial_state(spec, grid, coeffs)
-    _boundary_note(result, state0)
-    _log_schedule(result, state0)
-
-    obs = _observer(params, s_list, t["psi_index"])
-    config = StepperConfig(dt=spec.dt, t_end=spec.t_end,
-                           record_every=spec.record_every, dealias=spec.dealias)
+    state0, _, run = _preset_run(spec, result, s_list)
+    grid = state0.grid
     try:
-        final, record = evolve(state0, coeffs, config, observers=(obs,))
+        final, record = run(spec.dt)
     except BlowUpError as exc:
         result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
         return result

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "SpectralGrid",
     "ComplexField",
-    "RealField",
     "next_pow2",
 ]
 
@@ -151,29 +150,6 @@ class ComplexField:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.complex128)
-        _validate_field(self.grid, vals)
-        object.__setattr__(self, "values", vals)
-
-    def norm(self, s: float = 0.0) -> float:
-        return self.grid.sobolev_norm(self.values, s)
-
-
-@dataclass(frozen=True)
-class RealField:
-    """A real grid function; construction rejects significant imaginary parts."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
-        if np.iscomplexobj(vals):
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            leak = float(np.max(np.abs(vals.imag)))
-            if leak > 1e-12 * scale:
-                raise ValueError(f"imaginary residue {leak:.3e} exceeds the reality budget")
-            vals = vals.real
-        vals = np.asarray(vals, dtype=np.float64)
         _validate_field(self.grid, vals)
         object.__setattr__(self, "values", vals)
 

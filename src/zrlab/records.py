@@ -65,13 +65,6 @@ class RunRecord:
     def column(self, name: str) -> list[float]:
         return self.columns[name]
 
-    @property
-    def times(self) -> list[float]:
-        return self.columns.get("t", [])
-
-    def last(self, name: str) -> float:
-        return self.columns[name][-1]
-
 
 def write_record_csv(record: RunRecord, path) -> str:
     """Write the series; returns the sha256 digest of the emitted bytes."""

@@ -22,7 +22,9 @@ from zrlab.config import (
     parse_config,
     validate_spec,
 )
-from zrlab.experiments import fit_loglog
+from zrlab.evolution import StepperConfig
+from zrlab.experiments import fit_loglog, inflation_grid
+from zrlab.grid import SpectralGrid
 from zrlab.records import (
     RunManifest,
     RunRecord,
@@ -141,6 +143,12 @@ def test_apply_overrides_malformed():
         apply_overrides(spec, ["foo.bar=1"])
     with pytest.raises(ConfigError, match="unknown key 'dtt'"):
         apply_overrides(spec, ["stepper.dtt=0.01"])
+    # only the kinds that draw random data take a seed
+    for kind in ("inflate", "c2probe", "decohere", "growth"):
+        with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[experiment\]"):
+            apply_overrides(default_spec(kind), ["experiment.seed=1"])
+    for kind in ("simulate", "conserve"):
+        assert apply_overrides(default_spec(kind), ["experiment.seed=1"]).table["seed"] == 1
 
 
 # -- validation -----------------------------------------------------------------
@@ -177,6 +185,37 @@ def test_validate_params_gate():
     # decohere builds coefficients internally; a [params] section is an error
     with pytest.raises(ConfigError, match="not consulted"):
         parse_config("[params]\npreset = normalized\n[experiment]\nkind = decohere\n")
+
+
+def test_inflate_band_checked_at_parse_time():
+    """Parse and run share one band predicate: a grid whose dealiased band
+    (66.03) holds 2N + 2 but not 2N + 2 + 2/N for N = 32 fails at parse time,
+    and passes both checks once N = 32 leaves the sweep."""
+    grid = SpectralGrid(2.0 * math.pi * 1365 / 66.03, 4096)
+    overrides = ["grid.n=4096", f"grid.length={grid.length!r}"]
+    with pytest.raises(ConfigError, match=r"resolve \|xi\| <= 66.06 .* N = 32"):
+        apply_overrides(default_spec("inflate"), overrides + ["experiment.n_list=16,32"])
+    with pytest.raises(ConfigError, match=r"resolve \|xi\| <= 66.06 .* N = 32"):
+        inflation_grid(32, 4, grid)
+    apply_overrides(default_spec("inflate"), overrides + ["experiment.n_list=8,16"])
+    assert inflation_grid(16, 4, grid) is grid
+
+
+@pytest.mark.parametrize("dt, t_end", [
+    (1e-3, 1.0), (1e-3, 50.0), (5e-3, 5.0), (0.1, 0.3), (1.0 / 3.0, 1.0), (7e-4, 0.7),
+    (0.5, 0.0), (0.003, 1.0), (0.1, 0.35), (100.0, 5e-8), (2.0, 1.0),
+])
+def test_whole_steps_config_agrees_with_stepper(dt, t_end):
+    """A (dt, t_end) pair the config accepts constructs a StepperConfig, and
+    one it rejects as a fractional step count is rejected there too."""
+    try:
+        apply_overrides(default_spec("simulate"), [f"stepper.dt={dt!r}", f"stepper.t_end={t_end!r}"])
+    except ConfigError as exc:
+        assert "not an integer multiple of dt" in str(exc)
+        with pytest.raises(ValueError, match="not an integer multiple of dt"):
+            StepperConfig(dt=dt, t_end=t_end)
+    else:
+        StepperConfig(dt=dt, t_end=t_end)
 
 
 def test_validate_spec_direct():

@@ -161,7 +161,7 @@ def test_evolve_records_and_preserves_input(setup):
     final, record = evolve(state, coeffs, config,
                            observers=(lambda st: {"m": grid.sobolev_norm(st.b)},))
     assert_allclose(state.b, before.b)  # input untouched
-    assert record.times == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
+    assert record.column("t") == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
     assert "m" in record.columns and len(record) == 5
     assert record.meta["steps"] == 10
     assert final.time == pytest.approx(0.1)

@@ -266,6 +266,29 @@ def test_run_decohere_structural_relations_small():
     assert embedded["scale_ratio_L2_over_L1"] > 1.0
 
 
+def test_decohere_initial_separation_can_fail(monkeypatch):
+    """Negative control: the L2 run started from perturbed data trips the
+    initial_separation check, which reads the runs' t = 0 fields."""
+    import zrlab.experiments as experiments
+
+    real_evolve = experiments.evolve
+    calls = []
+
+    def evolve_perturbing_l2(state0, coeffs, config, observers=()):
+        calls.append(config.t_end)
+        if len(calls) == 2:  # the pair runs L1, then L2
+            state0.b *= 1.5
+        return real_evolve(state0, coeffs, config, observers)
+
+    monkeypatch.setattr(experiments, "evolve", evolve_perturbing_l2)
+    spec = default_spec("decohere")
+    result = run_decohere(replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=())))
+    assert len(calls) == 2 and calls[0] < calls[1]
+    assert result.info["pair"]["separation_initial"] > 0.0
+    assert {c.name: c.status for c in result.checks}["initial_separation"] == "fail"
+    assert result.status == "fail"
+
+
 # -- growth ------------------------------------------------------------------------
 
 def test_run_growth_short_horizon_passes_envelopes():

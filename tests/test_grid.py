@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zrlab import ComplexField, RealField, SpectralGrid, next_pow2
+from zrlab import ComplexField, SpectralGrid, next_pow2
 
 
 def dft_oracle(grid, values):
@@ -166,15 +166,6 @@ def test_shape_mismatch_rejected(grid):
         grid.forward(np.zeros(grid.n + 2))
     with pytest.raises(ValueError):
         grid.inverse(np.zeros(grid.n - 2, dtype=complex))
-
-
-def test_real_field_budget(grid):
-    vals = np.ones(grid.n) + 1e-6j
-    with pytest.raises(ValueError):
-        RealField(grid, vals)
-    fld = RealField(grid, np.ones(grid.n) + 1e-14j)
-    assert fld.values.dtype == np.float64
-    assert fld.norm(0.0) == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-13)
 
 
 def test_complex_field_norm(grid):
