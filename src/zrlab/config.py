@@ -11,11 +11,12 @@ Layout::
     amplitude = 0.5
 
 Sections are [grid], [params], [stepper], [experiment], [output].  Unknown
-sections and unknown keys are hard errors with line numbers — experiment
-validity hinges on exact hypothesis ranges, so silent typos are not an
+sections and unknown keys are hard errors with line numbers, and an entry
+the kind never reads must keep its default — experiment validity hinges on
+exact hypothesis ranges, so silent typos and no-op settings are not an
 option.  `parse_config` resolves per-kind defaults and validates every
-constraint; `emit_config` writes a spec back out such that
-parse_config(emit_config(spec)) == spec.
+constraint; `emit_config` writes a spec back out (without the unread
+entries) such that parse_config(emit_config(spec)) == spec.
 """
 
 from __future__ import annotations
@@ -102,15 +103,19 @@ def _render(value) -> str:
 
 # -- schemas --------------------------------------------------------------------
 
-_GRID_SCHEMA: dict[str, Callable] = {"n": _int, "length": _float}
-_PARAMS_SCHEMA: dict[str, Callable] = {
-    "preset": _str, "theta": _float, "gamma": _float,
-    "omega": _float, "beta": _float, "nu": _float,
+# key converters of every section but [experiment] (declared per kind)
+_SCHEMAS: dict[str, dict[str, Callable]] = {
+    "grid": {"n": _int, "length": _float},
+    "params": {"preset": _str, "theta": _float, "gamma": _float,
+               "omega": _float, "beta": _float, "nu": _float},
+    "stepper": {"dt": _float, "t_end": _float, "record_every": _int, "dealias": _bool},
+    "output": {"dir": _str, "prefix": _str},
 }
-_STEPPER_SCHEMA: dict[str, Callable] = {
-    "dt": _float, "t_end": _float, "record_every": _int, "dealias": _bool,
-}
-_OUTPUT_SCHEMA: dict[str, Callable] = {"dir": _str, "prefix": _str}
+# the ExperimentSpec field behind each of those entries
+_SPEC_FIELD = {"grid.n": "grid_n", "grid.length": "grid_length", "params.preset": "preset",
+               "output.dir": "out_dir", "output.prefix": "prefix",
+               **{f"params.{k}": k for k in _SCHEMAS["params"] if k != "preset"},
+               **{f"stepper.{k}": k for k in _SCHEMAS["stepper"]}}
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,9 @@ class KindDeclaration:
 
     `keys` maps each [experiment] key to (converter, default).  `grid` is the
     default (n, length); (None, None) means auto-sized (inflate) or unused
-    (c2probe).  `stepper` is the default (dt, t_end, record_every).
+    (c2probe).  `stepper` is the default (dt, t_end, record_every).  `reads`
+    names the [grid], [params] and [stepper] entries the kind reads, as whole
+    sections or "section.key"; every other entry must keep its default.
     """
 
     help: str
@@ -127,6 +134,12 @@ class KindDeclaration:
     grid: tuple[Optional[int], Optional[float]]
     stepper: tuple[float, float, int]
     keys: dict[str, tuple[Callable, object]]
+    reads: tuple[str, ...] = ("grid", "params", "stepper")
+
+    def reads_entry(self, section: str, key: str) -> bool:
+        """Whether the kind reads [section] key ([experiment] and [output] always)."""
+        return (section in ("experiment", "output") or section in self.reads
+                or f"{section}.{key}" in self.reads)
 
 
 DECLARATIONS: dict[str, KindDeclaration] = {
@@ -174,10 +187,11 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "variant": (_str, "f"),
             "modes_per_hat": (_int, 4),
             "nodes": (_int, 64),
-        }),
+        },
+        reads=("grid", "params", "stepper.dt", "stepper.dealias")),
     "c2probe": KindDeclaration(
         help="bilinear-kernel growth probe (smoothness failure), quadrature only",
-        # pure quadrature: grid and stepper unused
+        # pure quadrature: grid, params and stepper unused
         preset="normalized", grid=(None, None), stepper=(1e-3, 0.0, 1),
         keys={
             "k": (_float, 0.0),
@@ -185,7 +199,8 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "n_list": (_list_of(_int), (16, 32, 64, 128, 256)),
             "t_probe": (_float, 0.01),
             "nodes": (_int, 64),
-        }),
+        },
+        reads=()),
     "decohere": KindDeclaration(
         help="small-dispersion pair drifting O(1) apart from identical data",
         # coefficients are built from (mu, m, c); dt is the internal-time step
@@ -196,7 +211,8 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "c": (_float, 0.5),
             "k_reg": (_float, 1.0),
             "mu_list": (_list_of(_float), (0.1, 0.05, 0.025)),
-        }),
+        },
+        reads=("grid", "stepper.dt", "stepper.record_every", "stepper.dealias")),
     "growth": KindDeclaration(
         help="long-horizon Sobolev growth against a priori envelopes",
         preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),
@@ -307,36 +323,19 @@ def _build_spec(kind: str, sections: dict[str, dict[str, tuple[str, int]]],
     updates: dict[str, object] = {}
     table = dict(base.table)
     experiment_schema = {name: conv for name, (conv, _) in DECLARATIONS[kind].keys.items()}
-    explicit_params = False
 
     for section, entries in sections.items():
         for key, (raw, lineno) in entries.items():
             where = f"{provenance} {lineno}" if provenance == "line" else provenance
-            if section == "grid":
-                value = _convert(section, key, raw, where, _GRID_SCHEMA)
-                updates["grid_n" if key == "n" else "grid_length"] = value
-            elif section == "params":
-                value = _convert(section, key, raw, where, _PARAMS_SCHEMA)
-                explicit_params = True
-                updates["preset" if key == "preset" else key] = value
-            elif section == "stepper":
-                value = _convert(section, key, raw, where, _STEPPER_SCHEMA)
-                updates[key] = value
-            elif section == "output":
-                value = _convert(section, key, raw, where, _OUTPUT_SCHEMA)
-                updates["out_dir" if key == "dir" else "prefix"] = value
-            elif section == "experiment":
-                if key == "kind":
-                    if raw.strip() != kind:
-                        raise ConfigError(
-                            f"experiment.kind = {raw.strip()!r} does not match "
-                            f"the requested kind {kind!r}", where)
-                    continue
+            if section != "experiment":
+                value = _convert(section, key, raw, where, _SCHEMAS[section])
+                updates[_SPEC_FIELD[f"{section}.{key}"]] = value
+            elif key == "kind":
+                if raw.strip() != kind:
+                    raise ConfigError(f"experiment.kind = {raw.strip()!r} does not match "
+                                      f"the requested kind {kind!r}", where)
+            else:
                 table[key] = _convert(section, key, raw, where, experiment_schema)
-
-    if explicit_params and base.preset == "none":
-        raise ConfigError(f"[params] section is not consulted by kind={kind} "
-                          "(coefficients are built from experiment.mu/m/c)")
 
     from dataclasses import replace
     return replace(base, table=table, **updates)
@@ -394,7 +393,8 @@ def _sections_from_spec(spec: ExperimentSpec) -> dict[str, dict[str, tuple[str, 
     sections: dict[str, dict[str, tuple[str, int]]] = {}
 
     def put(section: str, key: str, value) -> None:
-        sections.setdefault(section, {})[key] = (_render(value), 0)
+        if DECLARATIONS[spec.kind].reads_entry(section, key):
+            sections.setdefault(section, {})[key] = (_render(value), 0)
 
     if spec.grid_n is not None:
         put("grid", "n", spec.grid_n)
@@ -460,6 +460,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
     """Check every per-kind constraint; raise ConfigError naming the violated one."""
     _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
     t = spec.table
+    base = default_spec(spec.kind)
+    for entry, name in _SPEC_FIELD.items():
+        _require(DECLARATIONS[spec.kind].reads_entry(*entry.split("."))
+                 or getattr(spec, name) == getattr(base, name),
+                 f"{entry} is not consulted by kind={spec.kind}")
 
     if spec.grid_n is not None:
         _require(spec.grid_n >= 8 and (spec.grid_n & (spec.grid_n - 1)) == 0,

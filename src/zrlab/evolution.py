@@ -11,8 +11,10 @@ The linear half-step advances the decoupled constant-coefficient flows
     bhat_j   *= exp(-i dispersion xi_j^2 tau)
     psihat_j *= exp(-i speed xi_j tau)
 
-which are exact and unitary.  The nonlinear step freezes the transport and
-dispersion and advances
+which are exact and unitary.  psi1, psi2, |B|^2 and the external potentials
+go through the grid's real half-spectrum transforms, so they are real by
+construction.  The nonlinear step freezes the transport and dispersion and
+advances
 
     i dB/dt = V B,          V = p+ psi1 + p- psi2 + cubic |B|^2 + externals
     d(psi)/dt = source d/dx |B|^2
@@ -49,8 +51,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-REALITY_BUDGET = 1e-11
 
 Observer = Callable[[FieldState], dict]
 
@@ -99,80 +99,50 @@ class StepperConfig:
         return whole_steps(self.dt, self.t_end)
 
 
-def _take_real(arr: np.ndarray, time: float, scale: float) -> np.ndarray:
-    leak = float(np.max(np.abs(arr.imag)))
-    if leak > REALITY_BUDGET * max(1.0, scale):
-        raise RuntimeError(
-            f"psi reality budget exceeded at t = {time:.6g}: residue {leak:.3e}")
-    return np.ascontiguousarray(arr.real)
+class _Plan:
+    """What every step of a run reuses: the linear half-step multipliers for
+    tau = dt/2 (B on the full spectrum, psi1 and psi2 on the real half
+    spectrum), the d/dx multiplier of the |B|^2 source (2/3-masked when
+    dealiasing), and the half spectra of the external profiles."""
 
-
-class _LinearCache:
-    """Half-step multipliers for a fixed tau (reused across steps)."""
-
-    def __init__(self, grid: SpectralGrid, coeffs: GeneralCoefficients, tau: float):
-        xi = grid.wavenumbers
-        self.tau = tau
-        self.mult_b = np.exp(-1j * coeffs.dispersion * xi**2 * tau)
-        self.mult_psi1 = self._translation(grid, coeffs.speed_plus * tau)
-        self.mult_psi2 = self._translation(grid, coeffs.speed_minus * tau)
-
-    @staticmethod
-    def _translation(grid: SpectralGrid, shift: float) -> np.ndarray:
-        # The unpaired Nyquist mode cannot carry a complex phase on a real
-        # field; keep its cosine part (same convention as odd derivatives).
-        mult = np.exp(-1j * grid.wavenumbers * shift)
-        nyq = grid.modes == -grid.n // 2
-        mult[nyq] = mult[nyq].real
-        return mult
-
-
-def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
-                    _cache: Optional[_LinearCache] = None) -> FieldState:
-    """Advance the linear sub-flows by tau (exact; any sign of tau)."""
-    g = state.grid
-    c = _cache if _cache is not None and _cache.tau == tau else _LinearCache(g, coeffs, tau)
-    state.b = g.inverse(g.forward(state.b) * c.mult_b)
-    scale1 = float(np.max(np.abs(state.psi1))) if state.psi1.size else 0.0
-    scale2 = float(np.max(np.abs(state.psi2))) if state.psi2.size else 0.0
-    state.psi1 = _take_real(g.inverse(g.forward(state.psi1) * c.mult_psi1), state.time, scale1)
-    state.psi2 = _take_real(g.inverse(g.forward(state.psi2) * c.mult_psi2), state.time, scale2)
-    return state
-
-
-class _ExternalCache:
-    """Fourier coefficients of the external profiles, for exact translation."""
-
-    def __init__(self, grid: SpectralGrid, coeffs: GeneralCoefficients):
-        self.items = []
+    def __init__(self, grid: SpectralGrid, coeffs: GeneralCoefficients, dt: float,
+                 dealias: bool = True):
+        tau = 0.5 * dt
+        self.mult_b = np.exp(-1j * coeffs.dispersion * grid.wavenumbers**2 * tau)
+        self.mult_psi1 = grid.translation(coeffs.speed_plus * tau)
+        self.mult_psi2 = grid.translation(coeffs.speed_minus * tau)
+        mask = grid.dealias_mask if dealias else np.ones(grid.n)
+        self.ddx = grid.derivative_coeffs(mask, 1)[:grid.n // 2 + 1]
+        self.externals = []
         for ext in (coeffs.external_plus, coeffs.external_minus):
             if ext is None:
                 continue
             if ext.profile.shape != (grid.n,):
                 raise ValueError("external potential profile does not match the run grid")
-            self.items.append((grid.forward(ext.profile), ext.speed))
+            self.externals.append((grid.rforward(ext.profile), ext.speed))
 
-    def potential(self, grid: SpectralGrid, t: float) -> Optional[np.ndarray]:
-        if not self.items:
-            return None
-        total = np.zeros(grid.n)
-        for prof_hat, speed in self.items:
-            total += grid.inverse(grid.translate_coeffs(prof_hat, speed * t)).real
-        return total
+
+def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
+                    plan: Optional[_Plan] = None) -> FieldState:
+    """Advance the linear sub-flows by tau (exact; any sign of tau); `plan`,
+    if given, must have been built for dt = 2 tau."""
+    g = state.grid
+    p = plan if plan is not None else _Plan(g, coeffs, 2.0 * tau)
+    state.b = g.inverse(g.forward(state.b) * p.mult_b)
+    state.psi1 = g.rinverse(g.rforward(state.psi1) * p.mult_psi1)
+    state.psi2 = g.rinverse(g.rforward(state.psi2) * p.mult_psi2)
+    return state
 
 
 def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                   dealias: bool = True,
-                   _ext: Optional[_ExternalCache] = None) -> FieldState:
+                   dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
     """Advance the potential/source sub-flow by dt (symmetric, reversible);
-    travelling external potentials are sampled at the midpoint time."""
+    travelling external potentials are sampled at the midpoint time.  `plan`,
+    if given, must have been built for this dealias flag."""
     g = state.grid
+    p = plan if plan is not None else _Plan(g, coeffs, dt, dealias)
     absb2 = np.abs(state.b) ** 2
-    ghat = g.forward(absb2)
-    if dealias:
-        ghat = g.dealias(ghat)
-    dxg = _take_real(g.inverse(g.derivative_coeffs(ghat, 1)), state.time,
-                     float(np.max(absb2)) if absb2.size else 0.0)
+    dxg = g.rinverse(g.rforward(absb2) * p.ddx)
 
     kick1 = (0.5 * dt * coeffs.source_plus) * dxg
     kick2 = (0.5 * dt * coeffs.source_minus) * dxg
@@ -181,10 +151,9 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
 
     v = (coeffs.potential_plus * state.psi1 + coeffs.potential_minus * state.psi2
          + coeffs.cubic * absb2)
-    ext = _ext if _ext is not None else _ExternalCache(g, coeffs)
-    ext_pot = ext.potential(g, state.time + 0.5 * dt)
-    if ext_pot is not None:
-        v = v + ext_pot
+    if p.externals:
+        t_mid = state.time + 0.5 * dt
+        v = v + g.rinverse(sum(hat * g.translation(speed * t_mid) for hat, speed in p.externals))
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     if vmax * abs(dt) >= np.pi:
         warnings.warn(
@@ -201,13 +170,13 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
 
 
 def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                dealias: bool = True,
-                _lin: Optional[_LinearCache] = None,
-                _ext: Optional[_ExternalCache] = None) -> FieldState:
-    """One full Strang step; advances state.time by dt."""
-    linear_halfstep(state, coeffs, 0.5 * dt, _cache=_lin)
-    nonlinear_step(state, coeffs, dt, dealias=dealias, _ext=_ext)
-    linear_halfstep(state, coeffs, 0.5 * dt, _cache=_lin)
+                dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
+    """One full Strang step; advances state.time by dt.  `plan`, built for
+    this grid, coefficients, dt and dealias flag, saves rebuilding it."""
+    plan = plan if plan is not None else _Plan(state.grid, coeffs, dt, dealias)
+    linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
+    nonlinear_step(state, coeffs, dt, dealias=dealias, plan=plan)
+    linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
     state.time += dt
     return state
 
@@ -222,8 +191,7 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
     state = state0.copy()
     t0 = state.time
     record = RunRecord()
-    lin = _LinearCache(state.grid, coeffs, 0.5 * config.dt)
-    ext = _ExternalCache(state.grid, coeffs)
+    plan = _Plan(state.grid, coeffs, config.dt, config.dealias)
 
     def snapshot() -> None:
         row = {"t": state.time}
@@ -234,7 +202,7 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
     snapshot()
     n_steps = config.steps
     for i in range(1, n_steps + 1):
-        strang_step(state, coeffs, config.dt, dealias=config.dealias, _lin=lin, _ext=ext)
+        strang_step(state, coeffs, config.dt, dealias=config.dealias, plan=plan)
         state.time = t0 + i * config.dt  # avoid accumulated addition drift
         if i % config.record_every == 0 or i == n_steps:
             snapshot()

@@ -187,6 +187,28 @@ def test_validate_params_gate():
         parse_config("[params]\npreset = normalized\n[experiment]\nkind = decohere\n")
 
 
+@pytest.mark.parametrize("kind, entries", [
+    ("c2probe", ("grid.n=64", "grid.length=1", "params.preset=physical", "params.theta=3",
+                 "stepper.dt=0.3", "stepper.t_end=5", "stepper.record_every=7",
+                 "stepper.dealias=false")),
+    ("inflate", ("stepper.t_end=5", "stepper.record_every=7")),
+    ("decohere", ("params.preset=normalized", "stepper.t_end=5")),
+])
+def test_unread_entries_rejected(kind, entries, tmp_path):
+    """An entry the kind never reads is refused by name, whether it comes from
+    --set or a programmatic spec, and emit_config leaves it out."""
+    for entry in entries:
+        key = entry.split("=")[0]
+        with pytest.raises(ConfigError, match=rf"{key} is not consulted by kind={kind}"):
+            apply_overrides(default_spec(kind), [entry])
+    with pytest.raises(ConfigError, match="stepper.t_end is not consulted"):
+        validate_spec(replace(default_spec(kind), t_end=5.0))
+    assert main([kind, "--set", entries[-1], "--set", f"output.dir={tmp_path}"]) == 1
+    emitted = emit_config(default_spec(kind))
+    for entry in entries:
+        assert f"\n{entry.split('=')[0].split('.')[1]} = " not in emitted
+
+
 def test_inflate_band_checked_at_parse_time():
     """Parse and run share one band predicate: a grid whose dealiased band
     (66.03) holds 2N + 2 but not 2N + 2 + 2/N for N = 32 fails at parse time,

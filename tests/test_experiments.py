@@ -18,6 +18,7 @@ from zrlab.experiments import (
     ExperimentResult,
     FitResult,
     _max_workers,
+    _psi_envelope_check,
     _rel_drift,
     _run_sweep,
     _slope_check,
@@ -289,7 +290,45 @@ def test_decohere_initial_separation_can_fail(monkeypatch):
     assert result.status == "fail"
 
 
+def test_decohere_runs_each_pair_once(monkeypatch):
+    """The main (mu, M) pair is also a mu-sweep pair (M_j = max(M, ceil(1/mu_j))
+    = M), so it runs once and feeds both the verdict and the sweep row."""
+    import zrlab.experiments as experiments
+
+    real_evolve = experiments.evolve
+    calls = []
+
+    def counting_evolve(state0, coeffs, config, observers=()):
+        calls.append(config.t_end)
+        return real_evolve(state0, coeffs, config, observers)
+
+    monkeypatch.setattr(experiments, "evolve", counting_evolve)
+    spec = default_spec("decohere")
+    result = run_decohere(replace(spec, table=dict(spec.table, mu=0.2, m=5.0,
+                                                   mu_list=(0.25, 0.2))))
+    assert len(calls) == 4  # two pairs of (L1, L2) runs
+    rows = {row["mu"]: row for row in result.info["mu_sweep"]}
+    assert sorted(rows) == [0.2, 0.25] and rows[0.2]["m"] == 5.0
+    assert rows[0.2]["separation_final"] == result.info["pair"]["separation_final"]
+
+
 # -- growth ------------------------------------------------------------------------
+
+def test_psi_envelope_can_fail():
+    """Negative control: an Hpsi series above the base max(Hpsi(0), Q1(0)) that
+    grows like exp(0.01 t) on the fitted first half passes, and the same series
+    turning to exp(0.05 t) in the second half crosses the envelope and fails."""
+    times = np.linspace(0.0, 50.0, 501)
+    slow = 2.0 * np.exp(0.01 * times)
+    fast = np.where(times <= 25.0, slow, 2.0 * np.exp(0.25 + 0.05 * (times - 25.0)))
+    outcome = {}
+    for name, hpsi in (("slow", slow), ("fast", fast)):
+        result = ExperimentResult("growth")
+        _psi_envelope_check(result, times, hpsi, 1.0)
+        outcome[name] = (result.checks[0].status, result.info["c_hat"])
+    assert outcome["slow"][0] == "pass" and outcome["fast"][0] == "fail"
+    assert outcome["slow"][1] == pytest.approx(0.01) and outcome["fast"][1] == outcome["slow"][1]
+
 
 def test_run_growth_short_horizon_passes_envelopes():
     spec = default_spec("growth")
