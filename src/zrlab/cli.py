@@ -84,9 +84,9 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
     for name in sorted(result.fits):
         fit = result.fits[name]
         path = out_dir / f"{spec.prefix}_{name}.fit"
-        write_fit_file(path, list(fit.log_x), list(fit.log_y),
-                       fit.slope, fit.intercept, fit.r_squared)
-        artifacts[name] = {"path": str(path), "format": "fit"}
+        digest = write_fit_file(path, list(fit.log_x), list(fit.log_y),
+                                fit.slope, fit.intercept, fit.r_squared)
+        artifacts[name] = {"path": str(path), "sha256": digest, "format": "fit"}
         written.append(str(path))
 
     from . import __version__

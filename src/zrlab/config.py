@@ -37,6 +37,7 @@ __all__ = [
     "default_spec",
     "inflation_band",
     "check_inflation_band",
+    "check_coefficient_preset",
     "DECLARATIONS",
     "KINDS",
 ]
@@ -456,6 +457,15 @@ def check_inflation_band(grid_n: int, grid_length: float, n_freq: int) -> None:
                            f"for N = {n_freq} (resolved band is {band:.2f})")
 
 
+def check_coefficient_preset(kind: str, preset: str) -> None:
+    """Raise ConfigError unless a run of `kind` can build its coefficients
+    from `preset`: a kind that reads params.preset needs one other than none.
+    Config validation and the runners share this one predicate."""
+    _require(preset in _PRESETS, f"params.preset must be one of {_PRESETS}")
+    _require(preset != "none" or not DECLARATIONS[kind].reads_entry("params", "preset"),
+             f"params.preset = none leaves kind {kind} without coefficients")
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
     """Check every per-kind constraint; raise ConfigError naming the violated one."""
     _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
@@ -475,7 +485,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
     _require(spec.t_end >= 0, f"stepper.t_end must be nonnegative, got {spec.t_end}")
     _require(spec.record_every >= 1,
              f"stepper.record_every must be >= 1, got {spec.record_every}")
-    _require(spec.preset in _PRESETS, f"params.preset must be one of {_PRESETS}")
+    check_coefficient_preset(spec.kind, spec.preset)
     if spec.preset == "physical":
         try:
             PhysicalParams(spec.theta, spec.gamma, spec.omega, spec.beta, spec.nu)

@@ -12,9 +12,8 @@ The linear half-step advances the decoupled constant-coefficient flows
     psihat_j *= exp(-i speed xi_j tau)
 
 which are exact and unitary.  psi1, psi2, |B|^2 and the external potentials
-go through the grid's real half-spectrum transforms, so they are real by
-construction.  The nonlinear step freezes the transport and dispersion and
-advances
+go through real half-spectrum transforms, so they are real by construction.
+The nonlinear step freezes the transport and dispersion and advances
 
     i dB/dt = V B,          V = p+ psi1 + p- psi2 + cubic |B|^2 + externals
     d(psi)/dt = source d/dx |B|^2
@@ -25,6 +24,12 @@ invariant under the rotation, so the kick (which depends on B only through
 |B|^2) is the same on both sides and the whole step is exactly
 time-reversible.  Mass sum|B|^2 dx is conserved to machine precision by
 construction.
+
+`strang_step` is the unfused reference: 4 complex and 10 real transforms.
+`evolve` fuses the loop: the half-steps that meet between steps are merged,
+psi1 and psi2 stay half spectra, and one inverse of p+ psi1^ + p- psi2^
+(at the midpoint kick) plus the translated external spectra gives the psi
+and external parts of V.  A step costs 2 complex and 2 real transforms.
 """
 
 from __future__ import annotations
@@ -100,26 +105,59 @@ class StepperConfig:
 
 
 class _Plan:
-    """What every step of a run reuses: the linear half-step multipliers for
-    tau = dt/2 (B on the full spectrum, psi1 and psi2 on the real half
-    spectrum), the d/dx multiplier of the |B|^2 source (2/3-masked when
-    dealiasing), and the half spectra of the external profiles."""
+    """What every step of a run reuses, and the one nonlinear kernel.
+
+    Built for one grid, coefficient record, dt and dealias flag: the linear
+    multipliers for tau = dt/2 (B on the full spectrum; psi1 and psi2 stacked
+    as rows on the real half spectrum) and their squares for a whole dt (a
+    square, not `translation(speed*dt)`: the Nyquist cosine rule does not
+    compose), the psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when
+    dealiasing), and the external profiles' half spectra.  Half spectra here
+    are numpy's unscaled `rfft` coefficients.
+    """
 
     def __init__(self, grid: SpectralGrid, coeffs: GeneralCoefficients, dt: float,
                  dealias: bool = True):
         tau = 0.5 * dt
+        self.grid, self.dt, self.cubic = grid, dt, coeffs.cubic
         self.mult_b = np.exp(-1j * coeffs.dispersion * grid.wavenumbers**2 * tau)
-        self.mult_psi1 = grid.translation(coeffs.speed_plus * tau)
-        self.mult_psi2 = grid.translation(coeffs.speed_minus * tau)
+        self.mult_psi = np.stack([grid.translation(coeffs.speed_plus * tau),
+                                  grid.translation(coeffs.speed_minus * tau)])
+        self.step_b, self.step_psi = self.mult_b**2, self.mult_psi**2
         mask = grid.dealias_mask if dealias else np.ones(grid.n)
-        self.ddx = grid.derivative_coeffs(mask, 1)[:grid.n // 2 + 1]
+        ddx = grid.derivative_coeffs(mask, 1)[:grid.n // 2 + 1]
+        self.kick = np.outer([tau * coeffs.source_plus, tau * coeffs.source_minus], ddx)
+        self.potential = np.array([coeffs.potential_plus, coeffs.potential_minus], complex)
         self.externals = []
         for ext in (coeffs.external_plus, coeffs.external_minus):
             if ext is None:
                 continue
             if ext.profile.shape != (grid.n,):
                 raise ValueError("external potential profile does not match the run grid")
-            self.externals.append((grid.rforward(ext.profile), ext.speed))
+            self.externals.append((np.fft.rfft(ext.profile), ext.speed))
+
+    def nonlinear(self, b: np.ndarray, psi: np.ndarray,
+                  time: float) -> tuple[np.ndarray, np.ndarray]:
+        """The nonlinear sub-flow over dt from `time`, on B's grid values and
+        the stacked half spectra of psi1, psi2; returns the new (b, psi)."""
+        dt = self.dt
+        absb2 = np.abs(b) ** 2
+        kick = np.fft.rfft(absb2) * self.kick
+        psi = psi + kick
+        vhat = self.potential @ psi
+        for hat, speed in self.externals:
+            vhat = vhat + hat * self.grid.translation(speed * (time + 0.5 * dt))
+        v = np.fft.irfft(vhat, self.grid.n) + self.cubic * absb2
+        vmax = float(np.abs(v).max())
+        if vmax * abs(dt) >= np.pi:
+            warnings.warn(
+                f"potential phase advanced {vmax * abs(dt):.3g} rad (>= pi) in one step; "
+                "decrease dt", RuntimeWarning)
+        b = b * np.exp(-1j * dt * v)
+        psi = psi + kick
+        if not (np.isfinite(b).all() and np.isfinite(psi).all()):
+            raise BlowUpError(time)
+        return b, psi
 
 
 def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
@@ -129,8 +167,8 @@ def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
     g = state.grid
     p = plan if plan is not None else _Plan(g, coeffs, 2.0 * tau)
     state.b = g.inverse(g.forward(state.b) * p.mult_b)
-    state.psi1 = g.rinverse(g.rforward(state.psi1) * p.mult_psi1)
-    state.psi2 = g.rinverse(g.rforward(state.psi2) * p.mult_psi2)
+    state.psi1 = g.rinverse(g.rforward(state.psi1) * p.mult_psi[0])
+    state.psi2 = g.rinverse(g.rforward(state.psi2) * p.mult_psi[1])
     return state
 
 
@@ -138,34 +176,11 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
                    dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
     """Advance the potential/source sub-flow by dt (symmetric, reversible);
     travelling external potentials are sampled at the midpoint time.  `plan`,
-    if given, must have been built for this dealias flag."""
-    g = state.grid
-    p = plan if plan is not None else _Plan(g, coeffs, dt, dealias)
-    absb2 = np.abs(state.b) ** 2
-    dxg = g.rinverse(g.rforward(absb2) * p.ddx)
-
-    kick1 = (0.5 * dt * coeffs.source_plus) * dxg
-    kick2 = (0.5 * dt * coeffs.source_minus) * dxg
-    state.psi1 = state.psi1 + kick1
-    state.psi2 = state.psi2 + kick2
-
-    v = (coeffs.potential_plus * state.psi1 + coeffs.potential_minus * state.psi2
-         + coeffs.cubic * absb2)
-    if p.externals:
-        t_mid = state.time + 0.5 * dt
-        v = v + g.rinverse(sum(hat * g.translation(speed * t_mid) for hat, speed in p.externals))
-    vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    if vmax * abs(dt) >= np.pi:
-        warnings.warn(
-            f"potential phase advanced {vmax * abs(dt):.3g} rad (>= pi) in one step; "
-            "decrease dt", RuntimeWarning)
-    state.b = state.b * np.exp(-1j * dt * v)
-
-    state.psi1 = state.psi1 + kick1
-    state.psi2 = state.psi2 + kick2
-
-    if not state.check_finite():
-        raise BlowUpError(state.time)
+    if given, must have been built for this dt and dealias flag."""
+    p = plan if plan is not None else _Plan(state.grid, coeffs, dt, dealias)
+    psi = np.fft.rfft(np.stack([state.psi1, state.psi2]))
+    state.b, psi = p.nonlinear(state.b, psi, state.time)
+    state.psi1, state.psi2 = np.fft.irfft(psi, state.grid.n)
     return state
 
 
@@ -187,11 +202,14 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
 
     The initial state is not mutated.  Returns the final state and the
     record; rows are {t, **observer columns} at the recorded times.
+    Between records B (grid values) and psi1, psi2 (half spectra) run half
+    a linear step ahead; a record time adds the half-step that syncs them.
     """
     state = state0.copy()
+    g, dt, n_steps = state.grid, config.dt, config.steps
     t0 = state.time
     record = RunRecord()
-    plan = _Plan(state.grid, coeffs, config.dt, config.dealias)
+    plan = _Plan(g, coeffs, dt, config.dealias)
 
     def snapshot() -> None:
         row = {"t": state.time}
@@ -200,14 +218,23 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
         record.append(row)
 
     snapshot()
-    n_steps = config.steps
+    b = g.inverse(g.forward(state.b) * plan.mult_b)
+    psi = np.fft.rfft(np.stack([state.psi1, state.psi2])) * plan.mult_psi
     for i in range(1, n_steps + 1):
-        strang_step(state, coeffs, config.dt, dealias=config.dealias, plan=plan)
-        state.time = t0 + i * config.dt  # avoid accumulated addition drift
+        b, psi = plan.nonlinear(b, psi, t0 + (i - 1) * dt)
         if i % config.record_every == 0 or i == n_steps:
+            bhat = g.forward(b)
+            state.b = g.inverse(bhat * plan.mult_b)
+            state.psi1, state.psi2 = np.fft.irfft(psi * plan.mult_psi, g.n)
+            state.time = t0 + i * dt  # avoid accumulated addition drift
             snapshot()
+            if i < n_steps:
+                b = g.inverse(bhat * plan.step_b)
+        else:
+            b = np.fft.ifft(np.fft.fft(b) * plan.step_b)
+        psi = psi * plan.step_psi
         if i % max(1, n_steps // 10) == 0:
-            logger.debug("evolve: step %d/%d (t = %.6g)", i, n_steps, state.time)
+            logger.debug("evolve: step %d/%d (t = %.6g)", i, n_steps, t0 + i * dt)
     record.meta["steps"] = n_steps
-    record.meta["dt"] = config.dt
+    record.meta["dt"] = dt
     return state, record

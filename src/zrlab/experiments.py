@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import closed_forms as cf
-from .config import ConfigError, ExperimentSpec, check_inflation_band, inflation_band
+from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
+                     check_inflation_band, inflation_band)
 from .evolution import BlowUpError, StepperConfig, evolve
 from .grid import SpectralGrid, next_pow2
 from .model import (ExternalPotential, FieldState, GeneralCoefficients,
@@ -175,13 +176,12 @@ def _grid_for(spec: ExperimentSpec) -> SpectralGrid:
 
 
 def _coeffs_for(spec: ExperimentSpec) -> GeneralCoefficients:
+    check_coefficient_preset(spec.kind, spec.preset)
     if spec.preset == "normalized":
         return normalized_coefficients()
     if spec.preset == "unit_physical":
         return coefficients_from_params(unit_physical_params())
-    if spec.preset == "physical":
-        return coefficients_from_params(spec.physical_params())
-    raise ConfigError(f"kind {spec.kind} has no coefficient preset")
+    return coefficients_from_params(spec.physical_params())
 
 
 def _report_params(spec: ExperimentSpec) -> PhysicalParams:

@@ -88,8 +88,9 @@ def read_record_csv(path) -> RunRecord:
 
 def write_fit_file(path, log_x: list[float], log_y: list[float],
                    slope: float, intercept: float, r_squared: float,
-                   x_label: str = "logN", y_label: str = "lognorm") -> None:
-    """Fitted scaling data: per-point columns plus a regression footer.
+                   x_label: str = "logN", y_label: str = "lognorm") -> str:
+    """Fitted scaling data: per-point columns plus a regression footer;
+    returns the sha256 digest of the emitted bytes.
 
     The footer is recomputable from the data columns alone (least squares on
     the first two columns), which the test suite verifies to 1e-12.
@@ -100,7 +101,9 @@ def write_fit_file(path, log_x: list[float], log_y: list[float],
     lines.append("# slope = " + format_float(slope))
     lines.append("# intercept = " + format_float(intercept))
     lines.append("# r_squared = " + format_float(r_squared))
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def read_fit_file(path) -> dict:

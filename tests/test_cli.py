@@ -15,6 +15,7 @@ import pytest
 
 from zrlab.cli import main
 from zrlab.config import (
+    DECLARATIONS,
     ConfigError,
     apply_overrides,
     default_spec,
@@ -23,7 +24,7 @@ from zrlab.config import (
     validate_spec,
 )
 from zrlab.evolution import StepperConfig
-from zrlab.experiments import fit_loglog, inflation_grid
+from zrlab.experiments import _coeffs_for, fit_loglog, inflation_grid
 from zrlab.grid import SpectralGrid
 from zrlab.records import (
     RunManifest,
@@ -240,6 +241,22 @@ def test_whole_steps_config_agrees_with_stepper(dt, t_end):
         StepperConfig(dt=dt, t_end=t_end)
 
 
+@pytest.mark.parametrize("kind", [k for k, d in DECLARATIONS.items()
+                                  if d.reads_entry("params", "preset")])
+@pytest.mark.parametrize("preset", ["normalized", "unit_physical", "physical", "none"])
+def test_preset_config_agrees_with_runner(kind, preset, tmp_path):
+    """Parse and run share one preset predicate: a preset that parses builds
+    the run's coefficients, and `none` fails at parse time, not mid-run."""
+    overrides = [f"params.preset={preset}"]
+    if preset == "none":
+        with pytest.raises(ConfigError, match=f"leaves kind {kind} without coefficients"):
+            apply_overrides(default_spec(kind), overrides)
+        assert main([kind, "--set", overrides[0], "--set", f"output.dir={tmp_path}"]) == 1
+        assert not any(tmp_path.iterdir())
+    else:
+        _coeffs_for(apply_overrides(default_spec(kind), overrides))
+
+
 def test_validate_spec_direct():
     spec = replace(default_spec("growth"), table=dict(default_spec("growth").table,
                                                       s_list=(0.5,)))
@@ -294,8 +311,9 @@ def test_record_csv_header_only(tmp_path):
 def test_fit_file_footer_recomputable(tmp_path):
     fit = fit_loglog([1, 2, 4, 8, 16], [2.0, 3.9, 8.3, 15.8, 33.0])
     path = tmp_path / "scaling.fit"
-    write_fit_file(path, list(fit.log_x), list(fit.log_y),
-                   fit.slope, fit.intercept, fit.r_squared)
+    digest = write_fit_file(path, list(fit.log_x), list(fit.log_y),
+                            fit.slope, fit.intercept, fit.r_squared)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     data = read_fit_file(path)
     assert data["header"] == ["logN", "lognorm", "fit"]
     pts = np.asarray(data["points"])
@@ -338,6 +356,18 @@ def test_cli_config_error_exits_one(capsys):
     assert main(["c2probe", "--set", "experiment.l=0"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "l <= -1/2" in err
+
+
+def test_cli_manifest_digests_every_artifact(tmp_path):
+    """c2probe writes a .fit file; the manifest carries its sha256 as it does
+    for the CSV series."""
+    assert main(["c2probe", "--set", f"output.dir={tmp_path}"]) == 0
+    manifest = json.loads(next(tmp_path.glob("*_manifest.json")).read_text())
+    formats = {a["format"] for a in manifest["artifacts"].values()}
+    assert "fit" in formats
+    for artifact in manifest["artifacts"].values():
+        data = open(artifact["path"], "rb").read()
+        assert artifact["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_cli_simulate_pass_and_artifacts(tmp_path, capsys):

@@ -237,3 +237,30 @@ def test_large_phase_step_warns():
                        np.zeros(grid.n), np.zeros(grid.n), 0.0)
     with pytest.warns(RuntimeWarning, match="decrease dt"):
         strang_step(state, coeffs, 0.1)  # |B|^2 dt = 10 rad > pi
+
+
+def test_evolve_warns_on_large_phase_step():
+    grid = SpectralGrid(2.0 * np.pi, 64)
+    coeffs = normalized_coefficients()
+    state = FieldState(grid, 10.0 * np.ones(grid.n, dtype=complex),
+                       np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    with pytest.warns(RuntimeWarning, match="decrease dt"):
+        evolve(state, coeffs, StepperConfig(dt=0.1, t_end=0.2))
+
+
+def test_evolve_blow_up_carries_failing_step_start():
+    """|B|^2 ~ 1e306 drives psi past the float64 range in the second step of
+    size 0.5 from t = 0.25: evolve and the unfused steps both report the
+    start time 0.75 of that step (not 0.25, not its end time 1.25)."""
+    grid = SpectralGrid(2.0 * np.pi, 32)
+    coeffs = normalized_coefficients()
+    b = 1e153 * (1.0 + 0.5 * np.cos(grid.x)) + 0j
+    state = FieldState(grid, b, np.zeros(grid.n), np.zeros(grid.n), 0.25)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(RuntimeWarning, match="decrease dt"):
+        with pytest.raises(BlowUpError) as fused:
+            evolve(state, coeffs, StepperConfig(dt=0.5, t_end=5.0))
+        with pytest.raises(BlowUpError) as unfused:
+            for _ in range(10):
+                strang_step(state, coeffs, 0.5)
+    assert fused.value.time == unfused.value.time == 0.75

@@ -1,6 +1,7 @@
 """Property tests of the stepper plan over random band-limited data: the real
-transforms agree with the complex ones, and a Strang step conserves mass, is
-reversible and keeps psi1, psi2 real."""
+transforms agree with the complex ones, a Strang step conserves mass, is
+reversible and keeps psi1, psi2 real, and the fused loop in `evolve` matches
+a loop of the unfused `strang_step`."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from numpy.testing import assert_allclose
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from zrlab import (FieldState, SpectralGrid, coefficients_from_params,  # noqa: E402
-                   strang_step, unit_physical_params)
+from zrlab import (FieldState, SpectralGrid, StepperConfig,  # noqa: E402
+                   coefficients_from_params, evolve, strang_step, unit_physical_params)
+from zrlab import evolution  # noqa: E402
 from zrlab.model import ExternalPotential  # noqa: E402
 
 
@@ -69,3 +71,86 @@ def test_strang_step_mass_reversal_reality(case, external):
         strang_step(state, coeffs, -dt)
     for name in ("b", "psi1", "psi2"):
         assert np.max(np.abs(getattr(state, name) - getattr(start, name))) < 1e-10
+
+
+def with_nyquist(state, amplitude):
+    """`state` with psi1, psi2 given energy at the unpaired Nyquist mode."""
+    alternating = amplitude * (-1.0) ** np.arange(state.grid.n)
+    state.psi1, state.psi2 = state.psi1 + alternating, state.psi2 - 0.5 * alternating
+    return state
+
+
+def fused_and_unfused(state0, coeffs, steps, record_every, dt=1e-3):
+    """The states `evolve` hands its observer and returns, and the states a
+    loop of `strang_step` reaches at the same record times."""
+    seen = []
+
+    def observe(st):
+        seen.append(st.copy())
+        return {"mass": st.grid.sobolev_norm(st.b) ** 2}
+
+    config = StepperConfig(dt=dt, t_end=steps * dt, record_every=record_every)
+    final, record = evolve(state0, coeffs, config, observers=(observe,))
+    ref = state0.copy()
+    expected = [ref.copy()]
+    for i in range(1, steps + 1):
+        strang_step(ref, coeffs, dt)
+        if i % record_every == 0 or i == steps:
+            expected.append(ref.copy())
+    assert len(seen) == len(expected) == len(record)
+    mass = [st.grid.sobolev_norm(st.b) ** 2 for st in expected]
+    assert_allclose(record.column("mass"), mass, rtol=1e-12)
+    return seen + [final], expected + [ref]
+
+
+def assert_states_match(got, want):
+    for a, b in zip(got, want):
+        assert a.time == pytest.approx(b.time, rel=1e-12, abs=1e-15)
+        assert a.psi1.dtype == np.float64 and a.psi2.dtype == np.float64
+        for name in ("b", "psi1", "psi2"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+@st.composite
+def schedules(draw):
+    """(steps, record_every): every step, a stride that does not divide the
+    step count, or only the end."""
+    steps = draw(st.integers(3, 12))
+    stride = draw(st.sampled_from(["every", "uneven", "end"]))
+    if stride == "uneven":
+        return steps, draw(st.sampled_from([r for r in range(2, steps) if steps % r]))
+    return steps, 1 if stride == "every" else steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields(), schedules(), st.booleans(), st.floats(0.0, 0.1))
+def test_fused_evolve_matches_strang_steps(case, schedule, external, nyquist):
+    grid, rng = case
+    coeffs = coefficients_from_params(unit_physical_params())
+    if external:
+        profile = band_limited(grid, rng, 0.5, real=True)
+        coeffs = coeffs.with_externals(ExternalPotential(profile, 0.7), None)
+    state = with_nyquist(random_state(grid, rng), nyquist)
+    assert_states_match(*fused_and_unfused(state, coeffs, *schedule))
+
+
+def test_fused_whole_step_multiplier_negative_control(monkeypatch):
+    """A whole-step psi multiplier built as translation(speed*dt) agrees with
+    the product of the two half multipliers except at the Nyquist mode, where
+    the cosine rule does not compose: the match fails on psi with Nyquist
+    energy and holds without it."""
+    grid = SpectralGrid(32.0, 64)
+    coeffs = coefficients_from_params(unit_physical_params())
+    build = evolution._Plan.__init__
+
+    def translated_whole_step(plan, grid, coeffs, dt, dealias=True):
+        build(plan, grid, coeffs, dt, dealias)
+        plan.step_psi = np.stack([grid.translation(coeffs.speed_plus * dt),
+                                  grid.translation(coeffs.speed_minus * dt)])
+
+    monkeypatch.setattr(evolution._Plan, "__init__", translated_whole_step)
+    state = random_state(grid, np.random.default_rng(7))
+    assert_states_match(*fused_and_unfused(state, coeffs, 8, 3))
+    with pytest.raises(AssertionError):
+        assert_states_match(*fused_and_unfused(with_nyquist(state, 0.05), coeffs, 8, 3))
