@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import (DECLARATIONS, ConfigError, ExperimentSpec, apply_overrides,
                      emit_config, parse_config)
-from .evolution import BlowUpError
 from .experiments import ExperimentResult, run_experiment
 from .records import RunManifest, write_fit_file, write_manifest, write_record_csv
 
@@ -140,9 +139,6 @@ def main(argv=None) -> int:
         result = run_experiment(spec)
     except ConfigError as exc:
         print(f"zrlab: config error: {exc}", file=sys.stderr)
-        return 1
-    except BlowUpError as exc:
-        print(f"zrlab: run failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError) as exc:
         print(f"zrlab: run failed: {exc}", file=sys.stderr)

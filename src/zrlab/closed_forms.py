@@ -18,14 +18,13 @@ grid Sobolev norm equal to the hat-integral norm divided by sqrt(2*pi).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .grid import ComplexField, SpectralGrid
+from .grid import SpectralGrid
 
 __all__ = [
     "HatDatum",
@@ -42,8 +41,6 @@ __all__ = [
     "first_order_psi1",
     "first_order_psi1_time_quadrature",
     "small_dispersion_solution",
-    "scaling_embed",
-    "trig_interpolate",
     "smooth_plateau",
     "modulated_sinc",
 ]
@@ -150,8 +147,9 @@ def normalize_hats(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> tuple
     return tuple(HatDatum(h.lo, h.hi, h.amplitude / norm, h.tag) for h in hats)
 
 
-def synthesize_hat_field(grid: SpectralGrid, hats: Sequence[HatDatum]) -> ComplexField:
-    """Sample hat data onto the periodic grid: c_j = fhat(xi_j) / L.
+def synthesize_hat_field(grid: SpectralGrid, hats: Sequence[HatDatum]) -> np.ndarray:
+    """Complex grid values of hat data sampled onto the periodic grid:
+    c_j = fhat(xi_j) / L.
 
     Supports are half-open [lo, hi) so that aligned hats contain an exact
     number of grid cells.  The resulting grid function approximates the
@@ -168,7 +166,7 @@ def synthesize_hat_field(grid: SpectralGrid, hats: Sequence[HatDatum]) -> Comple
         coeffs[sel] += h.amplitude / grid.length
     if not np.all(np.abs(xi[np.abs(coeffs) > 0]) <= np.max(np.abs(xi[grid.dealias_mask]))):
         raise ValueError("hat support extends beyond the dealiased band")
-    return ComplexField(grid, grid.inverse(coeffs))
+    return grid.inverse(coeffs)
 
 
 # -- resonance kernel ----------------------------------------------------------
@@ -189,9 +187,12 @@ def resonance_phi(t: float, a) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def _phi_time_quadrature(t: float, a: np.ndarray, nodes: int) -> np.ndarray:
-    """Brute-force GL quadrature of int_0^t exp(i t' a) dt' (dual route)."""
-    x, w = _gl(nodes)
+def _phi(t: float, a: np.ndarray, time_nodes: int) -> np.ndarray:
+    """resonance_phi(t, a) for time_nodes = 0; otherwise the dual route, a
+    brute-force time_nodes-point GL quadrature of int_0^t exp(i t' a) dt'."""
+    if not time_nodes:
+        return resonance_phi(t, a)
+    x, w = _gl(time_nodes)
     tp = 0.5 * t * (x + 1.0)
     return 0.5 * t * np.tensordot(np.exp(1j * np.multiply.outer(a, tp)), w, axes=([-1], [0]))
 
@@ -216,15 +217,7 @@ def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64) -> np.nd
     under the free Schrodinger phase exp(-i t' xi^2) for B and the speed +1
     transport phase exp(-i t' xi) for the coupling field.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    lo, hi = _pair_interval(b0, psi10, xi)
-    half = np.maximum(0.0, 0.5 * (hi - lo))
-    mid = 0.5 * (lo + hi)
-    x, w = _gl(nodes)
-    xi1 = mid[:, None] + half[:, None] * x[None, :]
-    a = (xi[:, None] - xi1) * (xi[:, None] + xi1 - 1.0)
-    inner = np.sum(w[None, :] * resonance_phi(t, a), axis=1) * half
-    return np.exp(-1j * t * xi**2) * b0.amplitude * psi10.amplitude * inner
+    return l_hat_time_quadrature(xi, t, b0, psi10, nodes, time_nodes=0)
 
 
 def l_hat_time_quadrature(xi, t: float, b0: HatDatum, psi10: HatDatum,
@@ -234,7 +227,8 @@ def l_hat_time_quadrature(xi, t: float, b0: HatDatum, psi10: HatDatum,
         int_0^t exp(-i (t-t') xi^2) exp(-i t' xi_1^2)
                 exp(-i t' (xi - xi_1)) dt'
 
-    Independent of the resonance_phi closed form."""
+    Independent of the resonance_phi closed form, which time_nodes = 0
+    takes instead (that is l_hat)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     lo, hi = _pair_interval(b0, psi10, xi)
     half = np.maximum(0.0, 0.5 * (hi - lo))
@@ -242,7 +236,7 @@ def l_hat_time_quadrature(xi, t: float, b0: HatDatum, psi10: HatDatum,
     x, w = _gl(nodes)
     xi1 = mid[:, None] + half[:, None] * x[None, :]
     a = (xi[:, None] - xi1) * (xi[:, None] + xi1 - 1.0)
-    inner = np.sum(w[None, :] * _phi_time_quadrature(t, a, time_nodes), axis=1) * half
+    inner = np.sum(w[None, :] * _phi(t, a, time_nodes), axis=1) * half
     return np.exp(-1j * t * xi**2) * b0.amplitude * psi10.amplitude * inner
 
 
@@ -266,10 +260,7 @@ def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
     for a, b in _panels(breaks):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         xi = mid + half * x
-        if time_quadrature:
-            vals = l_hat_time_quadrature(xi, t, b0, psi10, nodes)
-        else:
-            vals = l_hat(xi, t, b0, psi10, nodes)
+        vals = (l_hat_time_quadrature if time_quadrature else l_hat)(xi, t, b0, psi10, nodes)
         total += half * float(np.sum(w * (1.0 + np.abs(xi)) ** (2.0 * k) * np.abs(vals) ** 2))
     return math.sqrt(total)
 
@@ -300,17 +291,28 @@ def _psi1_hat_sq_integrand(xi: np.ndarray, t: float, hats: Sequence[HatDatum],
             mid = 0.5 * (lo + hi)
             xi1 = mid[:, None] + half[:, None] * x[None, :]
             a = xi[:, None] * (xi[:, None] - 2.0 * xi1 + speed)
-            if time_nodes:
-                phi = _phi_time_quadrature(t, a, time_nodes)
-            else:
-                phi = resonance_phi(t, a)
+            phi = _phi(t, a, time_nodes)
             acc += hi_hat.amplitude * hj_hat.amplitude * half * np.sum(w[None, :] * phi, axis=1)
     return (np.abs(xi) * np.abs(acc) / (2.0 * np.pi)) ** 2 * source**2
 
 
-def _first_order_psi1_impl(t: float, hats: Sequence[HatDatum], l: float,
-                           speed: float, source: float, nodes: int,
-                           time_nodes: int) -> float:
+def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
+                     speed: float = 1.0, source: float = 1.0,
+                     nodes: int = 64) -> float:
+    """Hat-integral H^l norm of the first-order transport response at time t.
+
+    This is the continuum, whole-line oracle for the solver's psi field when
+    the envelope data is the hat sum and couplings are at first order.  Use
+    as_grid_norm(...) when comparing against grid Sobolev norms."""
+    return first_order_psi1_time_quadrature(t, hats, l, speed, source, nodes, time_nodes=0)
+
+
+def first_order_psi1_time_quadrature(t: float, hats: Sequence[HatDatum], l: float,
+                                     speed: float = 1.0, source: float = 1.0,
+                                     nodes: int = 64, time_nodes: int = 64) -> float:
+    """Dual route: the oscillatory time integral by a time_nodes-point
+    quadrature (time_nodes = 0 takes the resonance_phi closed form, which is
+    first_order_psi1)."""
     _check_disjoint(hats)
     breaks: list[float] = []
     for hi_hat in hats:
@@ -329,73 +331,19 @@ def _first_order_psi1_impl(t: float, hats: Sequence[HatDatum], l: float,
     return math.sqrt(total)
 
 
-def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
-                     speed: float = 1.0, source: float = 1.0,
-                     nodes: int = 64) -> float:
-    """Hat-integral H^l norm of the first-order transport response at time t.
-
-    This is the continuum, whole-line oracle for the solver's psi field when
-    the envelope data is the hat sum and couplings are at first order.  Use
-    as_grid_norm(...) when comparing against grid Sobolev norms."""
-    return _first_order_psi1_impl(t, hats, l, speed, source, nodes, time_nodes=0)
-
-
-def first_order_psi1_time_quadrature(t: float, hats: Sequence[HatDatum], l: float,
-                                     speed: float = 1.0, source: float = 1.0,
-                                     nodes: int = 64, time_nodes: int = 64) -> float:
-    """Dual route: the oscillatory time integral by brute-force quadrature."""
-    return _first_order_psi1_impl(t, hats, l, speed, source, nodes, time_nodes=time_nodes)
-
-
 # -- small-dispersion closed form -----------------------------------------------
 
-def small_dispersion_solution(b0: ComplexField, psi_plus0: np.ndarray,
-                              psi_minus0: np.ndarray, t: float) -> ComplexField:
+def small_dispersion_solution(b0: np.ndarray, psi_plus0: np.ndarray,
+                              psi_minus0: np.ndarray, t: float) -> np.ndarray:
     """Zero-dispersion phase solution
 
         A(x, t) = exp(-i t (psi_plus0(x) + psi_minus0(x))) * B0(x),
 
-    the limit profile the modified small-dispersion system tracks to O(mu).
-    |A| = |B0| pointwise, so every L^2-type norm of the modulus is preserved.
+    the limit profile the modified small-dispersion system tracks to O(mu),
+    on the grid values of B0.  |A| = |B0| pointwise, so every L^2-type norm
+    of the modulus is preserved.
     """
-    phase = np.exp(-1j * t * (np.asarray(psi_plus0) + np.asarray(psi_minus0)))
-    return ComplexField(b0.grid, phase * b0.values)
-
-
-def trig_interpolate(grid: SpectralGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited interpolant sum_j c_j exp(i xi_j y) at
-    arbitrary points (periodic in the grid length)."""
-    coeffs = grid.forward(values)
-    points = np.asarray(points, dtype=np.float64)
-    out = np.zeros(points.shape, dtype=np.complex128)
-    chunk = max(1, 2**22 // grid.n)
-    flat = points.ravel()
-    res = out.ravel()
-    for start in range(0, flat.size, chunk):
-        y = flat[start:start + chunk]
-        res[start:start + chunk] = np.exp(1j * np.multiply.outer(y, grid.wavenumbers)) @ coeffs
-    return out
-
-
-def scaling_embed(btilde: ComplexField, t_big: float, big_l: float, mu: float,
-                  theta: float, c: float, x_out: np.ndarray) -> np.ndarray:
-    """Map a rescaled-frame field into original variables:
-
-        B(x, t) = L Theta exp(-i c^2 t) exp(i c x) Btilde(L mu (x - c t), L^2 t).
-
-    `btilde` must hold the rescaled solution at internal time L^2 * t_big.
-    The L^2 norms satisfy ||B(., t)|| = sqrt(L) Theta / sqrt(mu) ||Btilde||.
-    Mapped coordinates outside the btilde domain wrap periodically (warned).
-    """
-    x_out = np.asarray(x_out, dtype=np.float64)
-    y = big_l * mu * (x_out - c * t_big)
-    half = 0.5 * btilde.grid.length
-    if np.any(np.abs(y) > half):
-        warnings.warn("scaling embed samples the periodic extension of the "
-                      "rescaled field (mapped coordinate outside its domain)",
-                      RuntimeWarning)
-    vals = trig_interpolate(btilde.grid, btilde.values, y)
-    return big_l * theta * np.exp(-1j * c**2 * t_big) * np.exp(1j * c * x_out) * vals
+    return np.exp(-1j * t * (np.asarray(psi_plus0) + np.asarray(psi_minus0))) * b0
 
 
 # -- reference profiles -----------------------------------------------------------

@@ -498,8 +498,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
                  "params.theta/gamma/omega/beta/nu require params.preset = physical")
 
     if spec.kind in ("simulate", "conserve", "growth"):
-        _require(spec.grid_n is not None and spec.grid_length is not None,
-                 "grid.n and grid.length are required for this kind")
         _require(whole_steps(spec.dt, spec.t_end) is not None,
                  f"stepper.t_end = {spec.t_end} is not an integer multiple of dt = {spec.dt}")
         _require(t["width"] > 0, "experiment.width must be positive")
@@ -554,8 +552,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(t["k_reg"] >= 0, "experiment.k_reg must be nonnegative")
         _require(all(0.0 < v < 1.0 for v in t["mu_list"]),
                  "experiment.mu_list entries must lie in (0, 1)")
-        _require(spec.grid_n is not None and spec.grid_length is not None,
-                 "grid.n and grid.length are required for decohere")
 
     elif spec.kind == "growth":
         _require(len(t["s_list"]) > 0, "experiment.s_list must be nonempty")

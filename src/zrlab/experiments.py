@@ -72,9 +72,6 @@ class FitResult:
         if not (0.0 <= self.r_squared <= 1.0):
             raise ValueError(f"r_squared out of range: {self.r_squared}")
 
-    def predict(self, log_x: np.ndarray) -> np.ndarray:
-        return self.slope * np.asarray(log_x) + self.intercept
-
 
 def fit_loglog(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Fit log(y) = slope*log(x) + intercept; x, y must be positive."""
@@ -289,7 +286,8 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     boundary mass and the iteration schedule in `result`) and return
     (initial state, plane-wave Omega or None, run), where run(dt) evolves the
     data with step dt under the invariant observer, recording at the spec's
-    record times."""
+    record times.  run(dt) returns (final state, record), or None after a
+    blow-up, which it adds to `result` as a failed completion check."""
     grid = _grid_for(spec)
     coeffs = _coeffs_for(spec)
     state0, omega_freq = _initial_state(spec, grid, coeffs)
@@ -297,11 +295,15 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     _log_schedule(result, state0)
     obs = _observer(_report_params(spec), s_list, spec.table["psi_index"])
 
-    def run(dt: float) -> tuple[FieldState, RunRecord]:
+    def run(dt: float) -> Optional[tuple[FieldState, RunRecord]]:
         steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
         config = StepperConfig(dt=dt, t_end=spec.t_end,
                                record_every=steps_per_record, dealias=spec.dealias)
-        return evolve(state0, coeffs, config, observers=(obs,))
+        try:
+            return evolve(state0, coeffs, config, observers=(obs,))
+        except BlowUpError as exc:
+            result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+            return None
 
     return state0, omega_freq, run
 
@@ -312,11 +314,10 @@ def run_simulate(spec: ExperimentSpec) -> ExperimentResult:
     """Plain evolution with invariant/norm recording; verdict = completion."""
     result = ExperimentResult("simulate")
     _, omega_freq, run = _preset_run(spec, result, spec.table["s_list"])
-    try:
-        final, record = run(spec.dt)
-    except BlowUpError as exc:
-        result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+    outcome = run(spec.dt)
+    if outcome is None:
         return result
+    final, record = outcome
     result.records["series"] = record
     result.add("completion", True, f"reached t = {final.time:.6g}", f"t_end = {spec.t_end}")
     if omega_freq is not None:
@@ -339,11 +340,10 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
         p = spec.physical_params()
         physical_flow = p.omega > 0 and p.beta - p.nu**2 > 0
 
-    try:
-        _, record = run(spec.dt)
-    except BlowUpError as exc:
-        result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+    outcome = run(spec.dt)
+    if outcome is None:
         return result
+    _, record = outcome
     result.records["series"] = record
 
     q1_drift = _rel_drift(record.column("Q1"))
@@ -360,7 +360,10 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
         result.info["q3_drift"] = _rel_drift(record.column("Q3"))
 
         if spec.table["richardson"]:
-            _, record_half = run(0.5 * spec.dt)
+            outcome = run(0.5 * spec.dt)
+            if outcome is None:
+                return result
+            _, record_half = outcome
             result.records["series_half_dt"] = record_half
             half_drift = _rel_drift(record_half.column("Q4"))
             ratio = q4_drift / half_drift if half_drift > 0 else math.inf
@@ -409,7 +412,7 @@ def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
     hats = cf.normalize_hats(cf.build_fN(n_freq, k, f"inflation_{variant}"), k, nodes)
     grid = inflation_grid(n_freq, modes_per_hat, explicit_grid)
     b0 = cf.synthesize_hat_field(grid, hats)
-    state = FieldState(grid, b0.values, np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    state = FieldState(grid, b0, np.zeros(grid.n), np.zeros(grid.n), 0.0)
 
     steps = max(1, int(math.ceil(t_probe / dt - 1e-9)))
     dt_eff = t_probe / steps
@@ -571,13 +574,11 @@ def _decohere_run(grid: SpectralGrid, mu: float, big_l: float, c: float,
     state = FieldState(grid, b0.astype(np.complex128), np.zeros(grid.n),
                        np.zeros(grid.n), 0.0)
     params = unit_physical_params()
-    b0_field = cf.ComplexField(grid, b0)
     psi_minus0 = np.zeros(grid.n)
 
     def observe(st: FieldState) -> dict[str, float]:
         rep = conserved_quantities(st, params, (k_reg,), -0.5)
-        target = cf.small_dispersion_solution(b0_field, psi_plus0, psi_minus0, st.time)
-        diff = st.b - target.values
+        diff = st.b - cf.small_dispersion_solution(b0, psi_plus0, psi_minus0, st.time)
         return {"Q1": rep.q1, "Q2": rep.q2, "Q3": rep.q3, "Q4": rep.q4,
                 f"HsB_{k_reg:g}": rep.b_norms[k_reg],
                 "Hpsi1": rep.psi1_norm, "Hpsi2": rep.psi2_norm,
@@ -627,50 +628,13 @@ def _decohere_pair(grid: SpectralGrid, mu: float, m_big: float, c: float,
     return out
 
 
-def _embedded_diagnostics(grid: SpectralGrid, pair: dict, mu: float, c: float) -> dict:
-    """Original-variable (embedded) numbers, reported but not verdict-bearing:
-    at desk scale L2/L1 is far from 1, so the two embeddings start O(1) apart
-    in L^2 — their closeness is an asymptotic statement needing |log mu| >> 1."""
-    big_t = pair["T"]
-    theta = math.sqrt(pair["theta_sq"])
-    l1, l2 = pair["L1"], pair["L2"]
-    # sample where both mapped coordinates stay inside the rescaled domain
-    # (all field mass does; this just avoids touching the periodic wrap)
-    limit = 0.98 * 0.5 * grid.length * (l1 / l2)
-    sel = np.abs(grid.x) <= limit
-    x_out = c * big_t + grid.x[sel] / (l1 * mu)
-    dx_out = grid.dx / (l1 * mu)
-
-    def embed(big_l: float, when: float, values: np.ndarray) -> np.ndarray:
-        return cf.scaling_embed(cf.ComplexField(grid, values), when, big_l, mu,
-                                theta, c, x_out)
-
-    b0, _ = _decohere_profiles(grid)
-    init1 = embed(l1, 0.0, b0.astype(np.complex128))
-    init2 = embed(l2, 0.0, b0.astype(np.complex128))
-    fin1 = embed(l1, big_t, pair["runs"]["L1"]["final"].b)
-    fin2 = embed(l2, big_t, pair["runs"]["L2"]["final"].b)
-
-    def l2norm(v: np.ndarray) -> float:
-        return math.sqrt(dx_out * float(np.sum(np.abs(v) ** 2)))
-
-    norm_identity = l2norm(init1) / (math.sqrt(l1) * theta / math.sqrt(mu)
-                                     * grid.sobolev_norm(b0, 0.0))
-    return {
-        "initial_separation": l2norm(init2 - init1),
-        "final_separation": l2norm(fin2 - fin1),
-        "norm_identity_ratio": norm_identity,
-        "scale_ratio_L2_over_L1": l2 / l1,
-    }
-
-
 def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     """Decoherence pair: identical data, two scale parameters, O(1) drift apart.
 
     Verdict-bearing comparisons live in the rescaled (comoving) frame, where
-    the two runs share initial data exactly; original-variable embeddings are
-    attached as diagnostics.  The structural relations (L2^2 - L1^2) T = pi/2
-    and Theta^2 = mu/M hold exactly and are asserted as such.
+    the two runs share initial data exactly.  The structural relations
+    (L2^2 - L1^2) T = pi/2 and Theta^2 = mu/M hold exactly and are asserted
+    as such.
     """
     result = ExperimentResult("decohere")
     t = spec.table
@@ -711,7 +675,6 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
 
     result.info["pair"] = {k: v for k, v in pair.items() if k != "runs"}
     result.info["run_diagnostics"] = {tag: pair["runs"][tag]["diag"] for tag in ("L1", "L2")}
-    result.info["embedded"] = _embedded_diagnostics(grid, pair, mu, c)
     result.info["asymptotic_regime"] = {
         "L1_ge_mu^-5": pair["L1"] >= mu**-5,
         "T_le_log": pair["T"] <= abs(math.log(mu)),
@@ -740,11 +703,10 @@ def run_growth(spec: ExperimentSpec) -> ExperimentResult:
     s_list = tuple(sorted(set(float(s) for s in t["s_list"])))
     state0, _, run = _preset_run(spec, result, s_list)
     grid = state0.grid
-    try:
-        final, record = run(spec.dt)
-    except BlowUpError as exc:
-        result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+    outcome = run(spec.dt)
+    if outcome is None:
         return result
+    final, record = outcome
     result.records["series"] = record
     times = np.asarray(record.column("t"))
 

@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "SpectralGrid",
-    "ComplexField",
     "next_pow2",
 ]
 
@@ -155,25 +154,3 @@ class SpectralGrid:
         edge = float(np.sum(dens[:cells]) + np.sum(dens[-cells:]))
         return edge / total
 
-
-def _validate_field(grid: SpectralGrid, values: np.ndarray) -> None:
-    if values.shape != (grid.n,):
-        raise ValueError(f"field shape {values.shape} does not match grid size {grid.n}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite entries")
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """A complex grid function bound to its grid."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        _validate_field(self.grid, vals)
-        object.__setattr__(self, "values", vals)
-
-    def norm(self, s: float = 0.0) -> float:
-        return self.grid.sobolev_norm(self.values, s)

@@ -47,7 +47,6 @@ __all__ = [
     "unit_physical_params",
     "modified_system_coefficients",
     "to_physical_vars",
-    "from_physical_vars",
     "FieldState",
     "ConservedReport",
     "conserved_quantities",
@@ -212,12 +211,6 @@ def to_physical_vars(psi1: np.ndarray, psi2: np.ndarray, beta: float):
     return psi1 + psi2, rb * (psi1 - psi2)
 
 
-def from_physical_vars(rho: np.ndarray, u: np.ndarray, beta: float):
-    """(rho, u) -> (psi1, psi2); exact inverse of to_physical_vars."""
-    rb = math.sqrt(beta)
-    return 0.5 * (rho + u / rb), 0.5 * (rho - u / rb)
-
-
 # -- state -------------------------------------------------------------------
 
 @dataclass
@@ -237,7 +230,8 @@ class FieldState:
         for arr in (self.b, self.psi1, self.psi2):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"field shape {arr.shape} does not match grid size {self.grid.n}")
-        self.check_finite()
+            if not np.isfinite(arr).all():
+                raise ValueError("field contains non-finite entries")
 
     def _realize(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
@@ -248,10 +242,6 @@ class FieldState:
                 raise ValueError(f"psi field imaginary residue {leak:.3e} exceeds budget")
             arr = arr.real
         return np.asarray(arr, dtype=np.float64).copy()
-
-    def check_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.psi1))
-                    and np.all(np.isfinite(self.psi2)))
 
     def copy(self) -> "FieldState":
         return FieldState(self.grid, self.b.copy(), self.psi1.copy(), self.psi2.copy(), self.time)

@@ -1,18 +1,16 @@
-"""Closed-form oracles: kernels, hat data, norms, embeddings, profiles."""
+"""Closed-form oracles: kernels, hat data, norms, profiles."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zrlab import (ComplexField, HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10,
-                   build_fN, first_order_psi1, first_order_psi1_time_quadrature,
-                   hat_sobolev_norm, l_hat, l_hat_norm, l_hat_time_quadrature,
-                   modulated_sinc, normalize_hats, resonance_phi, scaling_embed,
-                   small_dispersion_solution, smooth_plateau, synthesize_hat_field,
-                   trig_interpolate)
+from zrlab import (HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10, build_fN,
+                   first_order_psi1, first_order_psi1_time_quadrature, hat_sobolev_norm,
+                   l_hat, l_hat_norm, l_hat_time_quadrature, modulated_sinc,
+                   normalize_hats, resonance_phi, small_dispersion_solution,
+                   smooth_plateau, synthesize_hat_field)
 from zrlab.closed_forms import GRID_NORM_FACTOR
 
 
@@ -134,7 +132,7 @@ def test_synthesis_norm_bridge():
     grid = SpectralGrid(2.0 * math.pi * 4 * n_freq, 1024)
     field = synthesize_hat_field(grid, hats)
     want = as_grid_norm(hat_sobolev_norm(hats, k))
-    assert field.norm(k) == pytest.approx(want, rel=0.01)
+    assert grid.sobolev_norm(field, k) == pytest.approx(want, rel=0.01)
     assert GRID_NORM_FACTOR == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
 
 
@@ -229,58 +227,16 @@ def test_first_order_psi1_requires_disjoint_hats():
 
 def test_small_dispersion_solution_phase_and_modulus():
     grid = SpectralGrid(16.0, 128)
-    b0 = ComplexField(grid, np.exp(-grid.x**2) + 0j)
+    b0 = np.exp(-grid.x**2) + 0j
     psi_p = 0.3 * np.ones(grid.n)
     psi_m = 0.2 * np.ones(grid.n)
     out = small_dispersion_solution(b0, psi_p, psi_m, 2.0)
-    assert_allclose(out.values, np.exp(-1j * 1.0) * b0.values, atol=1e-14)
+    assert_allclose(out, np.exp(-1j * 1.0) * b0, atol=1e-14)
     # modulus is invariant pointwise for any profiles
     rng = np.random.default_rng(3)
     psi_p = rng.standard_normal(grid.n)
     out = small_dispersion_solution(b0, psi_p, psi_m, 1.7)
-    assert_allclose(np.abs(out.values), np.abs(b0.values), atol=1e-14)
-
-
-def test_trig_interpolate_reproduces_nodes_and_modes():
-    grid = SpectralGrid(2.0 * np.pi, 32)
-    f = np.exp(1j * 3.0 * grid.x) + 0.5 * np.exp(-1j * 5.0 * grid.x)
-    assert_allclose(trig_interpolate(grid, f, grid.x), f, atol=1e-13)
-    pts = np.array([0.123, -1.7, 2.9])
-    want = np.exp(1j * 3.0 * pts) + 0.5 * np.exp(-1j * 5.0 * pts)
-    assert_allclose(trig_interpolate(grid, f, pts), want, atol=1e-13)
-
-
-def test_scaling_embed_norm_identity():
-    # ||B|| = sqrt(L/mu) Theta ||Btilde||; with L=8, Theta=0.1, mu=0.25 the
-    # factor is sqrt(32) * 0.1
-    grid = SpectralGrid(16.0, 256)
-    big_l, mu, theta = 8.0, 0.25, 0.1
-    btilde = ComplexField(grid, np.exp(-grid.x**2) * np.exp(1j * grid.x))
-    x_out = grid.x / (big_l * mu)  # maps exactly back onto the grid nodes
-    vals = scaling_embed(btilde, 0.0, big_l, mu, theta, 0.0, x_out)
-    dx_out = grid.dx / (big_l * mu)
-    norm_out = math.sqrt(dx_out * float(np.sum(np.abs(vals) ** 2)))
-    want = math.sqrt(big_l / mu) * theta * btilde.norm(0.0)
-    assert norm_out == pytest.approx(want, rel=1e-12)
-    assert math.sqrt(big_l / mu) * theta == pytest.approx(math.sqrt(32.0) * 0.1)
-
-
-def test_scaling_embed_galilean_phase():
-    grid = SpectralGrid(16.0, 256)
-    btilde = ComplexField(grid, np.ones(grid.n, dtype=complex))
-    c, mu, big_l, t_big = 0.5, 0.25, 8.0, 0.3
-    x_out = np.array([c * t_big])  # comoving point: Btilde argument is 0
-    val = scaling_embed(btilde, t_big, big_l, mu, math.sqrt(2.0), c, x_out)[0]
-    want = big_l * math.sqrt(2.0) * np.exp(-1j * c**2 * t_big) * np.exp(1j * c**2 * t_big)
-    assert val == pytest.approx(want, rel=1e-12)
-
-
-def test_scaling_embed_warns_on_wrap():
-    grid = SpectralGrid(16.0, 64)
-    btilde = ComplexField(grid, np.ones(grid.n, dtype=complex))
-    far = np.array([100.0])  # mapped coordinate far outside [-8, 8)
-    with pytest.warns(RuntimeWarning, match="periodic extension"):
-        scaling_embed(btilde, 0.0, 8.0, 0.25, 1.0, 0.0, far)
+    assert_allclose(np.abs(out), np.abs(b0), atol=1e-14)
 
 
 # -- reference profiles ------------------------------------------------------------

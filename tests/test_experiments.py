@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from zrlab.config import ConfigError, default_spec
 from zrlab.experiments import (
@@ -26,6 +25,7 @@ from zrlab.experiments import (
     expected_inflation_slope,
     fit_loglog,
     inflate_member,
+    run_c2probe,
     run_conserve,
     run_decohere,
     run_experiment,
@@ -45,7 +45,6 @@ def test_fit_loglog_exact_power_law():
     assert fit.slope == pytest.approx(1.7, abs=1e-12)
     assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
     assert fit.r_squared == 1.0
-    assert_allclose(fit.predict(np.log([32.0])), [1.7 * math.log(32.0) + math.log(3.0)])
 
 
 def test_fit_loglog_flat_data_r2_convention():
@@ -208,6 +207,31 @@ def test_run_conserve_physical_preset_all_checks():
     assert "series" in result.records and "series_half_dt" in result.records
 
 
+def test_run_conserve_blowup_in_half_dt_run_fails_completion(monkeypatch):
+    """A blow-up in the Richardson half-dt run (the second evolve) becomes a
+    failed completion check; the first run's record and checks stay."""
+    import zrlab.experiments as experiments
+
+    real_evolve = experiments.evolve
+    calls = []
+
+    def evolve_blowing_up_second(state0, coeffs, config, observers=()):
+        calls.append(config.dt)
+        if len(calls) == 2:
+            raise BlowUpError(0.125)
+        return real_evolve(state0, coeffs, config, observers)
+
+    monkeypatch.setattr(experiments, "evolve", evolve_blowing_up_second)
+    spec = replace(default_spec("conserve"), t_end=0.4, dt=0.004, record_every=25)
+    result = run_conserve(spec)
+    assert calls == [0.004, 0.002]
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses == {"q1_drift": "pass", "q4_drift": "pass", "completion": "fail"}
+    assert "t = 0.125" in result.checks[-1].observed
+    assert result.status == "fail"
+    assert set(result.records) == {"series"}
+
+
 def test_run_conserve_normalized_preset_q1_only():
     spec = default_spec("conserve")
     spec = replace(spec, preset="normalized", t_end=0.2, dt=0.002, record_every=20)
@@ -245,6 +269,30 @@ def test_run_inflate_few_points_is_inconclusive(monkeypatch):
     assert [m["N"] for m in result.info["members"]] == [8, 16]
 
 
+# -- c2probe -----------------------------------------------------------------------
+
+def test_c2probe_unbounded_growth_can_fail(monkeypatch):
+    """Negative control: the kernel norm grows with N over a small sweep, and a
+    stand-in l_hat_norm that shrinks with N (the B0 bump is [0, 1/N]) fails
+    unbounded_growth."""
+    import zrlab.experiments as experiments
+
+    spec = default_spec("c2probe")
+    spec = replace(spec, table=dict(spec.table, n_list=(8, 16, 32)))
+    statuses = {c.name: c.status for c in run_c2probe(spec).checks}
+    assert statuses["unbounded_growth"] == "pass"
+
+    def shrinking_norm(t, b0, psi10, k, nodes=64, time_quadrature=False):
+        return b0.hi
+
+    monkeypatch.setattr(experiments.cf, "l_hat_norm", shrinking_norm)
+    result = run_c2probe(spec)
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses["unbounded_growth"] == "fail"
+    assert statuses["dual_route"] == "pass"
+    assert [m["norm"] for m in result.info["members"]] == [1 / 8, 1 / 16, 1 / 32]
+
+
 # -- decohere ----------------------------------------------------------------------
 
 def test_run_decohere_structural_relations_small():
@@ -262,9 +310,6 @@ def test_run_decohere_structural_relations_small():
     assert pair["theta_sq"] == 0.2 / 5.0
     assert pair["separation_initial"] == 0.0
     assert set(result.records) == {"series_L1", "series_L2"}
-    embedded = result.info["embedded"]
-    assert embedded["norm_identity_ratio"] == pytest.approx(1.0, rel=1e-6)
-    assert embedded["scale_ratio_L2_over_L1"] > 1.0
 
 
 def test_decohere_initial_separation_can_fail(monkeypatch):
@@ -342,6 +387,11 @@ def test_run_growth_short_horizon_passes_envelopes():
     assert "growth_s3" in result.fits
     assert result.info["c_hat"] >= 0.0
     assert result.info["h1_sup"] <= result.info["h1_envelope"]
+    # negative control: a small C1 puts the envelope under sup ||B||_H1
+    tight = run_growth(replace(spec, table=dict(spec.table, c_one=1e-3)))
+    assert {c.name: c.status for c in tight.checks}["h1_apriori"] == "fail"
+    assert tight.info["h1_sup"] == result.info["h1_sup"]
+    assert tight.status == "fail"
 
 
 # -- dispatch ------------------------------------------------------------------------

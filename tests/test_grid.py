@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zrlab import ComplexField, SpectralGrid, next_pow2
+from zrlab import SpectralGrid, next_pow2
 
 
 def dft_oracle(grid, values):
@@ -171,7 +171,3 @@ def test_shape_mismatch_rejected(grid):
     with pytest.raises(ValueError):
         grid.inverse(np.zeros(grid.n - 2, dtype=complex))
 
-
-def test_complex_field_norm(grid):
-    fld = ComplexField(grid, np.exp(1j * grid.x))
-    assert fld.norm(1.0) == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-13)

@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zrlab import (FieldState, PhysicalParams, Schedule, SpectralGrid,
-                   coefficients_from_params, conserved_quantities,
-                   from_physical_vars, iteration_schedule,
+                   coefficients_from_params, conserved_quantities, iteration_schedule,
                    modified_system_coefficients, normalized_coefficients,
                    plane_wave_state, to_physical_vars, unit_physical_params)
 from zrlab.model import ExternalPotential
@@ -37,15 +36,6 @@ def test_cubic_strength_example():
     assert co.speed_minus == pytest.approx(-1.5)
     assert co.source_plus == pytest.approx(0.75 * (-1.0 + 0.25))
     assert co.source_minus == pytest.approx(0.75 * (-1.0 - 0.25))
-
-
-def test_physical_vars_roundtrip():
-    rng = np.random.default_rng(0)
-    rho, u = rng.standard_normal(64), rng.standard_normal(64)
-    psi1, psi2 = from_physical_vars(rho, u, beta=2.7)
-    rho2, u2 = to_physical_vars(psi1, psi2, beta=2.7)
-    assert_allclose(rho2, rho, atol=1e-14)
-    assert_allclose(u2, u, atol=1e-14)
 
 
 def test_coefficient_mapping_reproduces_physical_rhs():
@@ -126,6 +116,17 @@ def test_field_state_reality_budget():
     assert st.psi1.dtype == np.float64
     with pytest.raises(ValueError):
         FieldState(g, np.zeros(g.n - 1), np.zeros(g.n), np.zeros(g.n))
+
+
+def test_field_state_rejects_non_finite():
+    g = SpectralGrid(8.0, 16)
+    ok = np.zeros(g.n)
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = ok.copy()
+        spoiled[3] = bad
+        for fields in ((spoiled, ok, ok), (ok, spoiled, ok), (ok, ok, spoiled)):
+            with pytest.raises(ValueError, match="non-finite"):
+                FieldState(g, *fields)
 
 
 def test_conserved_plane_wave_values():
