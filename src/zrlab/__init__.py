@@ -15,32 +15,31 @@ small-dispersion decoherence pair, long-horizon growth audit).
 __version__ = "0.1.0"
 
 from .closed_forms import (HatDatum, as_grid_norm, build_c2_psi10, build_fN,
-                           first_order_psi1, first_order_psi1_time_quadrature,
-                           hat_sobolev_norm, l_hat, l_hat_norm,
+                           first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm,
                            l_hat_time_quadrature, modulated_sinc, normalize_hats,
                            resonance_phi, small_dispersion_solution,
                            smooth_plateau, synthesize_hat_field)
 from .evolution import BlowUpError, StepperConfig, evolve, strang_step
 from .grid import SpectralGrid, next_pow2
-from .model import (FieldState, GeneralCoefficients, PhysicalParams, Schedule,
+from .model import (FieldState, GeneralCoefficients, PhysicalParams,
                     coefficients_from_params, conserved_quantities, iteration_schedule,
                     modified_system_coefficients, normalized_coefficients,
-                    plane_wave_state, to_physical_vars, unit_physical_params)
+                    plane_wave_state, unit_physical_params)
 
 __all__ = [
     "__version__",
     # grid
     "SpectralGrid", "next_pow2",
     # model
-    "PhysicalParams", "GeneralCoefficients", "FieldState", "Schedule",
+    "PhysicalParams", "GeneralCoefficients", "FieldState",
     "coefficients_from_params", "normalized_coefficients", "unit_physical_params",
-    "modified_system_coefficients", "to_physical_vars",
+    "modified_system_coefficients",
     "conserved_quantities", "plane_wave_state", "iteration_schedule",
     # evolution
     "StepperConfig", "BlowUpError", "evolve", "strang_step",
     # closed forms
     "HatDatum", "build_fN", "build_c2_psi10", "hat_sobolev_norm", "normalize_hats",
     "synthesize_hat_field", "as_grid_norm", "resonance_phi", "l_hat", "l_hat_norm",
-    "l_hat_time_quadrature", "first_order_psi1", "first_order_psi1_time_quadrature",
+    "l_hat_time_quadrature", "first_order_psi1",
     "small_dispersion_solution", "smooth_plateau", "modulated_sinc",
 ]

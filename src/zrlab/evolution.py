@@ -29,7 +29,9 @@ construction.
 `evolve` fuses the loop: the half-steps that meet between steps are merged,
 psi1 and psi2 stay half spectra, and one inverse of p+ psi1^ + p- psi2^
 (at the midpoint kick) plus the translated external spectra gives the psi
-and external parts of V.  A step costs 2 complex and 2 real transforms.
+and external parts of V.  A step costs 2 complex and 2 real transforms and,
+off record times, allocates nothing: `_Plan.nonlinear` updates B and psi in
+place, and it and the loop write every result into the plan's work arrays.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class StepperConfig:
 
 
 class _Plan:
-    """What every step of a run reuses, and the one nonlinear kernel.
+    """What every step of a run reuses, the one nonlinear kernel, and its work arrays.
 
     Built for one grid, coefficient record, dt and dealias flag: the linear
     multipliers for tau = dt/2 (B on the full spectrum; psi1 and psi2 stacked
@@ -114,18 +116,24 @@ class _Plan:
     compose), the psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when
     dealiasing), and the external profiles' half spectra.  Half spectra here
     are numpy's unscaled `rfft` coefficients.
+
+    It also owns the work arrays every step writes into: |B|^2, the psi
+    kicks, V, a translated external, a half spectrum (|B|^2's, then V's) and
+    a complex grid array (the phase factor, then B's spectrum).  A plan
+    belongs to one run and is never shared between threads; no array handed
+    out aliases these.
     """
 
     def __init__(self, grid: SpectralGrid, coeffs: GeneralCoefficients, dt: float,
                  dealias: bool = True):
-        tau = 0.5 * dt
+        tau, h = 0.5 * dt, grid.n // 2 + 1
         self.grid, self.dt, self.cubic = grid, dt, coeffs.cubic
         self.mult_b = np.exp(-1j * coeffs.dispersion * grid.wavenumbers**2 * tau)
         self.mult_psi = np.stack([grid.translation(coeffs.speed_plus * tau),
                                   grid.translation(coeffs.speed_minus * tau)])
         self.step_b, self.step_psi = self.mult_b**2, self.mult_psi**2
         mask = grid.dealias_mask if dealias else np.ones(grid.n)
-        ddx = grid.derivative_coeffs(mask, 1)[:grid.n // 2 + 1]
+        ddx = grid.derivative_coeffs(mask, 1)[:h]
         self.kick = np.outer([tau * coeffs.source_plus, tau * coeffs.source_minus], ddx)
         self.potential = np.array([coeffs.potential_plus, coeffs.potential_minus], complex)
         self.externals = []
@@ -135,29 +143,37 @@ class _Plan:
             if ext.profile.shape != (grid.n,):
                 raise ValueError("external potential profile does not match the run grid")
             self.externals.append((np.fft.rfft(ext.profile), ext.speed))
+        self.absb2, self.v, self.b_finite = (np.empty(grid.n, t) for t in (float, float, bool))
+        self.phase, self.vhat, self.moved = (np.empty(m, complex) for m in (grid.n, h, h))
+        self.psi_kick, self.psi_finite = np.empty((2, h), complex), np.empty((2, h), bool)
 
-    def nonlinear(self, b: np.ndarray, psi: np.ndarray,
-                  time: float) -> tuple[np.ndarray, np.ndarray]:
+    def nonlinear(self, b: np.ndarray, psi: np.ndarray, time: float) -> None:
         """The nonlinear sub-flow over dt from `time`, on B's grid values and
-        the stacked half spectra of psi1, psi2; returns the new (b, psi)."""
+        the stacked half spectra of psi1, psi2; updates `b` and `psi` in place."""
         dt = self.dt
-        absb2 = np.abs(b) ** 2
-        kick = np.fft.rfft(absb2) * self.kick
-        psi = psi + kick
-        vhat = self.potential @ psi
+        absb2 = np.square(np.abs(b, out=self.absb2), out=self.absb2)
+        kick = np.multiply(np.fft.rfft(absb2, out=self.vhat), self.kick,
+                           out=self.psi_kick)
+        psi += kick
+        vhat = np.matmul(self.potential, psi, out=self.vhat)
         for hat, speed in self.externals:
-            vhat = vhat + hat * self.grid.translation(speed * (time + 0.5 * dt))
-        v = np.fft.irfft(vhat, self.grid.n) + self.cubic * absb2
-        vmax = float(np.abs(v).max())
+            moved = self.grid.translation(speed * (time + 0.5 * dt), out=self.moved)
+            vhat += np.multiply(hat, moved, out=moved)
+        v = np.fft.irfft(vhat, self.grid.n, out=self.v)
+        v += np.multiply(self.cubic, absb2, out=absb2)
+        vmax = float(np.abs(v, out=absb2).max())
         if vmax * abs(dt) >= np.pi:
             warnings.warn(
                 f"potential phase advanced {vmax * abs(dt):.3g} rad (>= pi) in one step; "
                 "decrease dt", RuntimeWarning)
-        b = b * np.exp(-1j * dt * v)
-        psi = psi + kick
-        if not (np.isfinite(b).all() and np.isfinite(psi).all()):
+        angle = np.multiply(v, -dt, out=v)  # exp(-i dt V) as cos, sin: no complex exp
+        np.cos(angle, out=self.phase.real)
+        np.sin(angle, out=self.phase.imag)
+        b *= self.phase
+        psi += kick
+        if not (np.isfinite(b, out=self.b_finite).all()
+                and np.isfinite(psi, out=self.psi_finite).all()):
             raise BlowUpError(time)
-        return b, psi
 
 
 def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
@@ -174,12 +190,13 @@ def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
 
 def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
                    dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
-    """Advance the potential/source sub-flow by dt (symmetric, reversible);
-    travelling external potentials are sampled at the midpoint time.  `plan`,
-    if given, must have been built for this dt and dealias flag."""
+    """Advance the potential/source sub-flow by dt (symmetric, reversible;
+    state.b is updated in place); travelling external potentials are sampled
+    at the midpoint time.  `plan`, if given, must have been built for this dt
+    and dealias flag."""
     p = plan if plan is not None else _Plan(state.grid, coeffs, dt, dealias)
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2]))
-    state.b, psi = p.nonlinear(state.b, psi, state.time)
+    p.nonlinear(state.b, psi, state.time)
     state.psi1, state.psi2 = np.fft.irfft(psi, state.grid.n)
     return state
 
@@ -221,7 +238,7 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
     b = g.inverse(g.forward(state.b) * plan.mult_b)
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2])) * plan.mult_psi
     for i in range(1, n_steps + 1):
-        b, psi = plan.nonlinear(b, psi, t0 + (i - 1) * dt)
+        plan.nonlinear(b, psi, t0 + (i - 1) * dt)
         if i % config.record_every == 0 or i == n_steps:
             bhat = g.forward(b)
             state.b = g.inverse(bhat * plan.mult_b)
@@ -231,8 +248,9 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
             if i < n_steps:
                 b = g.inverse(bhat * plan.step_b)
         else:
-            b = np.fft.ifft(np.fft.fft(b) * plan.step_b)
-        psi = psi * plan.step_psi
+            bhat = np.multiply(np.fft.fft(b, out=plan.phase), plan.step_b, out=plan.phase)
+            np.fft.ifft(bhat, out=b)
+        psi *= plan.step_psi
         if i % max(1, n_steps // 10) == 0:
             logger.debug("evolve: step %d/%d (t = %.6g)", i, n_steps, t0 + i * dt)
     record.meta["steps"] = n_steps

@@ -281,6 +281,12 @@ def _rel_drift(series: Sequence[float]) -> float:
     return float(np.max(np.abs(arr - base))) / scale
 
 
+def _blow_up(result: ExperimentResult, exc: BlowUpError) -> ExperimentResult:
+    """Record a blow-up as the failed completion check; returns `result`."""
+    result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+    return result
+
+
 def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence[float]):
     """Set up a simulate/conserve/growth run: build the initial data (noting
     boundary mass and the iteration schedule in `result`) and return
@@ -302,7 +308,7 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
         try:
             return evolve(state0, coeffs, config, observers=(obs,))
         except BlowUpError as exc:
-            result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+            _blow_up(result, exc)
             return None
 
     return state0, omega_freq, run
@@ -464,7 +470,10 @@ def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
                     n_freq, member["solver_norm"], member["oracle_norm"], member["ratio"])
         return member
 
-    members = _run_sweep({n: None for n in n_list}, worker)
+    try:
+        members = _run_sweep({n: None for n in n_list}, worker)
+    except BlowUpError as exc:
+        return _blow_up(result, exc)
     table = [members[n] for n in sorted(members)]
     result.info["members"] = table
     result.info["expected_slope"] = expected
@@ -649,7 +658,10 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     def worker(key: tuple[float, float], _payload=None) -> dict:
         return _decohere_pair(grid, *key, c, spec.dt, spec.record_every, k_reg, spec.dealias)
 
-    pairs = _run_sweep({key: None for key in [(mu, m_big)] + sweep_keys}, worker)
+    try:
+        pairs = _run_sweep({key: None for key in [(mu, m_big)] + sweep_keys}, worker)
+    except BlowUpError as exc:
+        return _blow_up(result, exc)
     pair = pairs[(mu, m_big)]
     for tag in ("L1", "L2"):
         result.records[f"series_{tag}"] = pair["runs"][tag]["record"]

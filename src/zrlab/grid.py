@@ -137,10 +137,11 @@ class SpectralGrid:
         """Discrete H^s norm; s = 0 recovers the L^2(dx) norm."""
         return self.sobolev_norm_coeffs(self.forward(values), s)
 
-    def translation(self, shift: float) -> np.ndarray:
-        """Half-spectrum multiplier taking a real f to x -> f(x - shift): exact
-        trigonometric translation, with the Nyquist cosine part kept."""
-        mult = np.exp(-1j * self.wavenumbers[:self.n // 2 + 1] * shift)
+    def translation(self, shift: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum multiplier taking a real f to x -> f(x - shift), written
+        into `out` if given: exact translation, Nyquist cosine part kept."""
+        mult = np.multiply(-1j, self.wavenumbers[:self.n // 2 + 1], out=out)
+        np.exp(np.multiply(mult, shift, out=mult), out=mult)
         mult[-1] = mult[-1].real
         return mult
 

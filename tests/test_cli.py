@@ -23,7 +23,8 @@ from zrlab.config import (
     parse_config,
     validate_spec,
 )
-from zrlab.evolution import StepperConfig
+from zrlab import experiments
+from zrlab.evolution import BlowUpError, StepperConfig
 from zrlab.experiments import _coeffs_for, fit_loglog, inflation_grid
 from zrlab.grid import SpectralGrid
 from zrlab.records import (
@@ -368,6 +369,28 @@ def test_cli_manifest_digests_every_artifact(tmp_path):
     for artifact in manifest["artifacts"].values():
         data = open(artifact["path"], "rb").read()
         assert artifact["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("decohere", []),
+    ("inflate", ["experiment.n_list=8,16"]),
+])
+def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatch):
+    """A blow-up inside a sweep member fails the run with a manifest on disk
+    that carries the failed completion check."""
+    def blow_up(*args, **kwargs):
+        raise BlowUpError(0.5)
+
+    monkeypatch.setattr(experiments, "evolve", blow_up)
+    out = tmp_path / "out"
+    args = [kind, "--set", f"output.dir={out}"]
+    for entry in overrides:
+        args += ["--set", entry]
+    assert main(args) == 1
+    verdict = json.loads((out / f"{kind}_manifest.json").read_text())["verdict"]
+    assert verdict["status"] == "fail"
+    assert {"name": "completion", "status": "fail", "observed": "blow-up at t = 0.5",
+            "expected": "finite fields"} in verdict["checks"]
 
 
 def test_cli_simulate_pass_and_artifacts(tmp_path, capsys):

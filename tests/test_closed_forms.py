@@ -7,11 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zrlab import (HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10, build_fN,
-                   first_order_psi1, first_order_psi1_time_quadrature, hat_sobolev_norm,
-                   l_hat, l_hat_norm, l_hat_time_quadrature, modulated_sinc,
-                   normalize_hats, resonance_phi, small_dispersion_solution,
-                   smooth_plateau, synthesize_hat_field)
-from zrlab.closed_forms import GRID_NORM_FACTOR
+                   first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm,
+                   l_hat_time_quadrature, modulated_sinc, normalize_hats, resonance_phi,
+                   small_dispersion_solution, smooth_plateau, synthesize_hat_field)
+from zrlab.closed_forms import GRID_NORM_FACTOR, first_order_psi1_time_quadrature
 
 
 # -- resonance kernel ---------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Strang stepper: exactness, conservation, reversibility, order, guards."""
+"""Strang stepper: exactness, conservation, reversibility, order, guards,
+and the fused loop's private work arrays."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -264,3 +268,69 @@ def test_evolve_blow_up_carries_failing_step_start():
             for _ in range(10):
                 strang_step(state, coeffs, 0.5)
     assert fused.value.time == unfused.value.time == 0.75
+
+
+def test_evolve_hands_out_no_work_array(setup):
+    """Every state an observer sees, and the final state, keeps its values
+    after the run goes on: no handed-out array is one the steps write into."""
+    grid, coeffs, state = setup
+    seen = []
+
+    def keep(st):
+        seen.append([(arr, arr.copy()) for arr in (st.b, st.psi1, st.psi2)])
+        return {}
+
+    final, _ = evolve(state, coeffs, StepperConfig(dt=0.01, t_end=0.1, record_every=3),
+                      observers=(keep,))
+    assert len(seen) == 5
+    for arrays in seen:
+        for ref, copy in arrays:
+            assert np.array_equal(ref, copy)
+    assert final.b is seen[-1][0][0]
+
+
+def test_evolve_threads_bit_identical_to_serial(setup):
+    """Four threads running evolve on the same inputs, switching often, give
+    bit for bit the serial result: no two runs share work arrays."""
+    grid, coeffs, state = setup
+    profile = 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length)
+    coeffs = coeffs.with_externals(ExternalPotential(profile, 0.7), None)
+    config = StepperConfig(dt=1e-3, t_end=0.3, record_every=40)
+    observers = (lambda st: {"m": grid.sobolev_norm(st.b)},)
+    serial, serial_record = evolve(state, coeffs, config, observers)
+    results = [None] * 4
+
+    def run(k):
+        results[k] = evolve(state, coeffs, config, observers)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for final, record in results:
+        for name in ("b", "psi1", "psi2"):
+            assert np.array_equal(getattr(final, name), getattr(serial, name))
+        assert record.column("m") == serial_record.column("m")
+
+
+def test_blow_up_detected_in_psi_alone():
+    """With no potential and no cubic term B only disperses, so a psi field
+    overflowing in the second half kick is caught by its own finite check,
+    at the start time of the failing step, by evolve and strang_step alike."""
+    grid = SpectralGrid(2.0 * np.pi, 32)
+    coeffs = GeneralCoefficients(1.0, 0.0, 0.0, 0.0, 1.0, -1.0, 3e307, 0.0)
+    b = np.sqrt(1.0 + 0.5 * np.cos(grid.x)) + 0j
+    state = FieldState(grid, b, np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as fused:
+            evolve(state, coeffs, StepperConfig(dt=1.0, t_end=3.0))
+        with pytest.raises(BlowUpError) as unfused:
+            strang_step(state.copy(), coeffs, 1.0)
+    assert fused.value.time == unfused.value.time == 0.0

@@ -269,6 +269,26 @@ def test_run_inflate_few_points_is_inconclusive(monkeypatch):
     assert [m["N"] for m in result.info["members"]] == [8, 16]
 
 
+def test_oracle_ratio_can_fail(monkeypatch):
+    """Negative control: an oracle whose source is scaled by 1.5 moves every
+    solver/oracle ratio to about 1/1.5, outside [0.8, 1.25]."""
+    import zrlab.experiments as experiments
+
+    first_order_psi1 = experiments.cf.first_order_psi1
+
+    def scaled_source(t, hats, l, speed=1.0, source=1.0, nodes=64):
+        return first_order_psi1(t, hats, l, speed=speed, source=1.5 * source, nodes=nodes)
+
+    spec = default_spec("inflate")
+    spec = replace(spec, table=dict(spec.table, n_list=(8, 16), t_probe=0.02))
+    monkeypatch.setattr(experiments.cf, "first_order_psi1", scaled_source)
+    result = run_inflate(spec)
+    ratio_checks = [c for c in result.checks if c.name.startswith("oracle_ratio")]
+    assert [c.name for c in ratio_checks] == ["oracle_ratio_N8", "oracle_ratio_N16"]
+    assert all(c.status == "fail" for c in ratio_checks)
+    assert all(0.6 < m["ratio"] < 0.75 for m in result.info["members"])
+
+
 # -- c2probe -----------------------------------------------------------------------
 
 def test_c2probe_unbounded_growth_can_fail(monkeypatch):
@@ -392,6 +412,30 @@ def test_run_growth_short_horizon_passes_envelopes():
     assert {c.name: c.status for c in tight.checks}["h1_apriori"] == "fail"
     assert tight.info["h1_sup"] == result.info["h1_sup"]
     assert tight.status == "fail"
+
+
+def test_growth_exponent_can_fail(monkeypatch):
+    """Negative control: a fabricated HsB_3 series growing like (1+t)^3 has
+    envelope exponent 3 > 2.5 and fails growth_exponent_s3."""
+    import zrlab.experiments as experiments
+
+    observer = experiments._observer
+
+    def fabricated(params, s_list, psi_index):
+        observe = observer(params, s_list, psi_index)
+
+        def cubic_growth(state):
+            return dict(observe(state), HsB_3=(1.0 + state.time) ** 3)
+
+        return cubic_growth
+
+    monkeypatch.setattr(experiments, "_observer", fabricated)
+    spec = default_spec("growth")
+    result = run_growth(replace(spec, grid_n=256, t_end=0.5, dt=0.002, record_every=25))
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses["growth_exponent_s3"] == "fail"
+    assert result.fits["growth_s3"].slope == pytest.approx(3.0)
+    assert statuses["h1_apriori"] == statuses["psi_envelope"] == "pass"
 
 
 # -- dispatch ------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zrlab import (FieldState, PhysicalParams, Schedule, SpectralGrid,
+from zrlab import (FieldState, PhysicalParams, SpectralGrid,
                    coefficients_from_params, conserved_quantities, iteration_schedule,
                    modified_system_coefficients, normalized_coefficients,
-                   plane_wave_state, to_physical_vars, unit_physical_params)
-from zrlab.model import ExternalPotential
+                   plane_wave_state, unit_physical_params)
+from zrlab.model import ExternalPotential, Schedule, to_physical_vars
 
 
 def test_unit_physical_collapse():
