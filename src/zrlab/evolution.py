@@ -32,6 +32,9 @@ psi1 and psi2 stay half spectra, and one inverse of p+ psi1^ + p- psi2^
 and external parts of V.  A step costs 2 complex and 2 real transforms and,
 off record times, allocates nothing: `_Plan.nonlinear` updates B and psi in
 place, and it and the loop write every result into the plan's work arrays.
+`evolve_members` steps several runs on one grid as the rows of one plan, so
+at small n, where each numpy call costs more than its arithmetic, a batch
+step makes the calls of one; `evolve` is its one-member case.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "nonlinear_step",
     "strang_step",
     "evolve",
+    "evolve_members",
 ]
 
 logger = logging.getLogger(__name__)
@@ -106,74 +110,117 @@ class StepperConfig:
         return whole_steps(self.dt, self.t_end)
 
 
+def _member_view(arr: np.ndarray, k: int):
+    """Rows 0..k-1 of a per-member array.  A per-member scalar (1-D `arr`)
+    becomes a column; a lone member drops the member axis, and its scalar
+    becomes a float."""
+    if k == 1:
+        return arr[0].item() if arr.ndim == 1 else arr[0]
+    return arr[:k, None] if arr.ndim == 1 else arr[:k]
+
+
 class _Plan:
-    """What every step of a run reuses, the one nonlinear kernel, and its work arrays.
+    """What every step of a batch of runs (members) reuses, the one nonlinear
+    kernel, and its work arrays.
 
-    Built for one grid, coefficient record, dt and dealias flag: the linear
+    Built for one grid and dealias flag and, per member, a coefficient record
+    and dt.  Row k of each array in `full` is member k's: the linear
     multipliers for tau = dt/2 (B on the full spectrum; psi1 and psi2 stacked
-    as rows on the real half spectrum) and their squares for a whole dt (a
-    square, not `translation(speed*dt)`: the Nyquist cosine rule does not
-    compose), the psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when
-    dealiasing), and the external profiles' half spectra.  Half spectra here
-    are numpy's unscaled `rfft` coefficients.
+    on the real half spectrum) and their squares for a whole dt (a square,
+    not `translation(speed*dt)`: the Nyquist cosine rule does not compose),
+    the psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when
+    dealiasing), the potential row, cubic coefficient and dt, and the work
+    arrays every step writes into: |B|^2, the psi kicks, V, a translated
+    external, a half spectrum (|B|^2's, then V's) and a complex grid array
+    (the phase factor, then B's spectrum).  `full_externals` holds the
+    external profiles' half spectra (numpy's unscaled `rfft`) and speeds.
 
-    It also owns the work arrays every step writes into: |B|^2, the psi
-    kicks, V, a translated external, a half spectrum (|B|^2's, then V's) and
-    a complex grid array (the phase factor, then B's spectrum).  A plan
-    belongs to one run and is never shared between threads; no array handed
-    out aliases these.
+    The step reads the views of the first k rows that `narrow(k)` sets under
+    the same names: the members still stepping are a prefix, so a finished
+    one costs no copy.  A lone member's views drop the member axis and its
+    scalars are floats, so a single run makes the calls, on (n,) shapes, that
+    it made before the member axis: at small n per-call cost dominates.  A
+    plan belongs to one call and is never shared between threads; no array
+    handed out aliases its work arrays.
     """
 
-    def __init__(self, grid: SpectralGrid, coeffs: GeneralCoefficients, dt: float,
-                 dealias: bool = True):
-        tau, h = 0.5 * dt, grid.n // 2 + 1
-        self.grid, self.dt, self.cubic = grid, dt, coeffs.cubic
-        self.mult_b = np.exp(-1j * coeffs.dispersion * grid.wavenumbers**2 * tau)
-        self.mult_psi = np.stack([grid.translation(coeffs.speed_plus * tau),
-                                  grid.translation(coeffs.speed_minus * tau)])
-        self.step_b, self.step_psi = self.mult_b**2, self.mult_psi**2
-        mask = grid.dealias_mask if dealias else np.ones(grid.n)
-        ddx = grid.derivative_coeffs(mask, 1)[:h]
-        self.kick = np.outer([tau * coeffs.source_plus, tau * coeffs.source_minus], ddx)
-        self.potential = np.array([coeffs.potential_plus, coeffs.potential_minus], complex)
-        self.externals = []
-        for ext in (coeffs.external_plus, coeffs.external_minus):
-            if ext is None:
-                continue
-            if ext.profile.shape != (grid.n,):
-                raise ValueError("external potential profile does not match the run grid")
-            self.externals.append((np.fft.rfft(ext.profile), ext.speed))
-        self.absb2, self.v, self.b_finite = (np.empty(grid.n, t) for t in (float, float, bool))
-        self.phase, self.vhat, self.moved = (np.empty(m, complex) for m in (grid.n, h, h))
-        self.psi_kick, self.psi_finite = np.empty((2, h), complex), np.empty((2, h), bool)
+    def __init__(self, grid: SpectralGrid, coeffs: Sequence[GeneralCoefficients],
+                 dts: Sequence[float], dealias: bool = True):
+        m, n, h = len(coeffs), grid.n, grid.n // 2 + 1
+        if len({(c.external_plus is None, c.external_minus is None) for c in coeffs}) > 1:
+            raise ValueError("members carry different sets of external potentials")
+        self.grid, dt = grid, np.array(dts, float)
+        tau = 0.5 * dt[:, None]
 
-    def nonlinear(self, b: np.ndarray, psi: np.ndarray, time: float) -> None:
+        def per_member(*names: str) -> np.ndarray:
+            return np.array([[getattr(c, name) for name in names] for c in coeffs])
+
+        mask = grid.dealias_mask if dealias else np.ones(n)
+        ddx = grid.derivative_coeffs(mask, 1)[:h]
+        mult_b = np.exp(-1j * per_member("dispersion") * grid.wavenumbers**2 * tau)
+        mult_psi = grid.translation((per_member("speed_plus", "speed_minus") * tau)[..., None])
+        self.full = {
+            "mult_b": mult_b, "mult_psi": mult_psi,
+            "step_b": mult_b**2, "step_psi": mult_psi**2,
+            "kick": (tau * per_member("source_plus", "source_minus"))[..., None] * ddx,
+            "potential": per_member("potential_plus", "potential_minus").astype(complex),
+            "cubic": per_member("cubic")[:, 0], "dt": dt,
+            "absb2": np.empty((m, n)), "v": np.empty((m, n)),
+            "b_finite": np.empty((m, n), bool), "phase": np.empty((m, n), complex),
+            "vhat": np.empty((m, h), complex), "moved": np.empty((m, h), complex),
+            "psi_kick": np.empty((m, 2, h), complex), "psi_finite": np.empty((m, 2, h), bool),
+        }
+        self.full_externals = []
+        for slot in ("external_plus", "external_minus"):
+            exts = [getattr(c, slot) for c in coeffs]
+            if exts[0] is None:
+                continue
+            if any(ext.profile.shape != (n,) for ext in exts):
+                raise ValueError("external potential profile does not match the run grid")
+            self.full_externals.append((np.fft.rfft(np.stack([ext.profile for ext in exts])),
+                                        np.array([ext.speed for ext in exts])))
+        self.narrow(m)
+
+    def narrow(self, k: int) -> None:
+        """Point the step's views at members 0..k-1; nothing is copied."""
+        for name, arr in self.full.items():
+            setattr(self, name, _member_view(arr, k))
+        self.externals = [(_member_view(hat, k), _member_view(speed, k))
+                          for hat, speed in self.full_externals]
+        self.vhat_rows = self.vhat
+        if k > 1:  # a member's row of V's half spectrum pairs with its two psi rows
+            self.potential, self.vhat_rows = self.potential[:, None], self.vhat[:, None]
+
+    def nonlinear(self, b: np.ndarray, psi: np.ndarray, time) -> None:
         """The nonlinear sub-flow over dt from `time`, on B's grid values and
-        the stacked half spectra of psi1, psi2; updates `b` and `psi` in place."""
+        the stacked half spectra of psi1, psi2; updates `b` and `psi` in place.
+        With several members `time` is a column, one start time per member."""
         dt = self.dt
         absb2 = np.square(np.abs(b, out=self.absb2), out=self.absb2)
-        kick = np.multiply(np.fft.rfft(absb2, out=self.vhat), self.kick,
-                           out=self.psi_kick)
+        np.fft.rfft(absb2, out=self.vhat)
+        kick = np.multiply(self.vhat_rows, self.kick, out=self.psi_kick)
         psi += kick
-        vhat = np.matmul(self.potential, psi, out=self.vhat)
+        np.matmul(self.potential, psi, out=self.vhat_rows)
+        vhat = self.vhat
         for hat, speed in self.externals:
             moved = self.grid.translation(speed * (time + 0.5 * dt), out=self.moved)
             vhat += np.multiply(hat, moved, out=moved)
         v = np.fft.irfft(vhat, self.grid.n, out=self.v)
         v += np.multiply(self.cubic, absb2, out=absb2)
-        vmax = float(np.abs(v, out=absb2).max())
-        if vmax * abs(dt) >= np.pi:
-            warnings.warn(
-                f"potential phase advanced {vmax * abs(dt):.3g} rad (>= pi) in one step; "
-                "decrease dt", RuntimeWarning)
         angle = np.multiply(v, -dt, out=v)  # exp(-i dt V) as cos, sin: no complex exp
+        if np.abs(angle, out=absb2).max() >= np.pi:  # max |V| dt over the members
+            for rad in np.ravel(absb2.max(axis=-1)):
+                if rad >= np.pi:
+                    warnings.warn(f"potential phase advanced {rad:.3g} rad (>= pi) in one "
+                                  "step; decrease dt", RuntimeWarning)
         np.cos(angle, out=self.phase.real)
         np.sin(angle, out=self.phase.imag)
         b *= self.phase
         psi += kick
         if not (np.isfinite(b, out=self.b_finite).all()
                 and np.isfinite(psi, out=self.psi_finite).all()):
-            raise BlowUpError(time)
+            failed = ~(np.isfinite(b).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)))
+            raise BlowUpError(float(np.ravel(time)[np.argmax(np.ravel(failed))]))
 
 
 def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
@@ -181,7 +228,7 @@ def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
     """Advance the linear sub-flows by tau (exact; any sign of tau); `plan`,
     if given, must have been built for dt = 2 tau."""
     g = state.grid
-    p = plan if plan is not None else _Plan(g, coeffs, 2.0 * tau)
+    p = plan if plan is not None else _Plan(g, [coeffs], [2.0 * tau])
     state.b = g.inverse(g.forward(state.b) * p.mult_b)
     state.psi1 = g.rinverse(g.rforward(state.psi1) * p.mult_psi[0])
     state.psi2 = g.rinverse(g.rforward(state.psi2) * p.mult_psi[1])
@@ -194,7 +241,7 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
     state.b is updated in place); travelling external potentials are sampled
     at the midpoint time.  `plan`, if given, must have been built for this dt
     and dealias flag."""
-    p = plan if plan is not None else _Plan(state.grid, coeffs, dt, dealias)
+    p = plan if plan is not None else _Plan(state.grid, [coeffs], [dt], dealias)
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2]))
     p.nonlinear(state.b, psi, state.time)
     state.psi1, state.psi2 = np.fft.irfft(psi, state.grid.n)
@@ -205,7 +252,7 @@ def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
                 dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
     """One full Strang step; advances state.time by dt.  `plan`, built for
     this grid, coefficients, dt and dealias flag, saves rebuilding it."""
-    plan = plan if plan is not None else _Plan(state.grid, coeffs, dt, dealias)
+    plan = plan if plan is not None else _Plan(state.grid, [coeffs], [dt], dealias)
     linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
     nonlinear_step(state, coeffs, dt, dealias=dealias, plan=plan)
     linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
@@ -222,37 +269,75 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
     Between records B (grid values) and psi1, psi2 (half spectra) run half
     a linear step ahead; a record time adds the half-step that syncs them.
     """
-    state = state0.copy()
-    g, dt, n_steps = state.grid, config.dt, config.steps
-    t0 = state.time
-    record = RunRecord()
-    plan = _Plan(g, coeffs, dt, config.dealias)
+    return evolve_members([state0], [coeffs], [config], observers)[0]
 
-    def snapshot() -> None:
+
+def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoefficients],
+                   configs: Sequence[StepperConfig], observers: Sequence[Observer] = ()
+                   ) -> list[tuple[FieldState, RunRecord]]:
+    """`evolve` for several runs (members) stepped together as the rows of one
+    plan: each member's (final state, record), bit for bit what `evolve`
+    returns for it alone.
+
+    The members share a grid, a dealias flag, `record_every` and the set of
+    external potentials they carry; coefficients, start time, dt and step
+    count may differ.  Observers see one member's state at a time.  A
+    blow-up raises `BlowUpError` at the failing member's step-start time.
+    """
+    g, dealias, every = states[0].grid, configs[0].dealias, configs[0].record_every
+    if not len(states) == len(coeffs) == len(configs) or any(st.grid != g for st in states) \
+            or any((c.dealias, c.record_every) != (dealias, every) for c in configs):
+        raise ValueError("members need a state, coefficients and a stepper config each, "
+                         "and must share a grid, a dealias flag and record_every")
+    order = sorted(range(len(states)), key=lambda k: -configs[k].steps)  # longest first
+    members = [states[k].copy() for k in order]
+    steps = [configs[k].steps for k in order]
+    plan = _Plan(g, [coeffs[k] for k in order], [configs[k].dt for k in order], dealias)
+    full, t0 = plan.full, np.array([st.time for st in members])
+    records = [RunRecord() for _ in members]
+
+    def snapshot(j: int, i: int = 0) -> None:
+        """Record member j after its step i, syncing its state first if i > 0."""
+        state = members[j]
+        if i:
+            bhat = g.forward(bs[j])
+            state.b = g.inverse(bhat * full["mult_b"][j])
+            state.psi1, state.psi2 = np.fft.irfft(psis[j] * full["mult_psi"][j], g.n)
+            state.time = float(t0[j] + i * full["dt"][j])  # avoid accumulated addition drift
+            if i < steps[j]:
+                bs[j] = g.inverse(bhat * full["step_b"][j])
         row = {"t": state.time}
         for obs in observers:
             row.update(obs(state))
-        record.append(row)
+        records[j].append(row)
 
-    snapshot()
-    b = g.inverse(g.forward(state.b) * plan.mult_b)
-    psi = np.fft.rfft(np.stack([state.psi1, state.psi2])) * plan.mult_psi
-    for i in range(1, n_steps + 1):
-        plan.nonlinear(b, psi, t0 + (i - 1) * dt)
-        if i % config.record_every == 0 or i == n_steps:
-            bhat = g.forward(b)
-            state.b = g.inverse(bhat * plan.mult_b)
-            state.psi1, state.psi2 = np.fft.irfft(psi * plan.mult_psi, g.n)
-            state.time = t0 + i * dt  # avoid accumulated addition drift
-            snapshot()
-            if i < n_steps:
-                b = g.inverse(bhat * plan.step_b)
-        else:
+    def views(i: int) -> tuple:
+        """The number of members still stepping at step i, and their views."""
+        k = sum(n >= i for n in steps)
+        plan.narrow(k)
+        return (k, *(_member_view(arr, k) for arr in (bs, psis, t0)))
+
+    for j in range(len(members)):
+        snapshot(j)
+    bs = np.stack([g.inverse(g.forward(st.b) * mult) for st, mult in zip(members, full["mult_b"])])
+    psis = np.fft.rfft(np.stack([(st.psi1, st.psi2) for st in members])) * full["mult_psi"]
+    active, b, psi, start = views(1)
+    for i in range(1, steps[0] + 1):
+        if steps[active - 1] < i:  # the last rows are done: step the others only
+            active, b, psi, start = views(i)
+        plan.nonlinear(b, psi, start + (i - 1) * plan.dt)
+        recording = i % every == 0
+        for j in range(active):
+            if recording or steps[j] == i:
+                snapshot(j, i)
+        if not recording:
             bhat = np.multiply(np.fft.fft(b, out=plan.phase), plan.step_b, out=plan.phase)
             np.fft.ifft(bhat, out=b)
         psi *= plan.step_psi
-        if i % max(1, n_steps // 10) == 0:
-            logger.debug("evolve: step %d/%d (t = %.6g)", i, n_steps, t0 + i * dt)
-    record.meta["steps"] = n_steps
-    record.meta["dt"] = dt
-    return state, record
+        if i % max(1, steps[0] // 10) == 0:
+            logger.debug("evolve: step %d/%d", i, steps[0])
+    out: list = [None] * len(members)
+    for j, k in enumerate(order):
+        records[j].meta.update(steps=steps[j], dt=configs[k].dt)
+        out[k] = (members[j], records[j])
+    return out

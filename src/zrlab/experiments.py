@@ -6,9 +6,10 @@ made of named checks.  Scaling claims are operationalized as least-squares
 slopes in log-log coordinates over at least four points with r^2 >= 0.98;
 anything less yields the verdict "inconclusive", never "pass".
 
-Sweeps (over N or mu) run members in parallel threads; each member is
-sequential and results are merged by sorted key, so records are
+Sweeps over N run members in parallel threads, largest N first; each
+member is sequential and results are merged by sorted key, so records are
 deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto).
+Decohere's runs step together as one batch (`evolve_members`) instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import closed_forms as cf
 from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
                      check_inflation_band, inflation_band)
-from .evolution import BlowUpError, StepperConfig, evolve
+from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
 from .model import (ExternalPotential, FieldState, GeneralCoefficients,
                     PhysicalParams, coefficients_from_params, conserved_quantities,
@@ -155,14 +156,16 @@ def _max_workers(n_tasks: int) -> int:
 
 
 def _run_sweep(tasks: dict, worker: Callable) -> dict:
-    """Run worker(key, payload) for every task; merge by sorted key."""
-    keys = sorted(tasks)
+    """Run worker(key, payload) for every task, largest key (the longest
+    member) first; merge by sorted key."""
+    keys = sorted(tasks, reverse=True)
     workers = _max_workers(len(keys))
     if workers == 1:
-        return {k: worker(k, tasks[k]) for k in keys}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        out = list(pool.map(lambda k: worker(k, tasks[k]), keys))
-    return dict(zip(keys, out))
+        out = [worker(k, tasks[k]) for k in keys]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(lambda k: worker(k, tasks[k]), keys))
+    return dict(zip(reversed(keys), reversed(out)))
 
 
 # -- shared data builders ------------------------------------------------------------
@@ -552,38 +555,58 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
 
 # -- decohere -----------------------------------------------------------------------
 
-def _decohere_profiles(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    b0 = cf.smooth_plateau(grid.x)
-    psi_plus0 = cf.modulated_sinc(grid.x)
-    return b0, psi_plus0
+def _decohere_pair(mu: float, m_big: float) -> dict:
+    """The (L1, L2) geometry for one mu: scales, horizon and internal times."""
+    big_t = abs(math.log(mu)) / m_big**2
+    l1 = m_big
+    l2 = math.sqrt(math.pi / (2.0 * big_t) + m_big**2)
+    return {"mu": mu, "m": m_big, "T": big_t, "L1": l1, "L2": l2,
+            "theta_sq": mu / m_big, "t_internal": {"L1": l1**2 * big_t, "L2": l2**2 * big_t}}
 
 
-def _decohere_run(grid: SpectralGrid, mu: float, big_l: float, c: float,
-                  theta_sq: float, t_end: float, dt_hint: float, record_every: int,
-                  k_reg: float, dealias: bool) -> dict:
-    """One rescaled-frame run up to internal time t_end: its record, initial
-    and final states, and diagnostics."""
-    b0, psi_plus0 = _decohere_profiles(grid)
-    coeffs = modified_system_coefficients(mu, big_l, c, theta_sq)
-    coeffs = coeffs.with_externals(
-        ExternalPotential(psi_plus0, coeffs.speed_plus), None)
+def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
+    """Decoherence pair: identical data, two scale parameters, O(1) drift apart.
+
+    Verdict-bearing comparisons live in the rescaled (comoving) frame, where
+    the two runs share initial data exactly.  The structural relations
+    (L2^2 - L1^2) T = pi/2 and Theta^2 = mu/M hold exactly and are asserted
+    as such.  Every run passes the resolution guard before any run steps;
+    then all runs step as one batch.
+    """
+    result = ExperimentResult("decohere")
+    t = spec.table
+    mu, m_big, c, k_reg = t["mu"], t["m"], t["c"], t["k_reg"]
+    grid = _grid_for(spec)
+    b0, psi_plus0 = cf.smooth_plateau(grid.x), cf.modulated_sinc(grid.x)
+
+    # every distinct (mu, M) pair runs once: the main pair and the mu-sweep's
+    # pairs, M_j = max(M, ceil(1/mu_j)), share one task set
+    mu_list = sorted(set(t["mu_list"]))
+    sweep_keys = [(mu_j, max(m_big, float(math.ceil(1.0 / mu_j)))) for mu_j in mu_list]
+    pairs = {key: _decohere_pair(*key) for key in sorted({(mu, m_big), *sweep_keys})}
+    runs = [(pair, tag) for pair in pairs.values() for tag in ("L1", "L2")]
 
     # resolution guard: the phase gradient grows at most like t * max|psi'|,
     # so the dealiased band must hold the data band plus that chirp
     band = float(np.max(np.abs(grid.wavenumbers[grid.dealias_mask])))
-    data_band = 8.0
-    chirp = t_end * float(np.max(np.abs(grid.derivative(psi_plus0, 1))))
-    if band < data_band + chirp:
-        raise ConfigError(
-            f"under-resolved small-dispersion run: dealiased band {band:.1f} "
-            f"< {data_band + chirp:.1f} needed for internal horizon {t_end:.3f}")
+    data_band, slope = 8.0, float(np.max(np.abs(grid.derivative(psi_plus0, 1))))
+    members = []
+    for pair, tag in runs:
+        t_end = pair["t_internal"][tag]
+        if band < data_band + t_end * slope:
+            raise ConfigError(
+                f"under-resolved small-dispersion run: dealiased band {band:.1f} "
+                f"< {data_band + t_end * slope:.1f} needed for internal horizon {t_end:.3f}")
+        coeffs = modified_system_coefficients(pair["mu"], pair[tag], c, pair["theta_sq"])
+        steps = max(1, int(math.ceil(t_end / spec.dt - 1e-9)))
+        members.append((FieldState(grid, b0.astype(np.complex128), np.zeros(grid.n),
+                                   np.zeros(grid.n), 0.0),
+                        coeffs.with_externals(ExternalPotential(psi_plus0, coeffs.speed_plus),
+                                              None),
+                        StepperConfig(dt=t_end / steps, t_end=t_end,
+                                      record_every=spec.record_every, dealias=spec.dealias)))
 
-    steps = max(1, int(math.ceil(t_end / dt_hint - 1e-9)))
-    dt = t_end / steps
-    state = FieldState(grid, b0.astype(np.complex128), np.zeros(grid.n),
-                       np.zeros(grid.n), 0.0)
-    params = unit_physical_params()
-    psi_minus0 = np.zeros(grid.n)
+    params, psi_minus0 = unit_physical_params(), np.zeros(grid.n)
 
     def observe(st: FieldState) -> dict[str, float]:
         rep = conserved_quantities(st, params, (k_reg,), -0.5)
@@ -594,74 +617,26 @@ def _decohere_run(grid: SpectralGrid, mu: float, big_l: float, c: float,
                 "devA_L2": st.grid.sobolev_norm(diff, 0.0),
                 "devA_Hk": st.grid.sobolev_norm(diff, k_reg)}
 
-    config = StepperConfig(dt=dt, t_end=t_end, record_every=record_every, dealias=dealias)
-    final, record = evolve(state, coeffs, config, observers=(observe,))
-    diag = {
-        "dt": dt,
-        "steps": steps,
-        "q1_drift": _rel_drift(record.column("Q1")),
-        "dev_sup_L2": float(np.max(record.column("devA_L2"))),
-        "dev_sup_Hk": float(np.max(record.column("devA_Hk"))),
-    }
-    return {"record": record, "initial": state, "final": final, "diag": diag}
-
-
-def _decohere_pair(grid: SpectralGrid, mu: float, m_big: float, c: float,
-                   dt_hint: float, record_every: int, k_reg: float,
-                   dealias: bool) -> dict:
-    """The (L1, L2) pair for one mu; returns runs, geometry, separations."""
-    big_t = abs(math.log(mu)) / m_big**2
-    l1 = m_big
-    l2 = math.sqrt(math.pi / (2.0 * big_t) + m_big**2)
-    theta_sq = mu / m_big
-    ends = {"L1": l1**2 * big_t, "L2": l2**2 * big_t}
-
-    out: dict = {"mu": mu, "m": m_big, "T": big_t, "L1": l1, "L2": l2,
-                 "theta_sq": theta_sq, "t_internal": ends}
-    runs = {tag: _decohere_run(grid, mu, big_l, c, theta_sq, ends[tag], dt_hint,
-                               record_every, k_reg, dealias)
-            for tag, big_l in (("L1", l1), ("L2", l2))}
-    out["runs"] = runs
-
-    b0, psi_plus0 = _decohere_profiles(grid)
-    target = grid.sobolev_norm((np.exp(1j * 0.5 * math.pi * psi_plus0) - 1.0) * b0, 0.0)
-    sep_final = grid.sobolev_norm(runs["L2"]["final"].b - runs["L1"]["final"].b, 0.0)
-    out["analytic_target"] = target
-    out["separation_final"] = sep_final
-    out["separation_initial"] = grid.sobolev_norm(
-        runs["L2"]["initial"].b - runs["L1"]["initial"].b, 0.0)
-    out["dev_over_mu_Hk"] = max(runs["L1"]["diag"]["dev_sup_Hk"],
-                                runs["L2"]["diag"]["dev_sup_Hk"]) / mu
-    out["dev_over_mu_L2"] = max(runs["L1"]["diag"]["dev_sup_L2"],
-                                runs["L2"]["diag"]["dev_sup_L2"]) / mu
-    return out
-
-
-def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
-    """Decoherence pair: identical data, two scale parameters, O(1) drift apart.
-
-    Verdict-bearing comparisons live in the rescaled (comoving) frame, where
-    the two runs share initial data exactly.  The structural relations
-    (L2^2 - L1^2) T = pi/2 and Theta^2 = mu/M hold exactly and are asserted
-    as such.
-    """
-    result = ExperimentResult("decohere")
-    t = spec.table
-    mu, m_big, c, k_reg = t["mu"], t["m"], t["c"], t["k_reg"]
-    grid = _grid_for(spec)
-
-    # every distinct (mu, M) pair runs once: the main pair and the mu-sweep's
-    # pairs, M_j = max(M, ceil(1/mu_j)), share one task set
-    mu_list = sorted(set(t["mu_list"]))
-    sweep_keys = [(mu_j, max(m_big, float(math.ceil(1.0 / mu_j)))) for mu_j in mu_list]
-
-    def worker(key: tuple[float, float], _payload=None) -> dict:
-        return _decohere_pair(grid, *key, c, spec.dt, spec.record_every, k_reg, spec.dealias)
-
     try:
-        pairs = _run_sweep({key: None for key in [(mu, m_big)] + sweep_keys}, worker)
+        outcomes = evolve_members(*zip(*members), observers=(observe,))
     except BlowUpError as exc:
         return _blow_up(result, exc)
+    for (pair, tag), (state, _, config), (final, record) in zip(runs, members, outcomes):
+        diag = {"dt": config.dt, "steps": config.steps,
+                "q1_drift": _rel_drift(record.column("Q1")),
+                "dev_sup_L2": float(np.max(record.column("devA_L2"))),
+                "dev_sup_Hk": float(np.max(record.column("devA_Hk")))}
+        pair.setdefault("runs", {})[tag] = {"record": record, "initial": state,
+                                            "final": final, "diag": diag}
+    target = grid.sobolev_norm((np.exp(1j * 0.5 * math.pi * psi_plus0) - 1.0) * b0, 0.0)
+    for pair in pairs.values():
+        one, two = pair["runs"]["L1"], pair["runs"]["L2"]
+        pair["analytic_target"] = target
+        pair["separation_final"] = grid.sobolev_norm(two["final"].b - one["final"].b, 0.0)
+        pair["separation_initial"] = grid.sobolev_norm(two["initial"].b - one["initial"].b, 0.0)
+        for norm in ("Hk", "L2"):
+            pair[f"dev_over_mu_{norm}"] = max(run["diag"][f"dev_sup_{norm}"]
+                                              for run in (one, two)) / pair["mu"]
     pair = pairs[(mu, m_big)]
     for tag in ("L1", "L2"):
         result.records[f"series_{tag}"] = pair["runs"][tag]["record"]

@@ -137,13 +137,21 @@ class SpectralGrid:
         """Discrete H^s norm; s = 0 recovers the L^2(dx) norm."""
         return self.sobolev_norm_coeffs(self.forward(values), s)
 
-    def translation(self, shift: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Half-spectrum multiplier taking a real f to x -> f(x - shift), written
-        into `out` if given: exact translation, Nyquist cosine part kept."""
-        mult = np.multiply(-1j, self.wavenumbers[:self.n // 2 + 1], out=out)
-        np.exp(np.multiply(mult, shift, out=mult), out=mult)
-        mult[-1] = mult[-1].real
-        return mult
+    def translation(self, shift, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum multiplier exp(-i xi shift) taking a real f to
+        x -> f(x - shift): exact translation, Nyquist cosine part kept.  `shift`
+        may be a column of shifts, one row per member; the multiplier is
+        written into `out` if given."""
+        xi = self.wavenumbers[:self.n // 2 + 1]
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(shift), xi.shape), complex)
+        # cos, sin of the real angle 0 - xi shift (zero signs as the complex
+        # product formed them): numpy's complex exp has no vectorised loop
+        angle = np.subtract(0.0, np.multiply(xi, shift, out=out.imag), out=out.imag)
+        np.cos(angle, out=out.real)
+        np.sin(angle, out=angle)
+        angle[..., -1] = 0.0
+        return out
 
     def boundary_mass_fraction(self, values: np.ndarray, margin: float = 0.05) -> float:
         """Fraction of the field's L^2 mass within `margin*L` of the edges."""

@@ -376,12 +376,13 @@ def test_cli_manifest_digests_every_artifact(tmp_path):
     ("inflate", ["experiment.n_list=8,16"]),
 ])
 def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatch):
-    """A blow-up inside a sweep member fails the run with a manifest on disk
-    that carries the failed completion check."""
+    """A blow-up inside a sweep member, or in decohere's batch of runs, fails
+    the run with a manifest on disk that carries the failed completion check."""
     def blow_up(*args, **kwargs):
         raise BlowUpError(0.5)
 
     monkeypatch.setattr(experiments, "evolve", blow_up)
+    monkeypatch.setattr(experiments, "evolve_members", blow_up)
     out = tmp_path / "out"
     args = [kind, "--set", f"output.dir={out}"]
     for entry in overrides:

@@ -1,8 +1,9 @@
 """Strang stepper: exactness, conservation, reversibility, order, guards,
-and the fused loop's private work arrays."""
+the fused loop's private work arrays, and the per-member guards of a batch."""
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from zrlab import (BlowUpError, FieldState, GeneralCoefficients, PhysicalParams,
                    SpectralGrid, StepperConfig, coefficients_from_params,
                    conserved_quantities, evolve, normalized_coefficients,
                    plane_wave_state, strang_step, unit_physical_params)
+from zrlab.evolution import evolve_members
 from zrlab.model import ExternalPotential
 
 
@@ -334,3 +336,82 @@ def test_blow_up_detected_in_psi_alone():
         with pytest.raises(BlowUpError) as unfused:
             strang_step(state.copy(), coeffs, 1.0)
     assert fused.value.time == unfused.value.time == 0.0
+
+
+@pytest.mark.parametrize("blow_up_first", [True, False])
+def test_evolve_members_blow_up_carries_the_member_step_start(blow_up_first):
+    """In a batch, the member that overflows (the one of
+    test_evolve_blow_up_carries_failing_step_start) raises BlowUpError at its
+    own step start 0.75, not at the other member's (0.1), wherever it stands
+    in the batch."""
+    grid = SpectralGrid(2.0 * np.pi, 32)
+    coeffs = normalized_coefficients()
+    calm = FieldState(grid, 0.1 * np.exp(1j * grid.x), np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    b = 1e153 * (1.0 + 0.5 * np.cos(grid.x)) + 0j
+    wild = FieldState(grid, b, np.zeros(grid.n), np.zeros(grid.n), 0.25)
+    members = [(calm, StepperConfig(dt=0.1, t_end=5.0)),
+               (wild, StepperConfig(dt=0.5, t_end=5.0))]
+    if blow_up_first:
+        members.reverse()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(RuntimeWarning, match="decrease dt"):
+        with pytest.raises(BlowUpError) as excinfo:
+            evolve_members([m[0] for m in members], [coeffs, coeffs], [m[1] for m in members])
+    assert excinfo.value.time == 0.75
+
+
+def test_evolve_members_phase_warning_fires_for_one_member():
+    """One member advancing its phase by 10 rad in a step warns with its own
+    max |V| dt; the batch without it stays silent."""
+    grid = SpectralGrid(2.0 * np.pi, 64)
+    coeffs = normalized_coefficients()
+    calm = FieldState(grid, 0.1 * np.ones(grid.n, dtype=complex),
+                      np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    loud = FieldState(grid, 10.0 * np.ones(grid.n, dtype=complex),
+                      np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    config = StepperConfig(dt=0.1, t_end=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve_members([calm, calm], [coeffs, coeffs], [config, config])
+    with pytest.warns(RuntimeWarning, match=r"advanced 10 rad .* decrease dt"):
+        evolve_members([calm, loud], [coeffs, coeffs], [config, config])
+
+
+def _mismatched_members(what):
+    grid = SpectralGrid(2.0 * np.pi, 64)
+    coeffs = normalized_coefficients()
+    state = FieldState(grid, np.ones(grid.n, dtype=complex), np.zeros(grid.n),
+                       np.zeros(grid.n), 0.0)
+    config = StepperConfig(dt=0.01, t_end=0.1, record_every=2)
+    other_state, other_coeffs, other_config = state, coeffs, config
+    if what == "grid":
+        other_grid = SpectralGrid(2.0 * np.pi, 32)
+        other_state = FieldState(other_grid, np.ones(32, dtype=complex), np.zeros(32),
+                                 np.zeros(32), 0.0)
+    elif what == "dealias":
+        other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=2, dealias=False)
+    elif what == "record_every":
+        other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=3)
+    elif what == "externals":
+        other_coeffs = coeffs.with_externals(ExternalPotential(np.cos(grid.x), 1.0), None)
+    return [state, other_state], [coeffs, other_coeffs], [config, other_config]
+
+
+@pytest.mark.parametrize("what", ["grid", "dealias", "record_every", "externals"])
+def test_evolve_members_rejects_mismatched_members(what):
+    with pytest.raises(ValueError):
+        evolve_members(*_mismatched_members(what))
+
+
+def test_evolve_members_zero_step_member(setup):
+    """A member with t_end = 0 is recorded once at its start and returned
+    unchanged, while the batch steps the others as `evolve` does alone."""
+    grid, coeffs, state = setup
+    observers = (lambda st: {"m": grid.sobolev_norm(st.b)},)
+    configs = [StepperConfig(dt=0.01, t_end=0.0), StepperConfig(dt=0.01, t_end=0.05)]
+    (still, still_record), (moved, record) = evolve_members([state, state], [coeffs, coeffs],
+                                                            configs, observers)
+    assert still_record.column("t") == [0.0] and still_record.meta["steps"] == 0
+    assert np.array_equal(still.b, state.b) and still.b is not state.b
+    alone, alone_record = evolve(state, coeffs, configs[1], observers)
+    assert moved.b.tobytes() == alone.b.tobytes() and record.columns == alone_record.columns

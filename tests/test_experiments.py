@@ -137,14 +137,34 @@ def test_max_workers_env(monkeypatch):
 
 
 def test_run_sweep_merges_by_sorted_key(monkeypatch):
+    """The largest key, the longest member, is dispatched first, serially and
+    to the pool; the results are merged by sorted key either way."""
+    import zrlab.experiments as experiments
+
     tasks = {3: "c", 1: "a", 2: "b"}
-    worker = lambda key, payload: f"{payload}{key}"
+    started = []
+
+    def worker(key, payload):
+        started.append(key)
+        return f"{payload}{key}"
+
+    dispatched = []
+
+    class Pool(experiments.ThreadPoolExecutor):
+        def map(self, fn, keys):
+            keys = list(keys)
+            dispatched.append(keys)
+            return super().map(fn, keys)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     monkeypatch.setenv("ZRLAB_THREADS", "1")
     serial = _run_sweep(tasks, worker)
+    assert started == [3, 2, 1] and dispatched == []
     monkeypatch.setenv("ZRLAB_THREADS", "3")
     threaded = _run_sweep(tasks, worker)
+    assert dispatched == [[3, 2, 1]]
     assert serial == threaded == {1: "a1", 2: "b2", 3: "c3"}
-    assert list(serial) == [1, 2, 3]
+    assert list(serial) == list(threaded) == [1, 2, 3]
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -337,19 +357,18 @@ def test_decohere_initial_separation_can_fail(monkeypatch):
     initial_separation check, which reads the runs' t = 0 fields."""
     import zrlab.experiments as experiments
 
-    real_evolve = experiments.evolve
+    real_evolve_members = experiments.evolve_members
     calls = []
 
-    def evolve_perturbing_l2(state0, coeffs, config, observers=()):
-        calls.append(config.t_end)
-        if len(calls) == 2:  # the pair runs L1, then L2
-            state0.b *= 1.5
-        return real_evolve(state0, coeffs, config, observers)
+    def evolve_perturbing_l2(states, coeffs, configs, observers=()):
+        calls.append([config.t_end for config in configs])
+        states[1].b *= 1.5  # the pair's members are L1, then L2
+        return real_evolve_members(states, coeffs, configs, observers)
 
-    monkeypatch.setattr(experiments, "evolve", evolve_perturbing_l2)
+    monkeypatch.setattr(experiments, "evolve_members", evolve_perturbing_l2)
     spec = default_spec("decohere")
     result = run_decohere(replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=())))
-    assert len(calls) == 2 and calls[0] < calls[1]
+    assert len(calls) == 1 and len(calls[0]) == 2 and calls[0][0] < calls[0][1]
     assert result.info["pair"]["separation_initial"] > 0.0
     assert {c.name: c.status for c in result.checks}["initial_separation"] == "fail"
     assert result.status == "fail"
@@ -357,24 +376,41 @@ def test_decohere_initial_separation_can_fail(monkeypatch):
 
 def test_decohere_runs_each_pair_once(monkeypatch):
     """The main (mu, M) pair is also a mu-sweep pair (M_j = max(M, ceil(1/mu_j))
-    = M), so it runs once and feeds both the verdict and the sweep row."""
+    = M), so it runs once and feeds both the verdict and the sweep row; all
+    runs step in one batch."""
     import zrlab.experiments as experiments
 
-    real_evolve = experiments.evolve
+    real_evolve_members = experiments.evolve_members
     calls = []
 
-    def counting_evolve(state0, coeffs, config, observers=()):
-        calls.append(config.t_end)
-        return real_evolve(state0, coeffs, config, observers)
+    def counting_evolve_members(states, coeffs, configs, observers=()):
+        calls.append([config.t_end for config in configs])
+        return real_evolve_members(states, coeffs, configs, observers)
 
-    monkeypatch.setattr(experiments, "evolve", counting_evolve)
+    monkeypatch.setattr(experiments, "evolve_members", counting_evolve_members)
     spec = default_spec("decohere")
     result = run_decohere(replace(spec, table=dict(spec.table, mu=0.2, m=5.0,
                                                    mu_list=(0.25, 0.2))))
-    assert len(calls) == 4  # two pairs of (L1, L2) runs
+    assert len(calls) == 1 and len(calls[0]) == 4  # two pairs of (L1, L2) runs
     rows = {row["mu"]: row for row in result.info["mu_sweep"]}
     assert sorted(rows) == [0.2, 0.25] and rows[0.2]["m"] == 5.0
     assert rows[0.2]["separation_final"] == result.info["pair"]["separation_final"]
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_decohere_chirp_guard_stops_before_any_step(monkeypatch, n):
+    """Negative control: at n = 256 no run's chirp fits the dealiased band,
+    and at n = 1024 only the longest (the mu = 0.025 sweep's L2 run) misses
+    it; either way the resolution guard refuses the run before any member
+    steps."""
+    import zrlab.experiments as experiments
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("a member stepped before every guard ran")
+
+    monkeypatch.setattr(experiments, "evolve_members", must_not_step)
+    with pytest.raises(ConfigError, match="under-resolved"):
+        run_decohere(replace(default_spec("decohere"), grid_n=n))
 
 
 # -- growth ------------------------------------------------------------------------

@@ -139,6 +139,23 @@ def test_real_translation_single_mode_and_nyquist(grid):
     assert_allclose(shifted, np.cos((grid.n // 2) * 0.37) * nyq, atol=1e-13)
 
 
+def test_translation_column_is_one_row_per_shift(grid):
+    """A column of shifts gives each shift's multiplier as a row, bit for bit,
+    each with the Nyquist cosine rule; the multiplier is exp(-i xi shift),
+    and the mean mode stays exactly 1."""
+    shifts = np.array([[0.37], [-1.3], [0.0]])
+    rows = grid.translation(shifts)
+    assert rows.shape == (3, grid.n // 2 + 1)
+    out = np.empty_like(rows)
+    assert grid.translation(shifts, out=out) is out
+    xi = grid.wavenumbers[:grid.n // 2 + 1]
+    for row, written, shift in zip(rows, out, shifts[:, 0]):
+        assert row.tobytes() == written.tobytes() == grid.translation(shift).tobytes()
+        assert row[-1].imag == 0.0 and row[-1].real == np.cos(xi[-1] * shift)
+        assert_allclose(row[:-1], np.exp(-1j * xi[:-1] * shift), rtol=0, atol=1e-15)
+        assert row[0] == 1.0
+
+
 def test_boundary_mass_fraction():
     g = SpectralGrid(64.0, 256)
     center = np.exp(-(g.x / 2.0) ** 2)

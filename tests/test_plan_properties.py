@@ -1,7 +1,8 @@
 """Property tests of the stepper plan over random band-limited data: the real
 transforms agree with the complex ones, a Strang step conserves mass, is
-reversible and keeps psi1, psi2 real, and the fused loop in `evolve` matches
-a loop of the unfused `strang_step`."""
+reversible and keeps psi1, psi2 real, the fused loop in `evolve` matches a
+loop of the unfused `strang_step` for one member or several, and a batch of
+members gives bit for bit what `evolve` gives each member alone."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from numpy.testing import assert_allclose
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from zrlab import (FieldState, SpectralGrid, StepperConfig,  # noqa: E402
-                   coefficients_from_params, evolve, strang_step, unit_physical_params)
+from zrlab import (FieldState, GeneralCoefficients, SpectralGrid,  # noqa: E402
+                   StepperConfig, coefficients_from_params, evolve, strang_step,
+                   unit_physical_params)
 from zrlab import evolution  # noqa: E402
+from zrlab.evolution import evolve_members  # noqa: E402
 from zrlab.model import ExternalPotential  # noqa: E402
 
 
@@ -80,27 +83,34 @@ def with_nyquist(state, amplitude):
     return state
 
 
-def fused_and_unfused(state0, coeffs, steps, record_every, dt=1e-3):
-    """The states `evolve` hands its observer and returns, and the states a
-    loop of `strang_step` reaches at the same record times."""
-    seen = []
+def fused_and_unfused(members, record_every):
+    """For each member (state0, coeffs, steps, dt): the states `evolve_members`
+    hands the observer and returns, and the states a loop of `strang_step`
+    reaches at the same record times."""
+    seen = {}
 
     def observe(st):
-        seen.append(st.copy())
+        seen.setdefault(id(st), []).append(st.copy())  # one state object per member
         return {"mass": st.grid.sobolev_norm(st.b) ** 2}
 
-    config = StepperConfig(dt=dt, t_end=steps * dt, record_every=record_every)
-    final, record = evolve(state0, coeffs, config, observers=(observe,))
-    ref = state0.copy()
-    expected = [ref.copy()]
-    for i in range(1, steps + 1):
-        strang_step(ref, coeffs, dt)
-        if i % record_every == 0 or i == steps:
-            expected.append(ref.copy())
-    assert len(seen) == len(expected) == len(record)
-    mass = [st.grid.sobolev_norm(st.b) ** 2 for st in expected]
-    assert_allclose(record.column("mass"), mass, rtol=1e-12)
-    return seen + [final], expected + [ref]
+    configs = [StepperConfig(dt=dt, t_end=steps * dt, record_every=record_every)
+               for _, _, steps, dt in members]
+    outcomes = evolve_members([m[0] for m in members], [m[1] for m in members], configs,
+                              observers=(observe,))
+    pairs = []
+    for (state0, coeffs, steps, dt), (final, record) in zip(members, outcomes):
+        ref = state0.copy()
+        expected = [ref.copy()]
+        for i in range(1, steps + 1):
+            strang_step(ref, coeffs, dt)
+            if i % record_every == 0 or i == steps:
+                expected.append(ref.copy())
+        got = seen[id(final)]
+        assert len(got) == len(expected) == len(record)
+        mass = [st.grid.sobolev_norm(st.b) ** 2 for st in expected]
+        assert_allclose(record.column("mass"), mass, rtol=1e-12)
+        pairs.append((got + [final], expected + [ref]))
+    return pairs
 
 
 def assert_states_match(got, want):
@@ -113,26 +123,71 @@ def assert_states_match(got, want):
 
 
 @st.composite
-def schedules(draw):
-    """(steps, record_every): every step, a stride that does not divide the
-    step count, or only the end."""
-    steps = draw(st.integers(3, 12))
+def schedules(draw, members=1):
+    """(step counts, record_every) for `members` runs: record every step, at a
+    stride that does not divide the longest run's step count, or only at the
+    end of the longest run."""
+    counts = draw(st.lists(st.integers(3, 12), min_size=members, max_size=members))
+    steps = max(counts)
     stride = draw(st.sampled_from(["every", "uneven", "end"]))
     if stride == "uneven":
-        return steps, draw(st.sampled_from([r for r in range(2, steps) if steps % r]))
-    return steps, 1 if stride == "every" else steps
+        return counts, draw(st.sampled_from([r for r in range(2, steps) if steps % r]))
+    return counts, 1 if stride == "every" else steps
+
+
+def with_external(coeffs, grid, rng, speed):
+    profile = band_limited(grid, rng, 0.5, real=True)
+    return coeffs.with_externals(ExternalPotential(profile, speed), None)
 
 
 @settings(max_examples=40, deadline=None)
-@given(fields(), schedules(), st.booleans(), st.floats(0.0, 0.1))
+@given(fields(), st.integers(1, 3).flatmap(schedules), st.booleans(), st.floats(0.0, 0.1))
 def test_fused_evolve_matches_strang_steps(case, schedule, external, nyquist):
     grid, rng = case
-    coeffs = coefficients_from_params(unit_physical_params())
-    if external:
-        profile = band_limited(grid, rng, 0.5, real=True)
-        coeffs = coeffs.with_externals(ExternalPotential(profile, 0.7), None)
-    state = with_nyquist(random_state(grid, rng), nyquist)
-    assert_states_match(*fused_and_unfused(state, coeffs, *schedule))
+    counts, record_every = schedule
+    members = []
+    for k, steps in enumerate(counts):
+        coeffs = coefficients_from_params(unit_physical_params())
+        if external:
+            coeffs = with_external(coeffs, grid, rng, 0.7 - 0.4 * k)
+        state = with_nyquist(random_state(grid, rng), nyquist)
+        members.append((state, coeffs, steps, 1e-3 * (1 + k)))
+    for got, want in fused_and_unfused(members, record_every):
+        assert_states_match(got, want)
+
+
+@st.composite
+def coefficient_records(draw):
+    """A coefficient record with every entry drawn from [-1, 1]."""
+    return GeneralCoefficients(*draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields(), st.integers(1, 4).flatmap(lambda m: st.tuples(
+    schedules(m), st.lists(coefficient_records(), min_size=m, max_size=m),
+    st.lists(st.sampled_from([5e-4, 1e-3, 2.5e-3]), min_size=m, max_size=m))),
+    st.booleans())
+def test_evolve_members_bit_identical_to_evolve(case, draws, external):
+    """Each member of a batch ends, and is recorded, bit for bit as when it
+    runs alone; members differ in coefficients, dt, step count, start time and
+    a travelling external's profile and speed."""
+    grid, rng = case
+    (counts, record_every), records, dts = draws
+    states, coeffs, configs = [], [], []
+    for k, (c, steps, dt) in enumerate(zip(records, counts, dts)):
+        states.append(random_state(grid, rng))
+        states[-1].time = 0.1 * k
+        coeffs.append(with_external(c, grid, rng, c.speed_plus) if external else c)
+        configs.append(StepperConfig(dt=dt, t_end=steps * dt, record_every=record_every))
+    observers = (lambda st: {"mass": st.grid.sobolev_norm(st.b) ** 2,
+                             "psi": st.grid.sobolev_norm(st.psi1 - st.psi2, 1.0)},)
+    batch = evolve_members(states, coeffs, configs, observers)
+    for state, c, config, (final, record) in zip(states, coeffs, configs, batch):
+        alone, alone_record = evolve(state, c, config, observers)
+        assert final.time == alone.time
+        for name in ("b", "psi1", "psi2"):
+            assert getattr(final, name).tobytes() == getattr(alone, name).tobytes()
+        assert record.columns == alone_record.columns and record.meta == alone_record.meta
 
 
 def test_fused_whole_step_multiplier_negative_control(monkeypatch):
@@ -144,13 +199,16 @@ def test_fused_whole_step_multiplier_negative_control(monkeypatch):
     coeffs = coefficients_from_params(unit_physical_params())
     build = evolution._Plan.__init__
 
-    def translated_whole_step(plan, grid, coeffs, dt, dealias=True):
-        build(plan, grid, coeffs, dt, dealias)
-        plan.step_psi = np.stack([grid.translation(coeffs.speed_plus * dt),
-                                  grid.translation(coeffs.speed_minus * dt)])
+    def translated_whole_step(plan, grid, coeffs, dts, dealias=True):
+        build(plan, grid, coeffs, dts, dealias)
+        (c,), (dt,) = coeffs, dts
+        plan.step_psi[...] = np.stack([grid.translation(c.speed_plus * dt),
+                                       grid.translation(c.speed_minus * dt)])
 
     monkeypatch.setattr(evolution._Plan, "__init__", translated_whole_step)
     state = random_state(grid, np.random.default_rng(7))
-    assert_states_match(*fused_and_unfused(state, coeffs, 8, 3))
+    (matched,) = fused_and_unfused([(state, coeffs, 8, 1e-3)], 3)
+    assert_states_match(*matched)
     with pytest.raises(AssertionError):
-        assert_states_match(*fused_and_unfused(with_nyquist(state, 0.05), coeffs, 8, 3))
+        (mismatched,) = fused_and_unfused([(with_nyquist(state, 0.05), coeffs, 8, 1e-3)], 3)
+        assert_states_match(*mismatched)
