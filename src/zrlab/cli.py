@@ -19,7 +19,7 @@ import numpy as np
 from .config import (DECLARATIONS, ConfigError, ExperimentSpec, apply_overrides,
                      emit_config, parse_config)
 from .experiments import ExperimentResult, run_experiment
-from .records import RunManifest, write_fit_file, write_manifest, write_record_csv
+from .records import write_fit_file, write_manifest, write_record_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -89,21 +89,21 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
         written.append(str(path))
 
     from . import __version__
-    manifest = RunManifest(
-        kind=spec.kind,
-        config_echo=emit_config(spec),
-        resolved=_spec_resolved(spec),
-        verdict=_jsonable({
+    manifest = {
+        "kind": spec.kind,
+        "config_echo": emit_config(spec),
+        "resolved": _spec_resolved(spec),
+        "verdict": _jsonable({
             "status": result.status,
             "checks": [{"name": c.name, "status": c.status,
                         "observed": c.observed, "expected": c.expected}
                        for c in result.checks],
             "info": result.info,
         }),
-        wall_time_s=wall,
-        artifacts=artifacts,
-        version=__version__,
-    )
+        "wall_time_s": wall,
+        "artifacts": artifacts,
+        "version": __version__,
+    }
     manifest_path = out_dir / f"{spec.prefix}_manifest.json"
     write_manifest(manifest, manifest_path)
     written.append(str(manifest_path))

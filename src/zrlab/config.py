@@ -22,7 +22,7 @@ entries) such that parse_config(emit_config(spec)) == spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Callable, Optional
 
 from .evolution import whole_steps
@@ -269,7 +269,7 @@ def default_spec(kind: str) -> ExperimentSpec:
     dt, t_end, record_every = decl.stepper
     return ExperimentSpec(
         kind=kind, grid_n=n, grid_length=length, preset=decl.preset,
-        theta=1.0, gamma=1.0, omega=1.0, beta=1.0, nu=0.0,
+        **asdict(PhysicalParams()),
         dt=dt, t_end=t_end, record_every=record_every, dealias=True,
         out_dir="runs", prefix=kind,
         table={name: default for name, (_, default) in decl.keys.items()},
@@ -318,9 +318,10 @@ def _convert(section: str, key: str, raw: str, where: str, schema: dict[str, Cal
         raise ConfigError(f"[{section}] {key}: {exc}", where)
 
 
-def _build_spec(kind: str, sections: dict[str, dict[str, tuple[str, int]]],
+def _build_spec(base: ExperimentSpec, sections: dict[str, dict[str, tuple[str, int]]],
                 provenance: str = "line") -> ExperimentSpec:
-    base = default_spec(kind)
+    """`base` with the raw `sections` entries converted and applied."""
+    kind = base.kind
     updates: dict[str, object] = {}
     table = dict(base.table)
     experiment_schema = {name: conv for name, (conv, _) in DECLARATIONS[kind].keys.items()}
@@ -337,8 +338,6 @@ def _build_spec(kind: str, sections: dict[str, dict[str, tuple[str, int]]],
                                       f"the requested kind {kind!r}", where)
             else:
                 table[key] = _convert(section, key, raw, where, experiment_schema)
-
-    from dataclasses import replace
     return replace(base, table=table, **updates)
 
 
@@ -359,7 +358,7 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentSpec:
         kind = file_kind
     if kind is None:
         raise ConfigError("experiment.kind missing (no subcommand context and no config entry)")
-    spec = _build_spec(kind, sections)
+    spec = _build_spec(default_spec(kind), sections)
     validate_spec(spec)
     return spec
 
@@ -378,42 +377,25 @@ def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpe
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section '{section}'", where)
         sections.setdefault(section, {})[key] = (value.strip(), 0)
-
-    # re-run the schema machinery with the already-resolved spec as base
-    merged = _sections_from_spec(spec)
-    for section, entries in sections.items():
-        merged.setdefault(section, {})
-        for key, (value, _) in entries.items():
-            merged[section][key] = (value, 0)
-    out = _build_spec(spec.kind, merged, provenance="--set")
+    out = _build_spec(spec, sections, provenance="--set")
     validate_spec(out)
     return out
 
 
-def _sections_from_spec(spec: ExperimentSpec) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-
-    def put(section: str, key: str, value) -> None:
-        if DECLARATIONS[spec.kind].reads_entry(section, key):
-            sections.setdefault(section, {})[key] = (_render(value), 0)
-
-    if spec.grid_n is not None:
-        put("grid", "n", spec.grid_n)
-    if spec.grid_length is not None:
-        put("grid", "length", spec.grid_length)
-    if spec.preset != "none":
-        put("params", "preset", spec.preset)
-        if spec.preset == "physical":
-            for key in ("theta", "gamma", "omega", "beta", "nu"):
-                put("params", key, getattr(spec, key))
-    put("stepper", "dt", spec.dt)
-    put("stepper", "t_end", spec.t_end)
-    put("stepper", "record_every", spec.record_every)
-    put("stepper", "dealias", spec.dealias)
-    for key in sorted(spec.table):
-        put("experiment", key, spec.table[key])
-    put("output", "dir", spec.out_dir)
-    put("output", "prefix", spec.prefix)
+def _sections_from_spec(spec: ExperimentSpec) -> dict[str, dict[str, str]]:
+    """The rendered entries of `spec` that its kind reads.  An unset grid
+    entry, params.preset = none, and theta..nu under any preset but
+    physical are left out."""
+    entries = [(*entry.split("."), getattr(spec, name)) for entry, name in _SPEC_FIELD.items()]
+    entries += [("experiment", key, spec.table[key]) for key in sorted(spec.table)]
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, value in entries:
+        if section == "params":
+            emitted = spec.preset == "physical" or (key == "preset" and spec.preset != "none")
+        else:
+            emitted = value is not None
+        if emitted and DECLARATIONS[spec.kind].reads_entry(section, key):
+            sections.setdefault(section, {})[key] = _render(value)
     return sections
 
 
@@ -422,8 +404,7 @@ def emit_config(spec: ExperimentSpec) -> str:
     sections = _sections_from_spec(spec)
     lines: list[str] = []
     for section in _SECTIONS:
-        entries = sections.get(section, {})
-        payload = [(k, v) for k, (v, _) in entries.items()]
+        payload = list(sections.get(section, {}).items())
         if section == "experiment":
             payload = [("kind", spec.kind)] + payload
         if not payload:
@@ -492,9 +473,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         except ValueError as exc:
             raise ConfigError(f"[params]: {exc}")
     else:
-        defaults = (1.0, 1.0, 1.0, 1.0, 0.0)
         values = (spec.theta, spec.gamma, spec.omega, spec.beta, spec.nu)
-        _require(values == defaults,
+        _require(values == astuple(PhysicalParams()),
                  "params.theta/gamma/omega/beta/nu require params.preset = physical")
 
     if spec.kind in ("simulate", "conserve", "growth"):
@@ -504,7 +484,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(t["psi_width"] > 0, "experiment.psi_width must be positive")
         if spec.kind != "simulate" and spec.preset == "physical":
             p = spec.physical_params()
-            _require(p.omega > 0 and p.beta - p.nu**2 > 0,
+            _require(p.global_existence,
                      f"{spec.kind} requires the global-existence conditions "
                      f"omega > 0 and beta - nu^2 > 0 (got omega={p.omega}, "
                      f"beta-nu^2={p.beta - p.nu**2})")
@@ -536,7 +516,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(t["variant"] in ("f", "g"),
                  f"experiment.variant must be 'f' or 'g', got {t['variant']!r}")
         _require(t["modes_per_hat"] >= 1, "experiment.modes_per_hat must be >= 1")
-        if spec.grid_n is not None and spec.grid_length is not None:
+        _require((spec.grid_n is None) == (spec.grid_length is None),
+                 "inflate takes grid.n and grid.length together (an explicit grid) "
+                 "or neither (a grid sized per member)")
+        if spec.grid_n is not None:
             check_inflation_band(spec.grid_n, spec.grid_length, max(t["n_list"]))
 
     elif spec.kind == "c2probe":

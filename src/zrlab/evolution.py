@@ -12,7 +12,9 @@ The linear half-step advances the decoupled constant-coefficient flows
     psihat_j *= exp(-i speed xi_j tau)
 
 which are exact and unitary.  psi1, psi2, |B|^2 and the external potentials
-go through real half-spectrum transforms, so they are real by construction.
+go through numpy's `rfft`/`irfft`, the one real-field convention (the
+unscaled half spectrum j = 0..n/2; diagonal multipliers need no grid-origin
+phase), so they are real by construction.
 The nonlinear step freezes the transport and dispersion and advances
 
     i dB/dt = V B,          V = p+ psi1 + p- psi2 + cubic |B|^2 + externals
@@ -230,8 +232,8 @@ def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
     g = state.grid
     p = plan if plan is not None else _Plan(g, [coeffs], [2.0 * tau])
     state.b = g.inverse(g.forward(state.b) * p.mult_b)
-    state.psi1 = g.rinverse(g.rforward(state.psi1) * p.mult_psi[0])
-    state.psi2 = g.rinverse(g.rforward(state.psi2) * p.mult_psi[1])
+    psi = np.fft.rfft(np.stack([state.psi1, state.psi2])) * p.mult_psi
+    state.psi1, state.psi2 = np.fft.irfft(psi, g.n)
     return state
 
 

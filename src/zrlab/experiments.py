@@ -7,8 +7,8 @@ slopes in log-log coordinates over at least four points with r^2 >= 0.98;
 anything less yields the verdict "inconclusive", never "pass".
 
 Sweeps over N run members in parallel threads, largest N first; each
-member is sequential and results are merged by sorted key, so records are
-deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto).
+member is sequential and the results come back in ascending N, so records
+are deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto).
 Decohere's runs step together as one batch (`evolve_members`) instead.
 """
 
@@ -29,7 +29,7 @@ from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
 from .model import (ExternalPotential, FieldState, GeneralCoefficients,
-                    PhysicalParams, coefficients_from_params, conserved_quantities,
+                    coefficients_from_params, conserved_quantities,
                     iteration_schedule, modified_system_coefficients,
                     normalized_coefficients, plane_wave_state, unit_physical_params)
 from .records import RunRecord
@@ -155,17 +155,32 @@ def _max_workers(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _run_sweep(tasks: dict, worker: Callable) -> dict:
-    """Run worker(key, payload) for every task, largest key (the longest
-    member) first; merge by sorted key."""
-    keys = sorted(tasks, reverse=True)
+def _run_sweep(keys: Sequence, worker: Callable) -> list:
+    """Run worker(key) for every key, largest key (the longest member) first;
+    returns the results in ascending key order."""
+    keys = sorted(keys, reverse=True)
     workers = _max_workers(len(keys))
     if workers == 1:
-        out = [worker(k, tasks[k]) for k in keys]
+        out = [worker(k) for k in keys]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(lambda k: worker(k, tasks[k]), keys))
-    return dict(zip(reversed(keys), reversed(out)))
+            out = list(pool.map(worker, keys))
+    return out[::-1]
+
+
+def _sweep_slope(result: ExperimentResult, name: str, table: list[dict], column: str,
+                 expected: float) -> list[float]:
+    """Record a sweep's member table and check the log-log slope of `column`
+    against N (fit `name`, check `<name>_slope`); returns the column."""
+    result.info["members"] = table
+    result.info["expected_slope"] = expected
+    values = [m[column] for m in table]
+    fit = None
+    if len(table) >= 3 and all(v > 0 for v in values):
+        fit = fit_loglog([m["N"] for m in table], values)
+        result.fits[name] = fit
+    _slope_check(result, f"{name}_slope", fit, expected, 0.1)
+    return values
 
 
 # -- shared data builders ------------------------------------------------------------
@@ -179,21 +194,7 @@ def _coeffs_for(spec: ExperimentSpec) -> GeneralCoefficients:
     check_coefficient_preset(spec.kind, spec.preset)
     if spec.preset == "normalized":
         return normalized_coefficients()
-    if spec.preset == "unit_physical":
-        return coefficients_from_params(unit_physical_params())
     return coefficients_from_params(spec.physical_params())
-
-
-def _report_params(spec: ExperimentSpec) -> PhysicalParams:
-    """Parameters used to evaluate the recorded invariants.
-
-    For the normalized preset (not realizable from physical constants) the
-    unit parameters stand in: Q1 and the momentum part are preset-independent
-    and only those back a verdict there.
-    """
-    if spec.preset == "physical":
-        return spec.physical_params()
-    return unit_physical_params()
 
 
 def _gaussian(x: np.ndarray, amplitude: float, width: float) -> np.ndarray:
@@ -245,20 +246,6 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
     raise ConfigError(f"unknown initial preset {kind_initial!r}")
 
 
-def _observer(params: PhysicalParams, s_list: Sequence[float], psi_index: float):
-    s_tuple = tuple(float(s) for s in s_list)
-
-    def observe(state: FieldState) -> dict[str, float]:
-        rep = conserved_quantities(state, params, s_tuple, psi_index)
-        row = {"Q1": rep.q1, "Q2": rep.q2, "Q3": rep.q3, "Q4": rep.q4,
-               "Hpsi1": rep.psi1_norm, "Hpsi2": rep.psi2_norm}
-        for s, value in rep.b_norms.items():
-            row[f"HsB_{s:g}"] = value
-        return row
-
-    return observe
-
-
 def _log_schedule(result: ExperimentResult, state: FieldState) -> None:
     g = state.grid
     sched = iteration_schedule(g.sobolev_norm(state.psi1, 0.0),
@@ -302,14 +289,19 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     state0, omega_freq = _initial_state(spec, grid, coeffs)
     _boundary_note(result, state0)
     _log_schedule(result, state0)
-    obs = _observer(_report_params(spec), s_list, spec.table["psi_index"])
+    # the normalized preset has no physical energy: the unit parameters stand
+    # in, and only Q1 and the momentum part (preset-independent) back a verdict
+    params, psi_index = spec.physical_params(), spec.table["psi_index"]
+
+    def observe(state: FieldState) -> dict[str, float]:
+        return conserved_quantities(state, params, s_list, psi_index)
 
     def run(dt: float) -> Optional[tuple[FieldState, RunRecord]]:
         steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
         config = StepperConfig(dt=dt, t_end=spec.t_end,
                                record_every=steps_per_record, dealias=spec.dealias)
         try:
-            return evolve(state0, coeffs, config, observers=(obs,))
+            return evolve(state0, coeffs, config, observers=(observe,))
         except BlowUpError as exc:
             _blow_up(result, exc)
             return None
@@ -344,10 +336,7 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
     # Q3/Q4 back a verdict only when the run is an actual physical-parameter
     # flow with the global-existence signs; the normalized preset gets the
     # structural Q1 check alone.
-    physical_flow = spec.preset in ("unit_physical", "physical")
-    if spec.preset == "physical":
-        p = spec.physical_params()
-        physical_flow = p.omega > 0 and p.beta - p.nu**2 > 0
+    physical_flow = spec.preset != "normalized" and spec.physical_params().global_existence
 
     outcome = run(spec.dt)
     if outcome is None:
@@ -452,7 +441,6 @@ def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult("inflate")
     t = spec.table
     k, l, variant = t["k"], t["l"], t["variant"]
-    n_list = list(t["n_list"])
     expected = expected_inflation_slope(k, l)
     if expected > 0.5 + 1e-12:
         result.info["regime_note"] = (
@@ -460,12 +448,10 @@ def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
             "the regime the reduction argument targets; slope taken from the "
             "same formula and flagged here")
 
-    explicit = None
-    if spec.grid_n is not None and spec.grid_length is not None:
-        explicit = SpectralGrid(spec.grid_length, spec.grid_n)
+    explicit = _grid_for(spec) if spec.grid_n is not None else None
     coeffs = _coeffs_for(spec)
 
-    def worker(n_freq: int, _payload=None) -> dict:
+    def worker(n_freq: int) -> dict:
         member = inflate_member(n_freq, k, l, t["t_probe"], spec.dt, variant,
                                 t["modes_per_hat"], t["nodes"], coeffs=coeffs,
                                 explicit_grid=explicit, dealias=spec.dealias)
@@ -474,24 +460,14 @@ def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
         return member
 
     try:
-        members = _run_sweep({n: None for n in n_list}, worker)
+        table = _run_sweep(t["n_list"], worker)
     except BlowUpError as exc:
         return _blow_up(result, exc)
-    table = [members[n] for n in sorted(members)]
-    result.info["members"] = table
-    result.info["expected_slope"] = expected
-
     for member in table:
         ok = 0.8 <= member["ratio"] <= 1.25
         result.add(f"oracle_ratio_N{member['N']}", ok,
                    f"{member['ratio']:.4f}", "in [0.8, 1.25]")
-
-    values = [m["solver_norm"] for m in table]
-    fit = None
-    if len(table) >= 3 and all(v > 0 for v in values):
-        fit = fit_loglog([m["N"] for m in table], values)
-        result.fits["inflation"] = fit
-    _slope_check(result, "inflation_slope", fit, expected, 0.1)
+    _sweep_slope(result, "inflation", table, "solver_norm", expected)
     return result
 
 
@@ -512,10 +488,9 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult("c2probe")
     t = spec.table
     k, l, t_probe, nodes = t["k"], t["l"], t["t_probe"], t["nodes"]
-    n_list = list(t["n_list"])
     expected = expected_c2_slope(l)
 
-    def worker(n_freq: int, _payload=None) -> dict:
+    def worker(n_freq: int) -> dict:
         b0 = cf.normalize_hats(cf.build_fN(n_freq, k, "c2_B0"), k, nodes)[0]
         psi10 = cf.build_c2_psi10(n_freq, l)[0]
         value = cf.l_hat_norm(t_probe, b0, psi10, k, nodes)
@@ -529,21 +504,11 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
             "b0_norm_hk": cf.hat_sobolev_norm([b0], k, nodes),
         }
 
-    members = _run_sweep({n: None for n in n_list}, worker)
-    table = [members[n] for n in sorted(members)]
-    result.info["members"] = table
-    result.info["expected_slope"] = expected
-
+    table = _run_sweep(t["n_list"], worker)
     worst_dual = max(m["dual_rel_diff"] for m in table)
     result.add("dual_route", worst_dual <= 1e-6, f"max rel diff {worst_dual:.3e}", "<= 1e-6")
     result.info["dual_route_max_rel_diff"] = worst_dual
-
-    values = [m["norm"] for m in table]
-    fit = None
-    if len(table) >= 3 and all(v > 0 for v in values):
-        fit = fit_loglog([m["N"] for m in table], values)
-        result.fits["c2"] = fit
-    _slope_check(result, "c2_slope", fit, expected, 0.1)
+    values = _sweep_slope(result, "c2", table, "norm", expected)
 
     if expected > 0.05 and len(values) >= 2:
         monotone = all(a < b for a, b in zip(values, values[1:]))
@@ -609,11 +574,8 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     params, psi_minus0 = unit_physical_params(), np.zeros(grid.n)
 
     def observe(st: FieldState) -> dict[str, float]:
-        rep = conserved_quantities(st, params, (k_reg,), -0.5)
         diff = st.b - cf.small_dispersion_solution(b0, psi_plus0, psi_minus0, st.time)
-        return {"Q1": rep.q1, "Q2": rep.q2, "Q3": rep.q3, "Q4": rep.q4,
-                f"HsB_{k_reg:g}": rep.b_norms[k_reg],
-                "Hpsi1": rep.psi1_norm, "Hpsi2": rep.psi2_norm,
+        return {**conserved_quantities(st, params, (k_reg,), -0.5),
                 "devA_L2": st.grid.sobolev_norm(diff, 0.0),
                 "devA_Hk": st.grid.sobolev_norm(diff, k_reg)}
 

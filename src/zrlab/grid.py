@@ -10,8 +10,6 @@ Conventions (fixed once, used everywhere):
 * Parseval         (1/n) sum_m |f_m|^2 = sum_j |fhat_j|^2
 * Sobolev norm     ||f||_{H^s} = sqrt( L * sum_j (1+|xi_j|)^{2s} |fhat_j|^2 )
                    (H^0 equals the L^2(dx) norm of the grid function)
-* real fields      rforward/rinverse hold the half spectrum j = 0..n/2 of a
-                   real function; its last entry is the Nyquist mode j = -n/2
 * dealiasing       2/3 rule: keep modes with |j| <= n/3
 * Nyquist          the unpaired j = -n/2 mode (no conjugate partner) is zeroed
                    by odd-order derivatives; translation keeps its cosine part
@@ -71,8 +69,7 @@ class SpectralGrid:
         mask = np.abs(modes) <= self.n / 3
         parity = np.where(np.mod(modes, 2) == 0, 1.0, -1.0)  # (-1)^j
         for name, arr in (("x", x), ("wavenumbers", xi), ("modes", modes),
-                          ("dealias_mask", mask), ("_parity", parity),
-                          ("_rparity", parity[:self.n // 2 + 1])):
+                          ("dealias_mask", mask), ("_parity", parity)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dx", dx)
@@ -92,22 +89,6 @@ class SpectralGrid:
         if coeffs.shape != (self.n,):
             raise ValueError(f"coefficients have shape {coeffs.shape}, grid expects ({self.n},)")
         return np.fft.ifft(coeffs * self._parity) * self.n
-
-    def rforward(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients fhat_j, j = 0..n/2, of a real grid function."""
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            raise TypeError("the real transform takes a real field, got a complex one")
-        if values.shape != (self.n,):
-            raise ValueError(f"field has shape {values.shape}, grid expects ({self.n},)")
-        return self._rparity * np.fft.rfft(values) / self.n
-
-    def rinverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real grid values of a half spectrum j = 0..n/2; float64 output."""
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != self._rparity.shape:
-            raise ValueError(f"got shape {coeffs.shape}, expected {self._rparity.shape}")
-        return np.fft.irfft(coeffs * self._rparity, self.n) * self.n
 
     # -- Fourier-side operations --------------------------------------------
 

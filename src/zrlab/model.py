@@ -31,7 +31,7 @@ normalization, and the small-dispersion modified system are instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "modified_system_coefficients",
     "to_physical_vars",
     "FieldState",
-    "ConservedReport",
     "conserved_quantities",
     "plane_wave_state",
     "Schedule",
@@ -84,6 +83,12 @@ class PhysicalParams:
     @property
     def q(self) -> float:
         return self.gamma + self.nu * (self.gamma * self.nu - 1.0) / (2.0 * (self.beta - self.nu**2))
+
+    @property
+    def global_existence(self) -> bool:
+        """The global-existence signs omega > 0 and beta - nu^2 > 0, under
+        which the energy Q4 backs a conservation verdict."""
+        return self.omega > 0 and self.beta - self.nu**2 > 0
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,9 @@ def to_physical_vars(psi1: np.ndarray, psi2: np.ndarray, beta: float):
 
 @dataclass
 class FieldState:
-    """Solver state: complex B and real psi1, psi2 on a shared grid."""
+    """Solver state: complex B and real psi1, psi2 on a shared grid.  A
+    complex psi is a TypeError: the stepper's real transforms take real
+    fields only."""
 
     grid: SpectralGrid
     b: np.ndarray
@@ -224,46 +231,27 @@ class FieldState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.psi1) or np.iscomplexobj(self.psi2):
+            raise TypeError("psi1 and psi2 must be real fields, got a complex one")
         self.b = np.asarray(self.b, dtype=np.complex128).copy()
-        self.psi1 = self._realize(self.psi1)
-        self.psi2 = self._realize(self.psi2)
+        self.psi1 = np.asarray(self.psi1, dtype=np.float64).copy()
+        self.psi2 = np.asarray(self.psi2, dtype=np.float64).copy()
         for arr in (self.b, self.psi1, self.psi2):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"field shape {arr.shape} does not match grid size {self.grid.n}")
             if not np.isfinite(arr).all():
                 raise ValueError("field contains non-finite entries")
 
-    def _realize(self, arr: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arr)
-        if np.iscomplexobj(arr):
-            scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-            leak = float(np.max(np.abs(arr.imag)))
-            if leak > 1e-12 * scale:
-                raise ValueError(f"psi field imaginary residue {leak:.3e} exceeds budget")
-            arr = arr.real
-        return np.asarray(arr, dtype=np.float64).copy()
-
     def copy(self) -> "FieldState":
         return FieldState(self.grid, self.b.copy(), self.psi1.copy(), self.psi2.copy(), self.time)
 
 
-@dataclass(frozen=True)
-class ConservedReport:
-    """Snapshot of the four invariants and the monitored Sobolev norms."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    b_norms: dict[float, float] = field(default_factory=dict)
-    psi1_norm: float = 0.0
-    psi2_norm: float = 0.0
-
-
 def conserved_quantities(state: FieldState, params: PhysicalParams,
                          s_list: tuple[float, ...] = (1.0,),
-                         psi_index: float = -0.5) -> ConservedReport:
-    """Evaluate the four invariants of the physical system.
+                         psi_index: float = -0.5) -> dict[str, float]:
+    """The record row of the four invariants of the physical system and the
+    monitored norms: Q1..Q4, HsB_<s> (||B||_{H^s} for each s in `s_list`),
+    and Hpsi1, Hpsi2 (||psi||_{H^psi_index}).
 
         Q1 = int |B|^2
         Q3 = int u rho + P,  P = (i/2) int (B conj(B)_x - B_x conj(B))
@@ -295,12 +283,10 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
     q2 = q4 - 0.5 * params.nu / params.theta * q3
 
     b_hat = g.forward(b)
-    norms = {float(s): g.sobolev_norm_coeffs(b_hat, s) for s in s_list}
-    return ConservedReport(
-        q1=q1, q2=q2, q3=q3, q4=q4, b_norms=norms,
-        psi1_norm=g.sobolev_norm(state.psi1, psi_index),
-        psi2_norm=g.sobolev_norm(state.psi2, psi_index),
-    )
+    return {"Q1": q1, "Q2": q2, "Q3": q3, "Q4": q4,
+            **{f"HsB_{float(s):g}": g.sobolev_norm_coeffs(b_hat, s) for s in s_list},
+            "Hpsi1": g.sobolev_norm(state.psi1, psi_index),
+            "Hpsi2": g.sobolev_norm(state.psi2, psi_index)}
 
 
 def plane_wave_state(grid: SpectralGrid, coeffs: GeneralCoefficients,

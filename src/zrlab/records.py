@@ -19,7 +19,6 @@ __all__ = [
     "read_record_csv",
     "write_fit_file",
     "read_fit_file",
-    "RunManifest",
     "write_manifest",
 ]
 
@@ -78,7 +77,7 @@ def write_record_csv(record: RunRecord, path) -> str:
 
 
 def read_record_csv(path) -> RunRecord:
-    lines = Path(path).read_text().strip().splitlines()
+    lines = Path(path).read_text().splitlines()  # no strip: names keep their spaces
     header = lines[0].split(",")
     rec = RunRecord()
     for line in lines[1:]:
@@ -120,30 +119,9 @@ def read_fit_file(path) -> dict:
     return {"header": header, "points": points, **footer}
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to re-run an experiment identically."""
-
-    kind: str
-    config_echo: str
-    resolved: dict
-    verdict: dict
-    wall_time_s: float
-    artifacts: dict
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config_echo": self.config_echo,
-            "config_digest": hashlib.sha256(self.config_echo.encode()).hexdigest(),
-            "resolved": self.resolved,
-            "verdict": self.verdict,
-            "wall_time_s": self.wall_time_s,
-            "artifacts": self.artifacts,
-            "version": self.version,
-        }
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    Path(path).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+def write_manifest(manifest: dict, path) -> None:
+    """Write a run manifest as JSON, adding the sha256 `config_digest` of its
+    `config_echo`."""
+    digest = hashlib.sha256(manifest["config_echo"].encode()).hexdigest()
+    Path(path).write_text(json.dumps({**manifest, "config_digest": digest},
+                                     indent=2, sort_keys=True) + "\n")

@@ -28,13 +28,13 @@ from zrlab.evolution import BlowUpError, StepperConfig
 from zrlab.experiments import _coeffs_for, fit_loglog, inflation_grid
 from zrlab.grid import SpectralGrid
 from zrlab.records import (
-    RunManifest,
     RunRecord,
     canonical_column_order,
     format_float,
     read_fit_file,
     read_record_csv,
     write_fit_file,
+    write_manifest,
     write_record_csv,
 )
 
@@ -181,9 +181,10 @@ def test_validate_params_gate():
     with pytest.raises(ConfigError, match=r"\[params\]: beta must be positive"):
         parse_config("[params]\npreset = physical\nbeta = -1\n"
                      "[experiment]\nkind = conserve\n")
-    with pytest.raises(ConfigError, match="global-existence"):
-        parse_config("[params]\npreset = physical\nomega = -1\n"
-                     "[experiment]\nkind = conserve\n")
+    for entry in ("omega = -1", "nu = 1.5"):  # omega > 0, then beta - nu^2 > 0 fails
+        with pytest.raises(ConfigError, match="global-existence"):
+            parse_config(f"[params]\npreset = physical\n{entry}\n"
+                         "[experiment]\nkind = conserve\n")
     # decohere builds coefficients internally; a [params] section is an error
     with pytest.raises(ConfigError, match="not consulted"):
         parse_config("[params]\npreset = normalized\n[experiment]\nkind = decohere\n")
@@ -209,6 +210,14 @@ def test_unread_entries_rejected(kind, entries, tmp_path):
     emitted = emit_config(default_spec(kind))
     for entry in entries:
         assert f"\n{entry.split('=')[0].split('.')[1]} = " not in emitted
+
+
+@pytest.mark.parametrize("entry", ["grid.n=4096", "grid.length=100.0"])
+def test_inflate_lone_grid_entry_rejected(entry):
+    """inflate uses an explicit grid only when both grid entries are set, so
+    one alone would be ignored: it is refused by name."""
+    with pytest.raises(ConfigError, match="grid.n and grid.length together"):
+        apply_overrides(parse_config("", "inflate"), [entry, "experiment.n_list=8,16,32"])
 
 
 def test_inflate_band_checked_at_parse_time():
@@ -279,17 +288,37 @@ def test_format_float_roundtrips():
 
 
 def test_record_csv_bit_roundtrip(tmp_path):
-    rec = RunRecord()
-    rec.append({"t": 0.0, "Q1": 1.0 / 3.0, "HsB_1": math.pi, "zeta": 1e-300})
-    rec.append({"t": 0.1, "Q1": 2.0 / 7.0, "HsB_1": math.e, "zeta": -0.1})
-    path = tmp_path / "series.csv"
-    digest = write_record_csv(rec, path)
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert path.read_text().splitlines()[0] == "t,Q1,HsB_1,zeta"
-    back = read_record_csv(path)
-    assert back.columns.keys() == rec.columns.keys()
-    for name in rec.columns:
-        assert back.column(name) == rec.column(name)  # exact, not approx
+    """Every finite float (signed zeros and subnormals included) under any
+    comma-free column names reads back bit for bit, and the returned digest
+    is that of the file."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # a column name is one line of printable text without commas; the HsB_
+    # prefix is reserved for the numeric Sobolev index s of HsB_<s>
+    printable = st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=",")
+    names = st.one_of(st.sampled_from(["t", "Q1", "Q4", "HsB_1", "HsB_0.5", "Hpsi2", "devA_L2"]),
+                      st.text(printable, min_size=1).filter(lambda c: not c.startswith("HsB_")))
+    specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.example([" a", "b "], [])  # spaces at both ends of the header
+    @hypothesis.given(st.lists(names, min_size=1, max_size=6, unique=True),
+                      st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=24))
+    def roundtrip(columns, values):
+        rec = RunRecord()
+        rec.append({name: specials[i % len(specials)] for i, name in enumerate(columns)})
+        for start in range(0, len(values) - len(columns) + 1, len(columns)):
+            rec.append(dict(zip(columns, values[start:])))
+        path = tmp_path / "series.csv"
+        digest = write_record_csv(rec, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.read_text().splitlines()[0] == ",".join(canonical_column_order(columns))
+        back = read_record_csv(path)
+        assert back.columns.keys() == rec.columns.keys()
+        for name in columns:  # bit for bit: == would let -0.0 stand for 0.0
+            assert [v.hex() for v in back.column(name)] == [v.hex() for v in rec.column(name)]
+
+    roundtrip()
 
 
 def test_record_append_validates_keys():
@@ -328,11 +357,14 @@ def test_fit_file_footer_recomputable(tmp_path):
 
 # -- records: manifest -----------------------------------------------------------------
 
-def test_manifest_digest_matches_echo():
-    manifest = RunManifest(kind="conserve", config_echo="[stepper]\ndt = 0.001\n",
-                           resolved={}, verdict={"status": "pass"},
-                           wall_time_s=1.0, artifacts={}, version="0.1.0")
-    d = manifest.to_dict()
+def test_manifest_digest_matches_echo(tmp_path):
+    manifest = {"kind": "conserve", "config_echo": "[stepper]\ndt = 0.001\n",
+                "resolved": {}, "verdict": {"status": "pass"},
+                "wall_time_s": 1.0, "artifacts": {}, "version": "0.1.0"}
+    path = tmp_path / "manifest.json"
+    write_manifest(manifest, path)
+    d = json.loads(path.read_text())
+    assert d == {**manifest, "config_digest": d["config_digest"]}
     assert d["config_digest"] == hashlib.sha256(d["config_echo"].encode()).hexdigest()
 
 

@@ -138,15 +138,15 @@ def test_max_workers_env(monkeypatch):
 
 def test_run_sweep_merges_by_sorted_key(monkeypatch):
     """The largest key, the longest member, is dispatched first, serially and
-    to the pool; the results are merged by sorted key either way."""
+    to the pool; the results come back in ascending key order either way."""
     import zrlab.experiments as experiments
 
-    tasks = {3: "c", 1: "a", 2: "b"}
+    keys = [3, 1, 2]
     started = []
 
-    def worker(key, payload):
+    def worker(key):
         started.append(key)
-        return f"{payload}{key}"
+        return f"r{key}"
 
     dispatched = []
 
@@ -158,13 +158,12 @@ def test_run_sweep_merges_by_sorted_key(monkeypatch):
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     monkeypatch.setenv("ZRLAB_THREADS", "1")
-    serial = _run_sweep(tasks, worker)
+    serial = _run_sweep(keys, worker)
     assert started == [3, 2, 1] and dispatched == []
     monkeypatch.setenv("ZRLAB_THREADS", "3")
-    threaded = _run_sweep(tasks, worker)
+    threaded = _run_sweep(keys, worker)
     assert dispatched == [[3, 2, 1]]
-    assert serial == threaded == {1: "a1", 2: "b2", 3: "c3"}
-    assert list(serial) == list(threaded) == [1, 2, 3]
+    assert serial == threaded == ["r1", "r2", "r3"]
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -225,6 +224,40 @@ def test_run_conserve_physical_preset_all_checks():
     assert result.status == "pass"
     assert 3.5 <= result.info["richardson_ratio"] <= 4.5
     assert "series" in result.records and "series_half_dt" in result.records
+
+
+def test_conserve_q4_order2_can_fail(monkeypatch):
+    """Negative control: a Lie (first-order) splitting built from the public
+    sub-flows drifts Q4 at first order, so halving dt halves the drift, the
+    Richardson ratio sits near 2 and q4_order2 fails; on the same config the
+    Strang stepper reads 4 and passes."""
+    import zrlab.experiments as experiments
+    from zrlab.evolution import linear_halfstep, nonlinear_step
+    from zrlab.records import RunRecord
+
+    def lie_evolve(state0, coeffs, config, observers=()):
+        state, record = state0.copy(), RunRecord()
+        for i in range(config.steps + 1):
+            if i:
+                linear_halfstep(state, coeffs, config.dt)  # the whole dt, not half
+                nonlinear_step(state, coeffs, config.dt, dealias=config.dealias)
+                state.time = i * config.dt
+            if i % config.record_every == 0 or i == config.steps:
+                row = {"t": state.time}
+                for obs in observers:
+                    row.update(obs(state))
+                record.append(row)
+        return state, record
+
+    spec = replace(default_spec("conserve"), grid_n=128, grid_length=32.0, dt=0.01,
+                   t_end=1.0, record_every=10)
+    strang = run_conserve(spec)
+    assert 3.5 <= strang.info["richardson_ratio"] <= 4.5
+    assert {c.name: c.status for c in strang.checks}["q4_order2"] == "pass"
+    monkeypatch.setattr(experiments, "evolve", lie_evolve)
+    lie = run_conserve(spec)
+    assert lie.info["richardson_ratio"] == pytest.approx(2.0, abs=0.25)
+    assert {c.name: c.status for c in lie.checks}["q4_order2"] == "fail"
 
 
 def test_run_conserve_blowup_in_half_dt_run_fails_completion(monkeypatch):
@@ -455,17 +488,12 @@ def test_growth_exponent_can_fail(monkeypatch):
     envelope exponent 3 > 2.5 and fails growth_exponent_s3."""
     import zrlab.experiments as experiments
 
-    observer = experiments._observer
+    row = experiments.conserved_quantities
 
-    def fabricated(params, s_list, psi_index):
-        observe = observer(params, s_list, psi_index)
+    def fabricated(state, params, s_list, psi_index):
+        return dict(row(state, params, s_list, psi_index), HsB_3=(1.0 + state.time) ** 3)
 
-        def cubic_growth(state):
-            return dict(observe(state), HsB_3=(1.0 + state.time) ** 3)
-
-        return cubic_growth
-
-    monkeypatch.setattr(experiments, "_observer", fabricated)
+    monkeypatch.setattr(experiments, "conserved_quantities", fabricated)
     spec = default_spec("growth")
     result = run_growth(replace(spec, grid_n=256, t_end=0.5, dt=0.002, record_every=25))
     statuses = {c.name: c.status for c in result.checks}

@@ -16,3 +16,31 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+# Every zrlab name the benchmark harness (bench/) looks up: its tracer wraps
+# module and class attributes by name and skips an absent one, and its
+# samples and kernel pass import the rest, so a rename here would silently
+# zero a layer's metrics or fail every sample.
+BENCH_NAMES = {
+    "zrlab.experiments": ["ThreadPoolExecutor", "evolve", "conserved_quantities"],
+    "zrlab.evolution": ["linear_halfstep", "nonlinear_step", "strang_step", "StepperConfig",
+                        "evolve"],
+    "zrlab.closed_forms": ["hat_sobolev_norm", "normalize_hats", "l_hat_norm",
+                           "first_order_psi1", "synthesize_hat_field"],
+    "zrlab.cli": ["main", "run_experiment", "parse_config", "apply_overrides",
+                  "write_record_csv", "write_fit_file", "write_manifest"],
+    "zrlab.config": ["parse_config", "apply_overrides"],
+    "zrlab.grid": ["SpectralGrid.forward", "SpectralGrid.inverse"],
+    "zrlab.model": ["FieldState", "coefficients_from_params", "unit_physical_params",
+                    "conserved_quantities"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in BENCH_NAMES.items()
+                                          for name in names], ids=str)
+def test_bench_names_resolve(module, name):
+    owner = importlib.import_module(module)
+    for attr in name.split("."):
+        owner = getattr(owner, attr)
+    assert callable(owner)

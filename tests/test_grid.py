@@ -124,18 +124,18 @@ def test_translate_by_whole_cells_is_roll():
     g = SpectralGrid(10.0, 64)
     rng = np.random.default_rng(12)
     f = rng.standard_normal(g.n)
-    shifted = g.rinverse(g.rforward(f) * g.translation(5 * g.dx))
+    shifted = np.fft.irfft(np.fft.rfft(f) * g.translation(5 * g.dx), g.n)
     assert shifted.dtype == np.float64
     assert_allclose(shifted, np.roll(f, 5), atol=1e-12)
 
 
 def test_real_translation_single_mode_and_nyquist(grid):
     # a cosine mode travels exactly; the Nyquist mode keeps its cosine part
-    shifted = grid.rinverse(grid.rforward(np.cos(3.0 * grid.x)) * grid.translation(0.37))
+    shifted = np.fft.irfft(np.fft.rfft(np.cos(3.0 * grid.x)) * grid.translation(0.37), grid.n)
     assert_allclose(shifted, np.cos(3.0 * (grid.x - 0.37)), atol=1e-13)
     nyq = np.cos((grid.n // 2) * grid.x)
     assert grid.translation(0.37)[-1] == pytest.approx(np.cos((grid.n // 2) * 0.37), abs=1e-15)
-    shifted = grid.rinverse(grid.rforward(nyq) * grid.translation(0.37))
+    shifted = np.fft.irfft(np.fft.rfft(nyq) * grid.translation(0.37), grid.n)
     assert_allclose(shifted, np.cos((grid.n // 2) * 0.37) * nyq, atol=1e-13)
 
 

@@ -109,11 +109,16 @@ def test_params_validation():
 
 
 def test_field_state_reality_budget():
+    # psi is real by construction: a complex psi is refused, whatever its
+    # imaginary part, and a real one of any dtype is stored as float64
     g = SpectralGrid(8.0, 16)
-    with pytest.raises(ValueError):
-        FieldState(g, np.zeros(g.n), np.ones(g.n) * (1 + 1e-6j), np.zeros(g.n))
-    st = FieldState(g, np.zeros(g.n), np.ones(g.n) * (1 + 1e-14j), np.zeros(g.n))
-    assert st.psi1.dtype == np.float64
+    for psi in (np.ones(g.n) * (1 + 1e-6j), np.ones(g.n) + 0j):
+        with pytest.raises(TypeError, match="real fields"):
+            FieldState(g, np.zeros(g.n), psi, np.zeros(g.n))
+        with pytest.raises(TypeError, match="real fields"):
+            FieldState(g, np.zeros(g.n), np.zeros(g.n), psi)
+    st = FieldState(g, np.zeros(g.n), np.ones(g.n, dtype=np.float32), np.zeros(g.n, dtype=int))
+    assert st.psi1.dtype == st.psi2.dtype == np.float64
     with pytest.raises(ValueError):
         FieldState(g, np.zeros(g.n - 1), np.zeros(g.n), np.zeros(g.n))
 
@@ -137,15 +142,17 @@ def test_conserved_plane_wave_values():
     co = coefficients_from_params(p)
     amp, kappa = 0.7, 3.0
     state, _ = plane_wave_state(g, co, amp, kappa)
-    rep = conserved_quantities(state, p, s_list=(0.0, 1.0))
+    row = conserved_quantities(state, p, s_list=(0.0, 1.0))
+    assert list(row) == ["Q1", "Q2", "Q3", "Q4", "HsB_0", "HsB_1", "Hpsi1", "Hpsi2"]
     L = g.length
-    assert rep.q1 == pytest.approx(amp**2 * L, rel=1e-12)
-    assert rep.q3 == pytest.approx(kappa * amp**2 * L, rel=1e-12)
+    assert row["Q1"] == pytest.approx(amp**2 * L, rel=1e-12)
+    assert row["Q3"] == pytest.approx(kappa * amp**2 * L, rel=1e-12)
     want_q4 = 0.5 * kappa**2 * amp**2 * L + 0.25 * amp**4 * L
-    assert rep.q4 == pytest.approx(want_q4, rel=1e-12)
-    assert rep.q2 == pytest.approx(rep.q4)  # nu = 0
-    assert rep.b_norms[0.0] == pytest.approx(amp * np.sqrt(L), rel=1e-12)
-    assert rep.b_norms[1.0] == pytest.approx(amp * np.sqrt(L) * (1 + kappa), rel=1e-12)
+    assert row["Q4"] == pytest.approx(want_q4, rel=1e-12)
+    assert row["Q2"] == pytest.approx(row["Q4"])  # nu = 0
+    assert row["HsB_0"] == pytest.approx(amp * np.sqrt(L), rel=1e-12)
+    assert row["HsB_1"] == pytest.approx(amp * np.sqrt(L) * (1 + kappa), rel=1e-12)
+    assert row["Hpsi1"] == row["Hpsi2"] == 0.0
 
 
 def test_plane_wave_dispersion_relation():
