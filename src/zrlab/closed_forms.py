@@ -189,12 +189,17 @@ def resonance_phi(t: float, a) -> np.ndarray:
 
 def _phi(t: float, a: np.ndarray, time_nodes: int) -> np.ndarray:
     """resonance_phi(t, a) for time_nodes = 0; otherwise the dual route, a
-    brute-force time_nodes-point GL quadrature of int_0^t exp(i t' a) dt'."""
+    brute-force time_nodes-point GL quadrature of int_0^t exp(i t' a) dt'.
+
+    The quadrature sums cos and sin of the real angle a t' separately: numpy
+    has no vectorised loop for complex exp."""
     if not time_nodes:
         return resonance_phi(t, a)
     x, w = _gl(time_nodes)
-    tp = 0.5 * t * (x + 1.0)
-    return 0.5 * t * np.tensordot(np.exp(1j * np.multiply.outer(a, tp)), w, axes=([-1], [0]))
+    angle = np.multiply.outer(a, 0.5 * t * (x + 1.0))
+    re = np.cos(angle) @ w
+    im = np.sin(angle, out=angle) @ w
+    return 0.5 * t * (re + 1j * im)
 
 
 # -- second-derivative (bilinear) kernel ---------------------------------------

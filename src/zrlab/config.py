@@ -384,14 +384,13 @@ def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpe
 
 def _sections_from_spec(spec: ExperimentSpec) -> dict[str, dict[str, str]]:
     """The rendered entries of `spec` that its kind reads.  An unset grid
-    entry, params.preset = none, and theta..nu under any preset but
-    physical are left out."""
+    entry and theta..nu under any preset but physical are left out."""
     entries = [(*entry.split("."), getattr(spec, name)) for entry, name in _SPEC_FIELD.items()]
     entries += [("experiment", key, spec.table[key]) for key in sorted(spec.table)]
     sections: dict[str, dict[str, str]] = {}
     for section, key, value in entries:
         if section == "params":
-            emitted = spec.preset == "physical" or (key == "preset" and spec.preset != "none")
+            emitted = key == "preset" or spec.preset == "physical"
         else:
             emitted = value is not None
         if emitted and DECLARATIONS[spec.kind].reads_entry(section, key):

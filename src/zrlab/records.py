@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,15 +29,25 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _sobolev_index(name: str) -> float | None:
+    """s of a column HsB_<s> whose suffix is a finite number, else None."""
+    if not name.startswith("HsB_"):
+        return None
+    try:
+        s = float(name[len("HsB_"):])
+    except ValueError:
+        return None
+    return s if math.isfinite(s) else None
+
+
 def canonical_column_order(names) -> list[str]:
-    """t first, then Q1..Q4, then HsB_<s> by ascending s, then Hpsi1/Hpsi2,
-    then anything else in alphabetical order."""
+    """t first, then Q1..Q4, then HsB_<s> with a finite number s by ascending
+    s, then Hpsi1/Hpsi2, then anything else in alphabetical order."""
     names = list(names)
     fixed = ["t", "Q1", "Q2", "Q3", "Q4"]
     out = [c for c in fixed if c in names]
-    hsb = sorted((c for c in names if c.startswith("HsB_")),
-                 key=lambda c: float(c[len("HsB_"):]))
-    out += hsb
+    out += sorted((c for c in names if _sobolev_index(c) is not None),
+                  key=lambda c: (_sobolev_index(c), c))
     out += [c for c in ("Hpsi1", "Hpsi2") if c in names]
     rest = sorted(c for c in names if c not in out)
     return out + rest

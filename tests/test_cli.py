@@ -282,6 +282,15 @@ def test_canonical_column_order():
         "t", "Q1", "Q3", "HsB_0.5", "HsB_2", "Hpsi2", "alpha", "devA_L2"]
 
 
+def test_canonical_column_order_non_numeric_hsb():
+    """Only HsB_<s> with a finite number s joins the Sobolev group; other
+    HsB_ names sort with the rest, so a record can carry them."""
+    assert canonical_column_order(["HsB_x"]) == ["HsB_x"]
+    names = ["zeta", "HsB_x", "HsB_2", "HsB_inf", "Hpsi1", "t", "HsB_0.5", "HsB_nan"]
+    assert canonical_column_order(names) == [
+        "t", "HsB_0.5", "HsB_2", "Hpsi1", "HsB_inf", "HsB_nan", "HsB_x", "zeta"]
+
+
 def test_format_float_roundtrips():
     for x in (0.1, 1.0 / 3.0, 1e-300, 6.02214076e23, -math.pi, 0.0):
         assert float(format_float(x)) == x
@@ -293,11 +302,12 @@ def test_record_csv_bit_roundtrip(tmp_path):
     is that of the file."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # a column name is one line of printable text without commas; the HsB_
-    # prefix is reserved for the numeric Sobolev index s of HsB_<s>
+    # a column name is one line of printable text without commas
     printable = st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=",")
-    names = st.one_of(st.sampled_from(["t", "Q1", "Q4", "HsB_1", "HsB_0.5", "Hpsi2", "devA_L2"]),
-                      st.text(printable, min_size=1).filter(lambda c: not c.startswith("HsB_")))
+    names = st.one_of(st.sampled_from(["t", "Q1", "Q4", "HsB_1", "HsB_0.5", "HsB_x", "Hpsi2",
+                                       "devA_L2"]),
+                      st.text(printable, min_size=1),
+                      st.text(printable).map(lambda c: "HsB_" + c))
     specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
 
     @hypothesis.settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from zrlab import (HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10, build_f
                    first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm,
                    l_hat_time_quadrature, modulated_sinc, normalize_hats, resonance_phi,
                    small_dispersion_solution, smooth_plateau, synthesize_hat_field)
-from zrlab.closed_forms import GRID_NORM_FACTOR, first_order_psi1_time_quadrature
+from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _phi, first_order_psi1_time_quadrature
 
 
 # -- resonance kernel ---------------------------------------------------------
@@ -180,6 +180,35 @@ def test_l_hat_dual_routes_agree():
     a = l_hat(xi, 0.3, b0, psi10)
     b = l_hat_time_quadrature(xi, 0.3, b0, psi10)
     assert_allclose(a, b, rtol=1e-10, atol=1e-15)
+
+
+def test_phi_time_quadrature_matches_complex_exp_reference():
+    """The dual route's real-arithmetic GL rule equals the same rule summed as
+    a complex exp, for |t a| in the series range, near 1 and up to 1e3.  Both
+    sum the same cos/sin values of the same angles with weights of total 2,
+    so float64 round-off bounds the gap by about 1e-13 t (|phi| <= t)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def reference(t, a, time_nodes):
+        x, w = _gl(time_nodes)
+        tp = 0.5 * t * (x + 1.0)
+        return 0.5 * t * np.tensordot(np.exp(1j * np.multiply.outer(a, tp)), w, axes=([-1], [0]))
+
+    ta = st.one_of(st.floats(-1e-6, 1e-6, exclude_min=True, exclude_max=True),
+                   st.floats(0.5, 2.0), st.floats(-2.0, -0.5), st.floats(-1e3, 1e3))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.floats(1e-4, 10.0),
+                      st.lists(st.lists(ta, min_size=3, max_size=3), min_size=1, max_size=4),
+                      st.sampled_from([1, 2, 64]))
+    def matches(t, ta_rows, time_nodes):
+        a = np.array(ta_rows) / t
+        got = _phi(t, a, time_nodes)
+        assert got.shape == a.shape
+        assert np.max(np.abs(got - reference(t, a, time_nodes))) <= 1e-13 * t
+
+    matches()
 
 
 def test_l_hat_norm_dual_routes():

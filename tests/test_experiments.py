@@ -366,6 +366,32 @@ def test_c2probe_unbounded_growth_can_fail(monkeypatch):
     assert [m["norm"] for m in result.info["members"]] == [1 / 8, 1 / 16, 1 / 32]
 
 
+def test_c2probe_dual_route_can_fail(monkeypatch):
+    """Negative control: a stand-in time rule over [0, t/2] instead of [0, t]
+    halves the quadrature route's kernel, so dual_route fails while the
+    closed-form route is untouched."""
+    import zrlab.experiments as experiments
+
+    spec = default_spec("c2probe")
+    spec = replace(spec, table=dict(spec.table, n_list=(8, 16, 32)))
+    result = run_c2probe(spec)
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses["dual_route"] == "pass"
+    norms = [m["norm"] for m in result.info["members"]]
+
+    phi = experiments.cf._phi
+
+    def half_horizon(t, a, time_nodes):
+        return phi(0.5 * t if time_nodes else t, a, time_nodes)
+
+    monkeypatch.setattr(experiments.cf, "_phi", half_horizon)
+    result = run_c2probe(spec)
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses["dual_route"] == "fail"
+    assert [m["norm"] for m in result.info["members"]] == norms
+    assert 0.4 < result.info["dual_route_max_rel_diff"] < 0.6
+
+
 # -- decohere ----------------------------------------------------------------------
 
 def test_run_decohere_structural_relations_small():
