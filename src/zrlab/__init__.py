@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 
 from .closed_forms import (HatDatum, as_grid_norm, build_c2_psi10, build_fN,
                            first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm,
-                           l_hat_time_quadrature, modulated_sinc, normalize_hats,
-                           resonance_phi, small_dispersion_solution,
-                           smooth_plateau, synthesize_hat_field)
+                           modulated_sinc, normalize_hats, resonance_phi,
+                           small_dispersion_solution, smooth_plateau, synthesize_hat_field)
 from .evolution import BlowUpError, StepperConfig, evolve, strang_step
 from .grid import SpectralGrid, next_pow2
 from .model import (FieldState, GeneralCoefficients, PhysicalParams,
@@ -40,6 +39,6 @@ __all__ = [
     # closed forms
     "HatDatum", "build_fN", "build_c2_psi10", "hat_sobolev_norm", "normalize_hats",
     "synthesize_hat_field", "as_grid_norm", "resonance_phi", "l_hat", "l_hat_norm",
-    "l_hat_time_quadrature", "first_order_psi1",
+    "first_order_psi1",
     "small_dispersion_solution", "smooth_plateau", "modulated_sinc",
 ]

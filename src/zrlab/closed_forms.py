@@ -37,9 +37,7 @@ __all__ = [
     "resonance_phi",
     "l_hat",
     "l_hat_norm",
-    "l_hat_time_quadrature",
     "first_order_psi1",
-    "first_order_psi1_time_quadrature",
     "small_dispersion_solution",
     "smooth_plateau",
     "modulated_sinc",
@@ -211,7 +209,8 @@ def _pair_interval(b0: HatDatum, psi: HatDatum, xi: np.ndarray):
     return lo, hi
 
 
-def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64) -> np.ndarray:
+def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64,
+          time_nodes: int = 0) -> np.ndarray:
     """Bilinear Duhamel kernel
 
         Lhat(xi, t) = exp(-i t xi^2) *
@@ -220,20 +219,10 @@ def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64) -> np.nd
 
     i.e. the second derivative (in the data pair) of the solution map at zero,
     under the free Schrodinger phase exp(-i t' xi^2) for B and the speed +1
-    transport phase exp(-i t' xi) for the coupling field.
+    transport phase exp(-i t' xi) for the coupling field.  time_nodes = 0
+    takes phi from the resonance_phi closed form; time_nodes > 0 is the dual
+    route, a time_nodes-point quadrature of the t' integral, independent of it.
     """
-    return l_hat_time_quadrature(xi, t, b0, psi10, nodes, time_nodes=0)
-
-
-def l_hat_time_quadrature(xi, t: float, b0: HatDatum, psi10: HatDatum,
-                          nodes: int = 64, time_nodes: int = 64) -> np.ndarray:
-    """Same kernel with the t' integral done by brute-force quadrature:
-
-        int_0^t exp(-i (t-t') xi^2) exp(-i t' xi_1^2)
-                exp(-i t' (xi - xi_1)) dt'
-
-    Independent of the resonance_phi closed form, which time_nodes = 0
-    takes instead (that is l_hat)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     lo, hi = _pair_interval(b0, psi10, xi)
     half = np.maximum(0.0, 0.5 * (hi - lo))
@@ -251,8 +240,8 @@ def _panels(breaks: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
-               nodes: int = 64, time_quadrature: bool = False) -> float:
-    """||L(.,t)||_{H^k} in the hat-integral convention.
+               nodes: int = 64, time_nodes: int = 0) -> float:
+    """||L(.,t)||_{H^k} in the hat-integral convention (time_nodes as in l_hat).
 
     The output support is [b0.lo + psi10.lo, b0.hi + psi10.hi]; the overlap
     length is piecewise linear with kinks at the two interior corners, so the
@@ -265,7 +254,7 @@ def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
     for a, b in _panels(breaks):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         xi = mid + half * x
-        vals = (l_hat_time_quadrature if time_quadrature else l_hat)(xi, t, b0, psi10, nodes)
+        vals = l_hat(xi, t, b0, psi10, nodes, time_nodes)
         total += half * float(np.sum(w * (1.0 + np.abs(xi)) ** (2.0 * k) * np.abs(vals) ** 2))
     return math.sqrt(total)
 
@@ -303,21 +292,13 @@ def _psi1_hat_sq_integrand(xi: np.ndarray, t: float, hats: Sequence[HatDatum],
 
 def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
                      speed: float = 1.0, source: float = 1.0,
-                     nodes: int = 64) -> float:
+                     nodes: int = 64, time_nodes: int = 0) -> float:
     """Hat-integral H^l norm of the first-order transport response at time t.
 
     This is the continuum, whole-line oracle for the solver's psi field when
     the envelope data is the hat sum and couplings are at first order.  Use
-    as_grid_norm(...) when comparing against grid Sobolev norms."""
-    return first_order_psi1_time_quadrature(t, hats, l, speed, source, nodes, time_nodes=0)
-
-
-def first_order_psi1_time_quadrature(t: float, hats: Sequence[HatDatum], l: float,
-                                     speed: float = 1.0, source: float = 1.0,
-                                     nodes: int = 64, time_nodes: int = 64) -> float:
-    """Dual route: the oscillatory time integral by a time_nodes-point
-    quadrature (time_nodes = 0 takes the resonance_phi closed form, which is
-    first_order_psi1)."""
+    as_grid_norm(...) when comparing against grid Sobolev norms.  time_nodes
+    as in l_hat: 0 takes the closed form, > 0 the dual route."""
     _check_disjoint(hats)
     breaks: list[float] = []
     for hi_hat in hats:

@@ -14,19 +14,26 @@ Sections are [grid], [params], [stepper], [experiment], [output].  Unknown
 sections and unknown keys are hard errors with line numbers, and an entry
 the kind never reads must keep its default — experiment validity hinges on
 exact hypothesis ranges, so silent typos and no-op settings are not an
-option.  `parse_config` resolves per-kind defaults and validates every
-constraint; `emit_config` writes a spec back out (without the unread
-entries) such that parse_config(emit_config(spec)) == spec.
+option.  Each entry's rule is declared next to it (`Key`), and each
+kind's rules that span several entries next to its keys
+(`KindDeclaration.rules`); `validate_spec` runs them all.  `parse_config`
+resolves per-kind defaults and validates; `emit_config` writes a spec back
+out (without the unread entries) such that parse_config(emit_config(spec))
+== spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Optional
 
-from .evolution import whole_steps
-from .model import PhysicalParams
+import numpy as np
+
+from .closed_forms import modulated_sinc
+from .evolution import StepperConfig
+from .grid import SpectralGrid
+from .model import PhysicalParams, check_plane_wave
 
 __all__ = [
     "ConfigError",
@@ -35,9 +42,12 @@ __all__ = [
     "apply_overrides",
     "emit_config",
     "default_spec",
+    "Key",
     "inflation_band",
     "check_inflation_band",
     "check_coefficient_preset",
+    "decohere_pairs",
+    "check_decohere_band",
     "DECLARATIONS",
     "KINDS",
 ]
@@ -102,40 +112,79 @@ def _render(value) -> str:
     return str(value)
 
 
-# -- schemas --------------------------------------------------------------------
+# -- declarations: every entry with its rule, every kind with its rules ------------
 
-# key converters of every section but [experiment] (declared per kind)
-_SCHEMAS: dict[str, dict[str, Callable]] = {
-    "grid": {"n": _int, "length": _float},
-    "params": {"preset": _str, "theta": _float, "gamma": _float,
-               "omega": _float, "beta": _float, "nu": _float},
-    "stepper": {"dt": _float, "t_end": _float, "record_every": _int, "dealias": _bool},
-    "output": {"dir": _str, "prefix": _str},
+@dataclass(frozen=True)
+class Key:
+    """One entry of the dialect: its converter, its default and its rule.
+
+    The rule is a (test, message) pair on the converted value; a failed test
+    raises "<section>.<key> <message>, got <value>".  An unset (None) value
+    is not tested.  Only [experiment] keys carry their default here; the
+    other sections take theirs from the kind's declaration.
+    """
+
+    convert: Callable
+    default: object = None
+    rule: Optional[tuple[Callable[[object], bool], str]] = None
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONEMPTY = (lambda v: len(v) > 0, "must be nonempty")
+_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+
+
+def _one_of(*choices: str) -> tuple[Callable[[object], bool], str]:
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
+
+
+# the entries of every section but [experiment] (declared per kind)
+_SCHEMAS: dict[str, dict[str, Key]] = {
+    "grid": {"n": Key(_int, rule=(lambda n: n >= 8 and n & (n - 1) == 0,
+                                  "must be a power of two >= 8")),
+             "length": Key(_float, rule=_POSITIVE)},
+    "params": {"preset": Key(_str), **{name: Key(_float) for name in
+                                       ("theta", "gamma", "omega", "beta", "nu")}},
+    "stepper": {"dt": Key(_float), "t_end": Key(_float), "record_every": Key(_int),
+                "dealias": Key(_bool)},
+    "output": {"dir": Key(_str, rule=_NONEMPTY), "prefix": Key(_str, rule=_NONEMPTY)},
 }
 # the ExperimentSpec field behind each of those entries
-_SPEC_FIELD = {"grid.n": "grid_n", "grid.length": "grid_length", "params.preset": "preset",
-               "output.dir": "out_dir", "output.prefix": "prefix",
-               **{f"params.{k}": k for k in _SCHEMAS["params"] if k != "preset"},
-               **{f"stepper.{k}": k for k in _SCHEMAS["stepper"]}}
+_SPEC_FIELD = {("grid", "n"): "grid_n", ("grid", "length"): "grid_length",
+               ("params", "preset"): "preset", ("output", "dir"): "out_dir",
+               ("output", "prefix"): "prefix",
+               **{("params", k): k for k in _SCHEMAS["params"] if k != "preset"},
+               **{("stepper", k): k for k in _SCHEMAS["stepper"]}}
+
+# [experiment] keys that several kinds share; a kind may change the default
+_N_LIST = Key(_list_of(_int), (), (
+    lambda v: len(v) >= 2 and v[0] >= 2 and all(a < b for a, b in zip(v, v[1:])),
+    "must be strictly ascending, with at least two entries, each >= 2"))
+_T_PROBE = Key(_float, 0.1, _POSITIVE)
+_NODES = Key(_int, 64, (lambda v: v >= 16, "must be >= 16"))
+_WIDTH = Key(_float, 2.0, _POSITIVE)  # the Gaussian widths `width` and `psi_width`
 
 
 @dataclass(frozen=True)
 class KindDeclaration:
     """Everything one experiment kind adds to the dialect.
 
-    `keys` maps each [experiment] key to (converter, default).  `grid` is the
-    default (n, length); (None, None) means auto-sized (inflate) or unused
-    (c2probe).  `stepper` is the default (dt, t_end, record_every).  `reads`
-    names the [grid], [params] and [stepper] entries the kind reads, as whole
-    sections or "section.key"; every other entry must keep its default.
+    `keys` declares each [experiment] key.  `grid` is the default
+    (n, length); (None, None) means auto-sized (inflate) or unused (c2probe).
+    `stepper` is the default (dt, t_end, record_every).  `reads` names the
+    [grid], [params] and [stepper] entries the kind reads, as whole sections
+    or "section.key"; every other entry must keep its default.  `rules`
+    check what spans several entries: each takes the spec and raises
+    ConfigError when it fails.
     """
 
     help: str
     preset: str
     grid: tuple[Optional[int], Optional[float]]
     stepper: tuple[float, float, int]
-    keys: dict[str, tuple[Callable, object]]
+    keys: dict[str, Key]
     reads: tuple[str, ...] = ("grid", "params", "stepper")
+    rules: tuple[Callable[[ExperimentSpec], object], ...] = ()
 
     def reads_entry(self, section: str, key: str) -> bool:
         """Whether the kind reads [section] key ([experiment] and [output] always)."""
@@ -143,63 +192,162 @@ class KindDeclaration:
                 or f"{section}.{key}" in self.reads)
 
 
+# -- rules ----------------------------------------------------------------------------
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _as_config_error(section: str, build: Callable, *args) -> None:
+    """Call build(*args); a ValueError it raises becomes a ConfigError for [section]."""
+    try:
+        build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}")
+
+
+# The predicates below are shared by config validation and the runs, so a
+# config that parses also runs.
+
+def check_coefficient_preset(kind: str, preset: str) -> None:
+    """Raise ConfigError unless a run of `kind` can build its coefficients
+    from `preset`: a kind that reads params.preset needs one other than none."""
+    _require(preset in _PRESETS, f"params.preset must be one of {_PRESETS}")
+    _require(preset != "none" or not DECLARATIONS[kind].reads_entry("params", "preset"),
+             f"params.preset = none leaves kind {kind} without coefficients")
+
+
+def inflation_band(n_freq: int) -> float:
+    """Half-width 2N + 2 + 2/N of the doubled data support of inflation member N."""
+    return 2.0 * n_freq + 2.0 + 2.0 / n_freq
+
+
+def check_inflation_band(grid_n: int, grid_length: float, n_freq: int) -> None:
+    """Raise ConfigError unless the dealiased band of the grid (n, length)
+    covers `inflation_band(n_freq)`."""
+    band = (2.0 * math.pi / grid_length) * (grid_n // 3)
+    need = inflation_band(n_freq)
+    _require(band >= need, f"grid must resolve |xi| <= {need:.2f} after dealiasing "
+                           f"for N = {n_freq} (resolved band is {band:.2f})")
+
+
+def _decohere_pair(mu: float, m_big: float) -> dict:
+    """The (L1, L2) geometry for one mu: scales, horizon and internal times."""
+    big_t = abs(math.log(mu)) / m_big**2
+    l1 = m_big
+    l2 = math.sqrt(math.pi / (2.0 * big_t) + m_big**2)
+    return {"mu": mu, "m": m_big, "T": big_t, "L1": l1, "L2": l2,
+            "theta_sq": mu / m_big, "t_internal": {"L1": l1**2 * big_t, "L2": l2**2 * big_t}}
+
+
+def decohere_pairs(table: dict) -> tuple[dict, list]:
+    """Every distinct (mu, M) pair of a decohere run, each run once: the main
+    pair and the mu-sweep's pairs, M_j = max(M, ceil(1/mu_j)).  Returns the
+    pairs' geometry by key, in key order, and the sweep's keys by mu."""
+    m_big = table["m"]
+    try:
+        sweep_keys = [(mu_j, max(m_big, float(math.ceil(1.0 / mu_j))))
+                      for mu_j in sorted(set(table["mu_list"]))]
+        keys = sorted({(table["mu"], m_big), *sweep_keys})
+        return {key: _decohere_pair(*key) for key in keys}, sweep_keys
+    except ArithmeticError:  # M^2 or 1/mu_j beyond the float range
+        raise ConfigError(f"decohere scales overflow (m = {m_big}, mu_list = {table['mu_list']})")
+
+
+def check_decohere_band(grid_n: int, grid_length: float, pairs: dict) -> None:
+    """Raise ConfigError unless the dealiased band of the grid (n, length)
+    holds decohere's data band plus the chirp of every run of `pairs`: the
+    phase gradient grows at most like t * max|psi'| over an internal horizon t."""
+    grid = SpectralGrid(grid_length, grid_n)
+    band = float(np.max(np.abs(grid.wavenumbers[grid.dealias_mask])))
+    slope = float(np.max(np.abs(grid.derivative(modulated_sinc(grid.x), 1))))
+    horizon = max(t for pair in pairs.values() for t in pair["t_internal"].values())
+    need = 8.0 + horizon * slope
+    _require(band >= need, f"under-resolved small-dispersion run: grid (n = {grid_n}, length = "
+                           f"{grid_length}) has dealiased band {band:.1f} < {need:.1f} needed "
+                           f"for internal horizon {horizon:.3f}")
+
+
+def _global_existence(spec: ExperimentSpec) -> None:
+    p = spec.physical_params()
+    _require(p.global_existence,
+             f"{spec.kind} requires the global-existence conditions omega > 0 and "
+             f"beta - nu^2 > 0 (got omega={p.omega}, beta-nu^2={p.beta - p.nu**2})")
+
+
 DECLARATIONS: dict[str, KindDeclaration] = {
     "simulate": KindDeclaration(
         help="evolve preset data and record invariants and norms",
         preset="normalized", grid=(512, 64.0), stepper=(1e-3, 1.0, 10),
         keys={
-            "seed": (_int, 0),
-            "initial": (_str, "gaussian"),
-            "amplitude": (_float, 1.0),
-            "width": (_float, 2.0),
-            "kappa": (_float, 1.0),
-            "c1": (_float, 0.0),
-            "c2": (_float, 0.0),
-            "psi_amplitude": (_float, 0.0),
-            "psi_width": (_float, 2.0),
-            "s_list": (_list_of(_float), (1.0,)),
-            "psi_index": (_float, -0.5),
-        }),
+            "seed": Key(_int, 0),
+            "initial": Key(_str, "gaussian", _one_of("gaussian", "plane_wave", "plateau",
+                                                     "random")),
+            "amplitude": Key(_float, 1.0),
+            "width": _WIDTH,
+            "kappa": Key(_float, 1.0),
+            "c1": Key(_float, 0.0),
+            "c2": Key(_float, 0.0),
+            "psi_amplitude": Key(_float, 0.0),
+            "psi_width": _WIDTH,
+            "s_list": Key(_list_of(_float), (1.0,), _NONEMPTY),
+            "psi_index": Key(_float, -0.5),
+        },
+        rules=(lambda s: s.table["initial"] != "plane_wave" or _as_config_error(
+            "experiment", check_plane_wave, s.table["kappa"], s.grid_n, s.grid_length),)),
     "conserve": KindDeclaration(
         help="audit Q1-Q4 drift (mass to round-off, energy to o(dt^2))",
         preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
         keys={
-            "seed": (_int, 0),
-            "initial": (_str, "gaussian"),
-            "amplitude": (_float, 0.5),
-            "width": (_float, 4.0),
-            "psi_amplitude": (_float, 0.0),
-            "psi_width": (_float, 4.0),
-            "s_list": (_list_of(_float), (1.0,)),
-            "psi_index": (_float, -0.5),
-            "q1_tol": (_float, 1e-10),
-            "q4_tol": (_float, 1e-6),
-            "richardson": (_bool, True),
-        }),
+            "seed": Key(_int, 0),
+            "initial": Key(_str, "gaussian", _one_of("gaussian", "random")),
+            "amplitude": Key(_float, 0.5),
+            "width": replace(_WIDTH, default=4.0),
+            "psi_amplitude": Key(_float, 0.0),
+            "psi_width": replace(_WIDTH, default=4.0),
+            "s_list": Key(_list_of(_float), (1.0,)),
+            "psi_index": Key(_float, -0.5),
+            "q1_tol": Key(_float, 1e-10, _POSITIVE),
+            "q4_tol": Key(_float, 1e-6, _POSITIVE),
+            "richardson": Key(_bool, True),
+        },
+        rules=(_global_existence,)),
     "inflate": KindDeclaration(
         help="frequency-sweep norm inflation of the transport field",
         # t_end comes from t_probe
         preset="normalized", grid=(None, None), stepper=(2.5e-3, 0.0, 1),
         keys={
-            "k": (_float, 0.25),
-            "l": (_float, 0.25),
-            "n_list": (_list_of(_int), (32, 64, 128, 256)),
-            "t_probe": (_float, 0.1),
-            "variant": (_str, "f"),
-            "modes_per_hat": (_int, 4),
-            "nodes": (_int, 64),
+            "k": Key(_float, 0.25, (lambda k: 0.0 < k < 1.0,
+                                    "must satisfy the inflation hypothesis 0 < k < 1")),
+            "l": Key(_float, 0.25),
+            "n_list": replace(_N_LIST, default=(32, 64, 128, 256)),
+            "t_probe": _T_PROBE,
+            "variant": Key(_str, "f", _one_of("f", "g")),
+            "modes_per_hat": Key(_int, 4, (lambda v: v >= 1, "must be >= 1")),
+            "nodes": _NODES,
         },
-        reads=("grid", "params", "stepper.dt", "stepper.dealias")),
+        reads=("grid", "params", "stepper.dt", "stepper.dealias"),
+        rules=(lambda s: _require(
+                   s.table["l"] >= 2.0 * s.table["k"] - 0.5,
+                   f"inflation hypothesis l >= 2k - 1/2 violated (k={s.table['k']} -> "
+                   f"need l >= {2.0 * s.table['k'] - 0.5}, got l={s.table['l']})"),
+               lambda s: _require((s.grid_n is None) == (s.grid_length is None),
+                                  "inflate takes grid.n and grid.length together (an "
+                                  "explicit grid) or neither (a grid sized per member)"),
+               lambda s: s.grid_n is None or check_inflation_band(
+                   s.grid_n, s.grid_length, max(s.table["n_list"])))),
     "c2probe": KindDeclaration(
         help="bilinear-kernel growth probe (smoothness failure), quadrature only",
         # pure quadrature: grid, params and stepper unused
         preset="normalized", grid=(None, None), stepper=(1e-3, 0.0, 1),
         keys={
-            "k": (_float, 0.0),
-            "l": (_float, -1.0),
-            "n_list": (_list_of(_int), (16, 32, 64, 128, 256)),
-            "t_probe": (_float, 0.01),
-            "nodes": (_int, 64),
+            "k": Key(_float, 0.0),
+            "l": Key(_float, -1.0, (lambda l: l <= -0.5, "must be <= -1/2: the "
+                                    "second-derivative probe requires l <= -1/2")),
+            "n_list": replace(_N_LIST, default=(16, 32, 64, 128, 256)),
+            "t_probe": replace(_T_PROBE, default=0.01),
+            "nodes": _NODES,
         },
         reads=()),
     "decohere": KindDeclaration(
@@ -207,25 +355,36 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         # coefficients are built from (mu, m, c); dt is the internal-time step
         preset="none", grid=(2048, 100.0), stepper=(5e-3, 0.0, 20),
         keys={
-            "mu": (_float, 0.05),
-            "m": (_float, 20.0),
-            "c": (_float, 0.5),
-            "k_reg": (_float, 1.0),
-            "mu_list": (_list_of(_float), (0.1, 0.05, 0.025)),
+            "mu": Key(_float, 0.05, _UNIT_INTERVAL),
+            "m": Key(_float, 20.0),
+            "c": Key(_float, 0.5, _UNIT_INTERVAL),
+            "k_reg": Key(_float, 1.0, (lambda v: v >= 0, "must be nonnegative")),
+            "mu_list": Key(_list_of(_float), (0.1, 0.05, 0.025),
+                           (lambda v: all(0.0 < mu < 1.0 for mu in v),
+                            "entries must lie in (0, 1)")),
         },
-        reads=("grid", "stepper.dt", "stepper.record_every", "stepper.dealias")),
+        reads=("grid", "stepper.dt", "stepper.record_every", "stepper.dealias"),
+        rules=(lambda s: _require(s.table["m"] >= max(1.0, 1.0 / s.table["mu"]),
+                                  f"experiment.m must satisfy m >= 1/mu = "
+                                  f"{1.0 / s.table['mu']:.6g}, got {s.table['m']}"),
+               lambda s: check_decohere_band(s.grid_n, s.grid_length,
+                                             decohere_pairs(s.table)[0]))),
     "growth": KindDeclaration(
         help="long-horizon Sobolev growth against a priori envelopes",
         preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),
         keys={
-            "amplitude": (_float, 1.0),
-            "width": (_float, 2.0),
-            "psi_amplitude": (_float, 0.5),
-            "psi_width": (_float, 2.0),
-            "s_list": (_list_of(_float), (1.0, 3.0)),
-            "psi_index": (_float, -0.5),
-            "c_one": (_float, 10.0),
-        }),
+            # the exponent fit needs ||B||_{H^s} > 0
+            "amplitude": Key(_float, 1.0, (lambda v: v != 0, "must be nonzero")),
+            "width": _WIDTH,
+            "psi_amplitude": Key(_float, 0.5),
+            "psi_width": _WIDTH,
+            "s_list": Key(_list_of(_float), (1.0, 3.0),
+                          (lambda v: len(v) > 0 and all(1.0 <= s <= 8.0 for s in v),
+                           "must lie within [1, 8] and be nonempty")),
+            "psi_index": Key(_float, -0.5),
+            "c_one": Key(_float, 10.0, _POSITIVE),
+        },
+        rules=(_global_existence,)),
 }
 
 KINDS = tuple(DECLARATIONS)
@@ -265,15 +424,17 @@ def default_spec(kind: str) -> ExperimentSpec:
     if kind not in DECLARATIONS:
         raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {', '.join(KINDS)})")
     decl = DECLARATIONS[kind]
-    n, length = decl.grid
-    dt, t_end, record_every = decl.stepper
-    return ExperimentSpec(
-        kind=kind, grid_n=n, grid_length=length, preset=decl.preset,
-        **asdict(PhysicalParams()),
-        dt=dt, t_end=t_end, record_every=record_every, dealias=True,
-        out_dir="runs", prefix=kind,
-        table={name: default for name, (_, default) in decl.keys.items()},
-    )
+    return ExperimentSpec(kind, *decl.grid, decl.preset, *astuple(PhysicalParams()),
+                          *decl.stepper, dealias=True, out_dir="runs", prefix=kind,
+                          table={name: key.default for name, key in decl.keys.items()})
+
+
+def _entries(spec: ExperimentSpec) -> list[tuple[str, str, Key, object]]:
+    """(section, key, declaration, value) of each entry; [experiment] last, sorted."""
+    keys = DECLARATIONS[spec.kind].keys
+    return ([(section, key, _SCHEMAS[section][key], getattr(spec, name))
+             for (section, key), name in _SPEC_FIELD.items()]
+            + [("experiment", key, keys[key], spec.table[key]) for key in sorted(keys)])
 
 
 # -- raw text -> sections ---------------------------------------------------------
@@ -309,11 +470,11 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _convert(section: str, key: str, raw: str, where: str, schema: dict[str, Callable]):
+def _convert(section: str, key: str, raw: str, where: str, schema: dict[str, Key]):
     if key not in schema:
         raise ConfigError(f"unknown key '{key}' in [{section}]", where)
     try:
-        return schema[key](raw)
+        return schema[key].convert(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}", where)
 
@@ -324,20 +485,18 @@ def _build_spec(base: ExperimentSpec, sections: dict[str, dict[str, tuple[str, i
     kind = base.kind
     updates: dict[str, object] = {}
     table = dict(base.table)
-    experiment_schema = {name: conv for name, (conv, _) in DECLARATIONS[kind].keys.items()}
-
     for section, entries in sections.items():
         for key, (raw, lineno) in entries.items():
             where = f"{provenance} {lineno}" if provenance == "line" else provenance
             if section != "experiment":
                 value = _convert(section, key, raw, where, _SCHEMAS[section])
-                updates[_SPEC_FIELD[f"{section}.{key}"]] = value
+                updates[_SPEC_FIELD[section, key]] = value
             elif key == "kind":
                 if raw.strip() != kind:
                     raise ConfigError(f"experiment.kind = {raw.strip()!r} does not match "
                                       f"the requested kind {kind!r}", where)
             else:
-                table[key] = _convert(section, key, raw, where, experiment_schema)
+                table[key] = _convert(section, key, raw, where, DECLARATIONS[kind].keys)
     return replace(base, table=table, **updates)
 
 
@@ -348,19 +507,14 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentSpec:
     agree; at least one must be present.
     """
     sections = _split_sections(text)
-    file_kind = None
-    if "experiment" in sections and "kind" in sections["experiment"]:
+    if "kind" in sections.get("experiment", {}):
         raw, lineno = sections["experiment"]["kind"]
-        file_kind = raw.strip()
-        if file_kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {file_kind!r}", f"line {lineno}")
-    if kind is None:
-        kind = file_kind
+        if raw.strip() not in KINDS:
+            raise ConfigError(f"unknown experiment kind {raw.strip()!r}", f"line {lineno}")
+        kind = raw.strip() if kind is None else kind
     if kind is None:
         raise ConfigError("experiment.kind missing (no subcommand context and no config entry)")
-    spec = _build_spec(default_spec(kind), sections)
-    validate_spec(spec)
-    return spec
+    return validate_spec(_build_spec(default_spec(kind), sections))
 
 
 def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpec:
@@ -377,169 +531,51 @@ def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpe
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section '{section}'", where)
         sections.setdefault(section, {})[key] = (value.strip(), 0)
-    out = _build_spec(spec, sections, provenance="--set")
-    validate_spec(out)
-    return out
+    return validate_spec(_build_spec(spec, sections, provenance="--set"))
 
 
-def _sections_from_spec(spec: ExperimentSpec) -> dict[str, dict[str, str]]:
-    """The rendered entries of `spec` that its kind reads.  An unset grid
-    entry and theta..nu under any preset but physical are left out."""
-    entries = [(*entry.split("."), getattr(spec, name)) for entry, name in _SPEC_FIELD.items()]
-    entries += [("experiment", key, spec.table[key]) for key in sorted(spec.table)]
-    sections: dict[str, dict[str, str]] = {}
-    for section, key, value in entries:
+def emit_config(spec: ExperimentSpec) -> str:
+    """Serialize a spec so that parse_config(emit_config(spec)) == spec.  Only
+    the entries its kind reads are written; an unset grid entry and theta..nu
+    under any preset but physical are left out."""
+    sections: dict[str, list[str]] = {"experiment": [f"kind = {spec.kind}"]}
+    for section, key, _, value in _entries(spec):
         if section == "params":
             emitted = key == "preset" or spec.preset == "physical"
         else:
             emitted = value is not None
         if emitted and DECLARATIONS[spec.kind].reads_entry(section, key):
-            sections.setdefault(section, {})[key] = _render(value)
-    return sections
-
-
-def emit_config(spec: ExperimentSpec) -> str:
-    """Serialize a spec so that parse_config(emit_config(spec)) == spec."""
-    sections = _sections_from_spec(spec)
-    lines: list[str] = []
-    for section in _SECTIONS:
-        payload = list(sections.get(section, {}).items())
-        if section == "experiment":
-            payload = [("kind", spec.kind)] + payload
-        if not payload:
-            continue
-        lines.append(f"[{section}]")
-        for key, value in payload:
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
+            sections.setdefault(section, []).append(f"{key} = {_render(value)}")
+    return "\n".join(line for section in _SECTIONS if section in sections
+                     for line in (f"[{section}]", *sections[section], ""))
 
 
 # -- validation -----------------------------------------------------------------
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def inflation_band(n_freq: int) -> float:
-    """Half-width 2N + 2 + 2/N of the doubled data support of inflation member N."""
-    return 2.0 * n_freq + 2.0 + 2.0 / n_freq
-
-
-def check_inflation_band(grid_n: int, grid_length: float, n_freq: int) -> None:
-    """Raise ConfigError unless the dealiased band of the grid (n, length)
-    covers `inflation_band(n_freq)`; config validation and the inflate run
-    share this one predicate."""
-    band = (2.0 * math.pi / grid_length) * (grid_n // 3)
-    need = inflation_band(n_freq)
-    _require(band >= need, f"grid must resolve |xi| <= {need:.2f} after dealiasing "
-                           f"for N = {n_freq} (resolved band is {band:.2f})")
-
-
-def check_coefficient_preset(kind: str, preset: str) -> None:
-    """Raise ConfigError unless a run of `kind` can build its coefficients
-    from `preset`: a kind that reads params.preset needs one other than none.
-    Config validation and the runners share this one predicate."""
-    _require(preset in _PRESETS, f"params.preset must be one of {_PRESETS}")
-    _require(preset != "none" or not DECLARATIONS[kind].reads_entry("params", "preset"),
-             f"params.preset = none leaves kind {kind} without coefficients")
-
-
-def validate_spec(spec: ExperimentSpec) -> None:
-    """Check every per-kind constraint; raise ConfigError naming the violated one."""
-    _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
-    t = spec.table
-    base = default_spec(spec.kind)
-    for entry, name in _SPEC_FIELD.items():
-        _require(DECLARATIONS[spec.kind].reads_entry(*entry.split("."))
-                 or getattr(spec, name) == getattr(base, name),
-                 f"{entry} is not consulted by kind={spec.kind}")
-
-    if spec.grid_n is not None:
-        _require(spec.grid_n >= 8 and (spec.grid_n & (spec.grid_n - 1)) == 0,
-                 f"grid.n must be a power of two >= 8, got {spec.grid_n}")
-    if spec.grid_length is not None:
-        _require(spec.grid_length > 0, f"grid.length must be positive, got {spec.grid_length}")
-    _require(spec.dt > 0, f"stepper.dt must be positive, got {spec.dt}")
-    _require(spec.t_end >= 0, f"stepper.t_end must be nonnegative, got {spec.t_end}")
-    _require(spec.record_every >= 1,
-             f"stepper.record_every must be >= 1, got {spec.record_every}")
+def _shared_rules(spec: ExperimentSpec) -> None:
+    """The rules every kind shares: [params] and [stepper] are checked by
+    constructing what they configure."""
     check_coefficient_preset(spec.kind, spec.preset)
-    if spec.preset == "physical":
-        try:
-            PhysicalParams(spec.theta, spec.gamma, spec.omega, spec.beta, spec.nu)
-        except ValueError as exc:
-            raise ConfigError(f"[params]: {exc}")
-    else:
-        values = (spec.theta, spec.gamma, spec.omega, spec.beta, spec.nu)
-        _require(values == astuple(PhysicalParams()),
-                 "params.theta/gamma/omega/beta/nu require params.preset = physical")
+    _require(spec.preset == "physical" or (spec.theta, spec.gamma, spec.omega, spec.beta,
+                                           spec.nu) == astuple(PhysicalParams()),
+             "params.theta/gamma/omega/beta/nu require params.preset = physical")
+    _as_config_error("params", spec.physical_params)
+    _as_config_error("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every,
+                     spec.dealias)
 
-    if spec.kind in ("simulate", "conserve", "growth"):
-        _require(whole_steps(spec.dt, spec.t_end) is not None,
-                 f"stepper.t_end = {spec.t_end} is not an integer multiple of dt = {spec.dt}")
-        _require(t["width"] > 0, "experiment.width must be positive")
-        _require(t["psi_width"] > 0, "experiment.psi_width must be positive")
-        if spec.kind != "simulate" and spec.preset == "physical":
-            p = spec.physical_params()
-            _require(p.global_existence,
-                     f"{spec.kind} requires the global-existence conditions "
-                     f"omega > 0 and beta - nu^2 > 0 (got omega={p.omega}, "
-                     f"beta-nu^2={p.beta - p.nu**2})")
 
-    if spec.kind in ("inflate", "c2probe"):
-        _require(len(t["n_list"]) >= 2, "experiment.n_list needs at least two entries")
-        _require(all(n >= 2 for n in t["n_list"]), "experiment.n_list entries must be >= 2")
-        _require(all(a < b for a, b in zip(t["n_list"], t["n_list"][1:])),
-                 "experiment.n_list must be strictly ascending")
-        _require(t["t_probe"] > 0, "experiment.t_probe must be positive")
-        _require(t["nodes"] >= 16, "experiment.nodes must be >= 16")
-
-    if spec.kind == "simulate":
-        _require(t["initial"] in ("gaussian", "plane_wave", "plateau", "random"),
-                 f"experiment.initial: unknown preset {t['initial']!r}")
-        _require(len(t["s_list"]) > 0, "experiment.s_list must be nonempty")
-
-    elif spec.kind == "conserve":
-        _require(t["initial"] in ("gaussian", "random"),
-                 f"experiment.initial: unknown preset {t['initial']!r}")
-        _require(t["q1_tol"] > 0 and t["q4_tol"] > 0, "tolerances must be positive")
-
-    elif spec.kind == "inflate":
-        k, l = t["k"], t["l"]
-        _require(0.0 < k < 1.0, f"inflation hypothesis 0 < k < 1 violated (k={k})")
-        _require(l >= 2.0 * k - 0.5,
-                 f"inflation hypothesis l >= 2k - 1/2 violated "
-                 f"(k={k} -> need l >= {2.0 * k - 0.5}, got l={l})")
-        _require(t["variant"] in ("f", "g"),
-                 f"experiment.variant must be 'f' or 'g', got {t['variant']!r}")
-        _require(t["modes_per_hat"] >= 1, "experiment.modes_per_hat must be >= 1")
-        _require((spec.grid_n is None) == (spec.grid_length is None),
-                 "inflate takes grid.n and grid.length together (an explicit grid) "
-                 "or neither (a grid sized per member)")
-        if spec.grid_n is not None:
-            check_inflation_band(spec.grid_n, spec.grid_length, max(t["n_list"]))
-
-    elif spec.kind == "c2probe":
-        _require(t["l"] <= -0.5,
-                 f"second-derivative probe requires l <= -1/2, got l={t['l']}")
-
-    elif spec.kind == "decohere":
-        mu, m, c = t["mu"], t["m"], t["c"]
-        _require(0.0 < mu < 1.0, f"experiment.mu must lie in (0, 1), got {mu}")
-        _require(0.0 < c < 1.0, f"experiment.c must lie in (0, 1), got {c}")
-        _require(m >= max(1.0, 1.0 / mu),
-                 f"experiment.m must satisfy m >= 1/mu = {1.0 / mu:.6g}, got {m}")
-        _require(t["k_reg"] >= 0, "experiment.k_reg must be nonnegative")
-        _require(all(0.0 < v < 1.0 for v in t["mu_list"]),
-                 "experiment.mu_list entries must lie in (0, 1)")
-
-    elif spec.kind == "growth":
-        _require(len(t["s_list"]) > 0, "experiment.s_list must be nonempty")
-        _require(all(1.0 <= s <= 8.0 for s in t["s_list"]),
-                 f"experiment.s_list must lie within [1, 8], got {t['s_list']}")
-        _require(t["c_one"] > 0, "experiment.c_one must be positive")
-
-    _require(bool(spec.out_dir), "output.dir must be nonempty")
-    _require(bool(spec.prefix), "output.prefix must be nonempty")
+def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
+    """Check every declared entry and rule and return `spec`; raise
+    ConfigError naming the violated one."""
+    _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
+    decl = DECLARATIONS[spec.kind]
+    defaults = _entries(default_spec(spec.kind))
+    for (section, name, key, value), (*_, default) in zip(_entries(spec), defaults):
+        entry = f"{section}.{name}"
+        _require(decl.reads_entry(section, name) or value == default,
+                 f"{entry} is not consulted by kind={spec.kind}")
+        if key.rule is not None and value is not None:
+            _require(key.rule[0](value), f"{entry} {key.rule[1]}, got {value!r}")
+    for rule in (_shared_rules, *decl.rules):
+        rule(spec)
+    return spec

@@ -55,7 +55,6 @@ from .records import RunRecord
 __all__ = [
     "StepperConfig",
     "BlowUpError",
-    "whole_steps",
     "linear_halfstep",
     "nonlinear_step",
     "strang_step",
@@ -74,13 +73,6 @@ class BlowUpError(RuntimeError):
     def __init__(self, time: float):
         super().__init__(f"solution blew up (non-finite field) at t = {time:.6g}")
         self.time = time
-
-
-def whole_steps(dt: float, t_end: float) -> Optional[int]:
-    """Number of steps of size dt > 0 spanning [0, t_end], or None when t_end
-    is not a whole multiple of dt to within roundoff."""
-    steps = round(t_end / dt) if t_end > 0 else 0
-    return steps if abs(steps * dt - t_end) <= 1e-9 * max(1.0, t_end) else None
 
 
 @dataclass(frozen=True)
@@ -104,12 +96,15 @@ class StepperConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if whole_steps(self.dt, self.t_end) is None:
+        if self.steps is None:
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
 
     @property
-    def steps(self) -> int:
-        return whole_steps(self.dt, self.t_end)
+    def steps(self) -> Optional[int]:
+        """Number of steps spanning [0, t_end]; None (only while validating)
+        when t_end is not a whole multiple of dt to within roundoff."""
+        steps = round(self.t_end / self.dt) if self.t_end > 0 else 0
+        return steps if abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end) else None
 
 
 def _member_view(arr: np.ndarray, k: int):
@@ -251,10 +246,9 @@ def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
 
 
 def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
-    """One full Strang step; advances state.time by dt.  `plan`, built for
-    this grid, coefficients, dt and dealias flag, saves rebuilding it."""
-    plan = plan if plan is not None else _Plan(state.grid, [coeffs], [dt], dealias)
+                dealias: bool = True) -> FieldState:
+    """One full Strang step; advances state.time by dt."""
+    plan = _Plan(state.grid, [coeffs], [dt], dealias)
     linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
     nonlinear_step(state, coeffs, dt, dealias=dealias, plan=plan)
     linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)

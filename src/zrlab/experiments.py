@@ -25,7 +25,8 @@ import numpy as np
 
 from . import closed_forms as cf
 from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
-                     check_inflation_band, inflation_band)
+                     check_decohere_band, check_inflation_band, decohere_pairs,
+                     inflation_band)
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
 from .model import (ExternalPotential, FieldState, GeneralCoefficients,
@@ -494,7 +495,7 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
         b0 = cf.normalize_hats(cf.build_fN(n_freq, k, "c2_B0"), k, nodes)[0]
         psi10 = cf.build_c2_psi10(n_freq, l)[0]
         value = cf.l_hat_norm(t_probe, b0, psi10, k, nodes)
-        dual = cf.l_hat_norm(t_probe, b0, psi10, k, nodes, time_quadrature=True)
+        dual = cf.l_hat_norm(t_probe, b0, psi10, k, nodes, time_nodes=64)
         return {
             "N": n_freq,
             "norm": value,
@@ -520,22 +521,13 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
 
 # -- decohere -----------------------------------------------------------------------
 
-def _decohere_pair(mu: float, m_big: float) -> dict:
-    """The (L1, L2) geometry for one mu: scales, horizon and internal times."""
-    big_t = abs(math.log(mu)) / m_big**2
-    l1 = m_big
-    l2 = math.sqrt(math.pi / (2.0 * big_t) + m_big**2)
-    return {"mu": mu, "m": m_big, "T": big_t, "L1": l1, "L2": l2,
-            "theta_sq": mu / m_big, "t_internal": {"L1": l1**2 * big_t, "L2": l2**2 * big_t}}
-
-
 def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     """Decoherence pair: identical data, two scale parameters, O(1) drift apart.
 
     Verdict-bearing comparisons live in the rescaled (comoving) frame, where
     the two runs share initial data exactly.  The structural relations
     (L2^2 - L1^2) T = pi/2 and Theta^2 = mu/M hold exactly and are asserted
-    as such.  Every run passes the resolution guard before any run steps;
+    as such.  The resolution guard covers every run before any run steps;
     then all runs step as one batch.
     """
     result = ExperimentResult("decohere")
@@ -544,24 +536,13 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     grid = _grid_for(spec)
     b0, psi_plus0 = cf.smooth_plateau(grid.x), cf.modulated_sinc(grid.x)
 
-    # every distinct (mu, M) pair runs once: the main pair and the mu-sweep's
-    # pairs, M_j = max(M, ceil(1/mu_j)), share one task set
-    mu_list = sorted(set(t["mu_list"]))
-    sweep_keys = [(mu_j, max(m_big, float(math.ceil(1.0 / mu_j)))) for mu_j in mu_list]
-    pairs = {key: _decohere_pair(*key) for key in sorted({(mu, m_big), *sweep_keys})}
+    pairs, sweep_keys = decohere_pairs(t)
+    mu_list = [mu_j for mu_j, _ in sweep_keys]
+    check_decohere_band(grid.n, grid.length, pairs)
     runs = [(pair, tag) for pair in pairs.values() for tag in ("L1", "L2")]
-
-    # resolution guard: the phase gradient grows at most like t * max|psi'|,
-    # so the dealiased band must hold the data band plus that chirp
-    band = float(np.max(np.abs(grid.wavenumbers[grid.dealias_mask])))
-    data_band, slope = 8.0, float(np.max(np.abs(grid.derivative(psi_plus0, 1))))
     members = []
     for pair, tag in runs:
         t_end = pair["t_internal"][tag]
-        if band < data_band + t_end * slope:
-            raise ConfigError(
-                f"under-resolved small-dispersion run: dealiased band {band:.1f} "
-                f"< {data_band + t_end * slope:.1f} needed for internal horizon {t_end:.3f}")
         coeffs = modified_system_coefficients(pair["mu"], pair[tag], c, pair["theta_sq"])
         steps = max(1, int(math.ceil(t_end / spec.dt - 1e-9)))
         members.append((FieldState(grid, b0.astype(np.complex128), np.zeros(grid.n),

@@ -49,6 +49,7 @@ __all__ = [
     "to_physical_vars",
     "FieldState",
     "conserved_quantities",
+    "check_plane_wave",
     "plane_wave_state",
     "Schedule",
     "iteration_schedule",
@@ -289,6 +290,16 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
             "Hpsi2": g.sobolev_norm(state.psi2, psi_index)}
 
 
+def check_plane_wave(kappa: float, n: int, length: float) -> None:
+    """Raise ValueError unless kappa is a wavenumber of the grid (n, length)
+    inside its resolved band (shared by config validation and plane_wave_state)."""
+    j = kappa * length / (2.0 * np.pi)
+    if not abs(j - np.round(j)) <= 1e-9:
+        raise ValueError(f"kappa = {kappa} is not a grid wavenumber (mode index {j:.6f})")
+    if not -n / 2 <= np.round(j) < n / 2:
+        raise ValueError(f"kappa = {kappa} lies outside the resolved band")
+
+
 def plane_wave_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
                      amplitude: float, kappa: float,
                      c1: float = 0.0, c2: float = 0.0) -> tuple[FieldState, float]:
@@ -304,11 +315,7 @@ def plane_wave_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
     psi equations hold with both sides zero).  Returns the t = 0 state and
     Omega.
     """
-    j = kappa * grid.length / (2.0 * np.pi)
-    if abs(j - round(j)) > 1e-9:
-        raise ValueError(f"kappa = {kappa} is not a grid wavenumber (mode index {j:.6f})")
-    if not (-grid.n / 2 <= round(j) < grid.n / 2):
-        raise ValueError(f"kappa = {kappa} lies outside the resolved band")
+    check_plane_wave(kappa, grid.n, grid.length)
     b = amplitude * np.exp(1j * kappa * grid.x)
     psi1 = np.full(grid.n, c1)
     psi2 = np.full(grid.n, c2)

@@ -15,6 +15,7 @@ import pytest
 
 from zrlab.cli import main
 from zrlab.config import (
+    _SCHEMAS,
     DECLARATIONS,
     ConfigError,
     apply_overrides,
@@ -272,6 +273,131 @@ def test_validate_spec_direct():
                                                       s_list=(0.5,)))
     with pytest.raises(ConfigError, match=r"s_list must lie within \[1, 8\]"):
         validate_spec(spec)
+
+
+# One violating setting per declared rule: "<kind>.<key>" for an entry's rule,
+# "<kind>.rules[i]" for a kind rule, "<section>.<key>" for the other sections'
+# entries; each with the text its ConfigError must carry.
+RULE_CASES = {
+    "grid.n": (["grid.n=100"], r"grid\.n must be a power of two"),
+    "grid.length": (["grid.length=0"], r"grid\.length must be positive"),
+    "output.dir": (["output.dir="], r"output\.dir must be nonempty"),
+    "output.prefix": (["output.prefix="], r"output\.prefix must be nonempty"),
+    "simulate.initial": (["experiment.initial=bogus"], None),
+    "simulate.width": (["experiment.width=0"], None),
+    "simulate.psi_width": (["experiment.psi_width=-1"], None),
+    "simulate.s_list": (["experiment.s_list="], None),
+    "simulate.rules[0]": (["experiment.initial=plane_wave"],
+                          "kappa = 1.0 is not a grid wavenumber"),
+    "conserve.initial": (["experiment.initial=plateau"], None),
+    "conserve.width": (["experiment.width=-2"], None),
+    "conserve.psi_width": (["experiment.psi_width=0"], None),
+    "conserve.q1_tol": (["experiment.q1_tol=0"], None),
+    "conserve.q4_tol": (["experiment.q4_tol=-1e-6"], None),
+    "conserve.rules[0]": (["params.preset=physical", "params.omega=-1"], "global-existence"),
+    "inflate.k": (["experiment.k=1.0", "experiment.l=2.0"], None),
+    "inflate.n_list": (["experiment.n_list=64,32"], None),
+    "inflate.t_probe": (["experiment.t_probe=0"], None),
+    "inflate.variant": (["experiment.variant=h"], None),
+    "inflate.modes_per_hat": (["experiment.modes_per_hat=0"], None),
+    "inflate.nodes": (["experiment.nodes=8"], None),
+    "inflate.rules[0]": (["experiment.k=0.5", "experiment.l=0.4"],
+                         "inflation hypothesis l >= 2k - 1/2"),
+    "inflate.rules[1]": (["grid.n=4096"], "grid.n and grid.length together"),
+    "inflate.rules[2]": (["grid.n=128", "grid.length=25.0", "experiment.n_list=32,64"],
+                         r"grid must resolve \|xi\|"),
+    "c2probe.l": (["experiment.l=0"], None),
+    "c2probe.n_list": (["experiment.n_list=16"], None),
+    "c2probe.t_probe": (["experiment.t_probe=-0.01"], None),
+    "c2probe.nodes": (["experiment.nodes=15"], None),
+    "decohere.mu": (["experiment.mu=1.0"], None),
+    "decohere.c": (["experiment.c=0"], None),
+    "decohere.k_reg": (["experiment.k_reg=-1"], None),
+    "decohere.mu_list": (["experiment.mu_list=0.1,1.5"], None),
+    "decohere.rules[0]": (["experiment.mu=0.1", "experiment.m=2"], "m must satisfy m >= 1/mu"),
+    "decohere.rules[1]": (["grid.n=256"], r"under-resolved small-dispersion run: grid \(n = 256"),
+    "growth.amplitude": (["experiment.amplitude=0"], None),
+    "growth.width": (["experiment.width=0"], None),
+    "growth.psi_width": (["experiment.psi_width=-2"], None),
+    "growth.s_list": (["experiment.s_list=0.5"], None),
+    "growth.c_one": (["experiment.c_one=0"], None),
+    "growth.rules[0]": (["params.preset=physical", "params.nu=1.5"], "global-existence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_every_declared_rule_can_fail(case):
+    """Every declared rule rejects a value that violates it, with an error
+    that names the entry (an entry's rule) or the condition (a kind rule);
+    the table covers every rule in DECLARATIONS and the other sections."""
+    declared = {f"{section}.{key}" for section, keys in _SCHEMAS.items()
+                for key, declaration in keys.items() if declaration.rule is not None}
+    for kind, decl in DECLARATIONS.items():
+        declared |= {f"{kind}.{key}" for key, declaration in decl.keys.items()
+                     if declaration.rule is not None}
+        declared |= {f"{kind}.rules[{i}]" for i in range(len(decl.rules))}
+    assert declared == set(RULE_CASES)
+
+    overrides, match = RULE_CASES[case]
+    kind, _, name = case.partition(".")
+    if kind not in DECLARATIONS:
+        kind, name = "simulate", case
+    elif "[" not in name:
+        name = f"experiment.{name}"
+    with pytest.raises(ConfigError, match=match or rf"{name} "):
+        apply_overrides(default_spec(kind), overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    ["experiment.initial=plane_wave"],
+    ["experiment.initial=plane_wave", f"experiment.kappa={2.0 * math.pi * 40 / 64.0!r}",
+     "grid.n=64"],
+])
+def test_plane_wave_off_grid_fails_at_parse_time(overrides, tmp_path, capsys):
+    """Parse and run share one plane-wave predicate: kappa = 1.0 is mode
+    10.19 of the default grid, and mode 40 lies outside a 64-point grid's
+    band; both stop at parse time with nothing written, while kappa = 2 pi / 64
+    runs."""
+    args = ["simulate", "--set", f"output.dir={tmp_path}"]
+    for entry in overrides:
+        args += ["--set", entry]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "kappa" in err
+    assert not any(tmp_path.iterdir())
+    kappa = f"experiment.kappa={2.0 * math.pi / 64.0!r}"
+    assert main(args[:3] + ["--set", "experiment.initial=plane_wave", "--set", kappa]) == 0
+    assert (tmp_path / "simulate_manifest.json").exists()
+
+
+@pytest.mark.parametrize("entry", ["grid.n=256", "grid.length=1000"])
+def test_decohere_chirp_guard_at_parse_time(entry, tmp_path):
+    """Parse and run share decohere's resolution guard: a grid whose
+    dealiased band cannot hold the chirp fails at parse time, not after the
+    runs are set up."""
+    with pytest.raises(ConfigError, match="under-resolved small-dispersion run"):
+        apply_overrides(default_spec("decohere"), [entry])
+    assert main(["decohere", "--set", entry, "--set", f"output.dir={tmp_path}"]) == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("entry", ["experiment.m=1e200", "experiment.mu_list=1e-161"])
+def test_decohere_scale_overflow_is_a_config_error(entry):
+    """A scale M whose square, or a sweep mu_j whose ceil(1/mu_j)^2, leaves
+    the float range stops decohere's geometry with a ConfigError, not an
+    OverflowError."""
+    with pytest.raises(ConfigError, match="decohere scales overflow"):
+        apply_overrides(default_spec("decohere"), [entry])
+
+
+def test_growth_zero_amplitude_fails_at_parse_time(tmp_path):
+    """growth's exponent fit needs ||B||_{H^s} > 0: zero amplitude fails at
+    parse time instead of after 50 000 steps."""
+    with pytest.raises(ConfigError, match="experiment.amplitude must be nonzero"):
+        apply_overrides(default_spec("growth"), ["experiment.amplitude=0"])
+    assert main(["growth", "--set", "experiment.amplitude=0",
+                 "--set", f"output.dir={tmp_path}"]) == 1
+    assert not any(tmp_path.iterdir())
 
 
 # -- records: CSV ------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zrlab import (HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10, build_fN,
-                   first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm,
-                   l_hat_time_quadrature, modulated_sinc, normalize_hats, resonance_phi,
-                   small_dispersion_solution, smooth_plateau, synthesize_hat_field)
-from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _phi, first_order_psi1_time_quadrature
+                   first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm, modulated_sinc,
+                   normalize_hats, resonance_phi, small_dispersion_solution, smooth_plateau,
+                   synthesize_hat_field)
+from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _phi
 
 
 # -- resonance kernel ---------------------------------------------------------
@@ -178,7 +178,7 @@ def test_l_hat_dual_routes_agree():
     psi10 = HatDatum(-0.25, 0.25, 0.9)
     xi = np.linspace(-0.3, 0.55, 7)
     a = l_hat(xi, 0.3, b0, psi10)
-    b = l_hat_time_quadrature(xi, 0.3, b0, psi10)
+    b = l_hat(xi, 0.3, b0, psi10, time_nodes=64)
     assert_allclose(a, b, rtol=1e-10, atol=1e-15)
 
 
@@ -215,7 +215,7 @@ def test_l_hat_norm_dual_routes():
     (b0,) = normalize_hats(build_fN(16, 0.0, "c2_B0"), 0.0)
     (psi10,) = build_c2_psi10(16, -1.0)
     v = l_hat_norm(0.01, b0, psi10, 0.0)
-    w = l_hat_norm(0.01, b0, psi10, 0.0, time_quadrature=True)
+    w = l_hat_norm(0.01, b0, psi10, 0.0, time_nodes=64)
     assert v > 0
     assert abs(v - w) / v < 1e-10
 
@@ -233,7 +233,7 @@ def test_l_hat_norm_linear_in_small_time():
 def test_first_order_psi1_dual_routes():
     hats = normalize_hats(build_fN(8, 0.25), 0.25)
     a = first_order_psi1(0.1, hats, 0.25)
-    b = first_order_psi1_time_quadrature(0.1, hats, 0.25)
+    b = first_order_psi1(0.1, hats, 0.25, time_nodes=64)
     assert a > 0
     assert abs(a - b) / a < 1e-8
 

@@ -355,7 +355,7 @@ def test_c2probe_unbounded_growth_can_fail(monkeypatch):
     statuses = {c.name: c.status for c in run_c2probe(spec).checks}
     assert statuses["unbounded_growth"] == "pass"
 
-    def shrinking_norm(t, b0, psi10, k, nodes=64, time_quadrature=False):
+    def shrinking_norm(t, b0, psi10, k, nodes=64, time_nodes=0):
         return b0.hi
 
     monkeypatch.setattr(experiments.cf, "l_hat_norm", shrinking_norm)
