@@ -131,6 +131,7 @@ class Key:
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONEMPTY = (lambda v: len(v) > 0, "must be nonempty")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 
 
@@ -281,7 +282,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         help="evolve preset data and record invariants and norms",
         preset="normalized", grid=(512, 64.0), stepper=(1e-3, 1.0, 10),
         keys={
-            "seed": Key(_int, 0),
+            "seed": Key(_int, 0, _NONNEGATIVE),
             "initial": Key(_str, "gaussian", _one_of("gaussian", "plane_wave", "plateau",
                                                      "random")),
             "amplitude": Key(_float, 1.0),
@@ -300,7 +301,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         help="audit Q1-Q4 drift (mass to round-off, energy to o(dt^2))",
         preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
         keys={
-            "seed": Key(_int, 0),
+            "seed": Key(_int, 0, _NONNEGATIVE),
             "initial": Key(_str, "gaussian", _one_of("gaussian", "random")),
             "amplitude": Key(_float, 0.5),
             "width": replace(_WIDTH, default=4.0),
@@ -336,7 +337,9 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                                   "inflate takes grid.n and grid.length together (an "
                                   "explicit grid) or neither (a grid sized per member)"),
                lambda s: s.grid_n is None or check_inflation_band(
-                   s.grid_n, s.grid_length, max(s.table["n_list"])))),
+                   s.grid_n, s.grid_length, max(s.table["n_list"])),
+               lambda s: _as_config_error("stepper", StepperConfig.spanning,
+                                          s.table["t_probe"], s.dt))),
     "c2probe": KindDeclaration(
         help="bilinear-kernel growth probe (smoothness failure), quadrature only",
         # pure quadrature: grid, params and stepper unused
@@ -358,7 +361,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "mu": Key(_float, 0.05, _UNIT_INTERVAL),
             "m": Key(_float, 20.0),
             "c": Key(_float, 0.5, _UNIT_INTERVAL),
-            "k_reg": Key(_float, 1.0, (lambda v: v >= 0, "must be nonnegative")),
+            "k_reg": Key(_float, 1.0, _NONNEGATIVE),
             "mu_list": Key(_list_of(_float), (0.1, 0.05, 0.025),
                            (lambda v: all(0.0 < mu < 1.0 for mu in v),
                             "entries must lie in (0, 1)")),
@@ -368,7 +371,10 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                                   f"experiment.m must satisfy m >= 1/mu = "
                                   f"{1.0 / s.table['mu']:.6g}, got {s.table['m']}"),
                lambda s: check_decohere_band(s.grid_n, s.grid_length,
-                                             decohere_pairs(s.table)[0]))),
+                                             decohere_pairs(s.table)[0]),
+               lambda s: [_as_config_error("stepper", StepperConfig.spanning, t_end, s.dt)
+                          for pair in decohere_pairs(s.table)[0].values()
+                          for t_end in pair["t_internal"].values()])),
     "growth": KindDeclaration(
         help="long-horizon Sobolev growth against a priori envelopes",
         preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),

@@ -11,13 +11,13 @@ The linear half-step advances the decoupled constant-coefficient flows
     bhat_j   *= exp(-i dispersion xi_j^2 tau)
     psihat_j *= exp(-i speed xi_j tau)
 
-which are exact and unitary.  psi1, psi2, |B|^2 and the external potentials
-go through numpy's `rfft`/`irfft`, the one real-field convention (the
-unscaled half spectrum j = 0..n/2; diagonal multipliers need no grid-origin
-phase), so they are real by construction.
+which are exact and unitary.  psi1, psi2 and |B|^2 go through numpy's
+`rfft`/`irfft`, the one real-field convention (the unscaled half spectrum
+j = 0..n/2; diagonal multipliers need no grid-origin phase), so they are
+real by construction.
 The nonlinear step freezes the transport and dispersion and advances
 
-    i dB/dt = V B,          V = p+ psi1 + p- psi2 + cubic |B|^2 + externals
+    i dB/dt = V B,          V = p+ psi1 + p- psi2 + cubic |B|^2
     d(psi)/dt = source d/dx |B|^2
 
 symmetrically: half a psi kick, the exact phase rotation B *= exp(-i V dt)
@@ -29,11 +29,13 @@ construction.
 
 `strang_step` is the unfused reference: 4 complex and 10 real transforms.
 `evolve` fuses the loop: the half-steps that meet between steps are merged,
-psi1 and psi2 stay half spectra, and one inverse of p+ psi1^ + p- psi2^
-(at the midpoint kick) plus the translated external spectra gives the psi
-and external parts of V.  A step costs 2 complex and 2 real transforms and,
-off record times, allocates nothing: `_Plan.nonlinear` updates B and psi in
-place, and it and the loop write every result into the plan's work arrays.
+psi1 and psi2 stay half spectra, and one inverse of p+ psi1^ + p- psi2^ (at
+the midpoint kick) gives the psi part of V.  A potential travelling at a
+transport speed is that psi field's initial data, not a path of its own
+(`model.modified_system_coefficients`).  A step costs 2 complex and 2 real
+transforms and, off record times, allocates nothing: `_Plan.nonlinear`
+updates B and psi in place, and it and the loop write every result into
+the plan's work arrays.
 `evolve_members` steps several runs on one grid as the rows of one plan, so
 at small n, where each numpy call costs more than its arithmetic, a batch
 step makes the calls of one; `evolve` is its one-member case.
@@ -42,6 +44,7 @@ step makes the calls of one; `evolve` is its one-member case.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -99,12 +102,27 @@ class StepperConfig:
         if self.steps is None:
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
 
+    @classmethod
+    def spanning(cls, t_end: float, dt: float, record_every: Optional[int] = None,
+                 dealias: bool = True) -> "StepperConfig":
+        """The fewest equal steps of at most dt (to within 1e-9 of a step), at
+        least one, spanning [0, t_end]; recording at both ends only by default."""
+        steps = max(1, math.ceil(_quotient(t_end, dt) - 1e-9))
+        return cls(t_end / steps, t_end, steps if record_every is None else record_every, dealias)
+
     @property
     def steps(self) -> Optional[int]:
         """Number of steps spanning [0, t_end]; None (only while validating)
         when t_end is not a whole multiple of dt to within roundoff."""
-        steps = round(self.t_end / self.dt) if self.t_end > 0 else 0
+        steps = round(_quotient(self.t_end, self.dt)) if self.t_end > 0 else 0
         return steps if abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end) else None
+
+
+def _quotient(t_end: float, dt: float) -> float:
+    """t_end / dt, the unrounded step count; a ValueError when it overflows."""
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} overflows the step count")
+    return t_end / dt
 
 
 def _member_view(arr: np.ndarray, k: int):
@@ -123,14 +141,12 @@ class _Plan:
     Built for one grid and dealias flag and, per member, a coefficient record
     and dt.  Row k of each array in `full` is member k's: the linear
     multipliers for tau = dt/2 (B on the full spectrum; psi1 and psi2 stacked
-    on the real half spectrum) and their squares for a whole dt (a square,
-    not `translation(speed*dt)`: the Nyquist cosine rule does not compose),
-    the psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when
-    dealiasing), the potential row, cubic coefficient and dt, and the work
-    arrays every step writes into: |B|^2, the psi kicks, V, a translated
-    external, a half spectrum (|B|^2's, then V's) and a complex grid array
-    (the phase factor, then B's spectrum).  `full_externals` holds the
-    external profiles' half spectra (numpy's unscaled `rfft`) and speeds.
+    on the real half spectrum) and their squares for a whole dt (a square, not
+    `translation(speed*dt)`: the Nyquist cosine rule does not compose), the
+    psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when dealiasing), the
+    potential row, cubic coefficient and dt, and the work arrays every step
+    writes into: |B|^2, the psi kicks, V, a half spectrum (|B|^2's, then V's)
+    and a complex grid array (the phase factor, then B's spectrum).
 
     The step reads the views of the first k rows that `narrow(k)` sets under
     the same names: the members still stepping are a prefix, so a finished
@@ -144,8 +160,6 @@ class _Plan:
     def __init__(self, grid: SpectralGrid, coeffs: Sequence[GeneralCoefficients],
                  dts: Sequence[float], dealias: bool = True):
         m, n, h = len(coeffs), grid.n, grid.n // 2 + 1
-        if len({(c.external_plus is None, c.external_minus is None) for c in coeffs}) > 1:
-            raise ValueError("members carry different sets of external potentials")
         self.grid, dt = grid, np.array(dts, float)
         tau = 0.5 * dt[:, None]
 
@@ -164,47 +178,32 @@ class _Plan:
             "cubic": per_member("cubic")[:, 0], "dt": dt,
             "absb2": np.empty((m, n)), "v": np.empty((m, n)),
             "b_finite": np.empty((m, n), bool), "phase": np.empty((m, n), complex),
-            "vhat": np.empty((m, h), complex), "moved": np.empty((m, h), complex),
+            "vhat": np.empty((m, h), complex),
             "psi_kick": np.empty((m, 2, h), complex), "psi_finite": np.empty((m, 2, h), bool),
         }
-        self.full_externals = []
-        for slot in ("external_plus", "external_minus"):
-            exts = [getattr(c, slot) for c in coeffs]
-            if exts[0] is None:
-                continue
-            if any(ext.profile.shape != (n,) for ext in exts):
-                raise ValueError("external potential profile does not match the run grid")
-            self.full_externals.append((np.fft.rfft(np.stack([ext.profile for ext in exts])),
-                                        np.array([ext.speed for ext in exts])))
         self.narrow(m)
 
     def narrow(self, k: int) -> None:
         """Point the step's views at members 0..k-1; nothing is copied."""
         for name, arr in self.full.items():
             setattr(self, name, _member_view(arr, k))
-        self.externals = [(_member_view(hat, k), _member_view(speed, k))
-                          for hat, speed in self.full_externals]
         self.vhat_rows = self.vhat
         if k > 1:  # a member's row of V's half spectrum pairs with its two psi rows
             self.potential, self.vhat_rows = self.potential[:, None], self.vhat[:, None]
 
     def nonlinear(self, b: np.ndarray, psi: np.ndarray, time) -> None:
-        """The nonlinear sub-flow over dt from `time`, on B's grid values and
-        the stacked half spectra of psi1, psi2; updates `b` and `psi` in place.
-        With several members `time` is a column, one start time per member."""
-        dt = self.dt
+        """The nonlinear sub-flow over dt, on B's grid values and the stacked
+        half spectra of psi1, psi2; updates `b` and `psi` in place.  `time` is
+        the step-start time a blow-up reports; with several members it is a
+        column, one start time per member."""
         absb2 = np.square(np.abs(b, out=self.absb2), out=self.absb2)
         np.fft.rfft(absb2, out=self.vhat)
         kick = np.multiply(self.vhat_rows, self.kick, out=self.psi_kick)
         psi += kick
         np.matmul(self.potential, psi, out=self.vhat_rows)
-        vhat = self.vhat
-        for hat, speed in self.externals:
-            moved = self.grid.translation(speed * (time + 0.5 * dt), out=self.moved)
-            vhat += np.multiply(hat, moved, out=moved)
-        v = np.fft.irfft(vhat, self.grid.n, out=self.v)
+        v = np.fft.irfft(self.vhat, self.grid.n, out=self.v)
         v += np.multiply(self.cubic, absb2, out=absb2)
-        angle = np.multiply(v, -dt, out=v)  # exp(-i dt V) as cos, sin: no complex exp
+        angle = np.multiply(v, -self.dt, out=v)  # exp(-i dt V) as cos, sin: no complex exp
         if np.abs(angle, out=absb2).max() >= np.pi:  # max |V| dt over the members
             for rad in np.ravel(absb2.max(axis=-1)):
                 if rad >= np.pi:
@@ -235,9 +234,8 @@ def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
 def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
                    dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
     """Advance the potential/source sub-flow by dt (symmetric, reversible;
-    state.b is updated in place); travelling external potentials are sampled
-    at the midpoint time.  `plan`, if given, must have been built for this dt
-    and dealias flag."""
+    state.b is updated in place).  `plan`, if given, must have been built for
+    this dt and dealias flag."""
     p = plan if plan is not None else _Plan(state.grid, [coeffs], [dt], dealias)
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2]))
     p.nonlinear(state.b, psi, state.time)
@@ -275,10 +273,10 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
     plan: each member's (final state, record), bit for bit what `evolve`
     returns for it alone.
 
-    The members share a grid, a dealias flag, `record_every` and the set of
-    external potentials they carry; coefficients, start time, dt and step
-    count may differ.  Observers see one member's state at a time.  A
-    blow-up raises `BlowUpError` at the failing member's step-start time.
+    The members share a grid, a dealias flag and `record_every`;
+    coefficients, start time, dt and step count may differ.  Observers see
+    one member's state at a time.  A blow-up raises `BlowUpError` at the
+    failing member's step-start time.
     """
     g, dealias, every = states[0].grid, configs[0].dealias, configs[0].record_every
     if not len(states) == len(coeffs) == len(configs) or any(st.grid != g for st in states) \

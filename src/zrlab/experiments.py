@@ -29,9 +29,8 @@ from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
                      inflation_band)
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
-from .model import (ExternalPotential, FieldState, GeneralCoefficients,
-                    coefficients_from_params, conserved_quantities,
-                    iteration_schedule, modified_system_coefficients,
+from .model import (FieldState, GeneralCoefficients, coefficients_from_params,
+                    conserved_quantities, iteration_schedule, modified_system_coefficients,
                     normalized_coefficients, plane_wave_state, unit_physical_params)
 from .records import RunRecord
 
@@ -224,25 +223,18 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
     x = grid.x
     kind_initial = t.get("initial", "gaussian")
     if kind_initial == "plane_wave":
-        state, omega_freq = plane_wave_state(grid, coeffs, t["amplitude"], t["kappa"],
-                                             t["c1"], t["c2"])
-        return state, omega_freq
-    if kind_initial == "gaussian":
-        b = _gaussian(x, t["amplitude"], t["width"]).astype(np.complex128)
+        return plane_wave_state(grid, coeffs, t["amplitude"], t["kappa"], t["c1"], t["c2"])
+    if kind_initial in ("gaussian", "plateau"):
+        shape = np.exp(-((x / t["width"]) ** 2)) if kind_initial == "gaussian" \
+            else cf.smooth_plateau(x)
         psi = _gaussian(x, t["psi_amplitude"], t["psi_width"])
-        return FieldState(grid, b, psi.copy(), psi.copy(), 0.0), None
-    if kind_initial == "plateau":
-        b = (t["amplitude"] * cf.smooth_plateau(x)).astype(np.complex128)
-        psi = _gaussian(x, t["psi_amplitude"], t["psi_width"])
-        return FieldState(grid, b, psi.copy(), psi.copy(), 0.0), None
+        return FieldState(grid, t["amplitude"] * shape, psi, psi, 0.0), None
     if kind_initial == "random":
         rng = np.random.default_rng(t["seed"])
         b = _smooth_random(grid, rng, t["amplitude"], t["width"], real=False)
         psi_amp = t["psi_amplitude"]
-        psi1 = _smooth_random(grid, rng, psi_amp, t["psi_width"], real=True) \
-            if psi_amp else np.zeros(grid.n)
-        psi2 = _smooth_random(grid, rng, psi_amp, t["psi_width"], real=True) \
-            if psi_amp else np.zeros(grid.n)
+        psi1, psi2 = (_smooth_random(grid, rng, psi_amp, t["psi_width"], real=True)
+                      if psi_amp else np.zeros(grid.n) for _ in range(2))
         return FieldState(grid, b, psi1, psi2, 0.0), None
     raise ConfigError(f"unknown initial preset {kind_initial!r}")
 
@@ -413,9 +405,7 @@ def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
     b0 = cf.synthesize_hat_field(grid, hats)
     state = FieldState(grid, b0, np.zeros(grid.n), np.zeros(grid.n), 0.0)
 
-    steps = max(1, int(math.ceil(t_probe / dt - 1e-9)))
-    dt_eff = t_probe / steps
-    config = StepperConfig(dt=dt_eff, t_end=t_probe, record_every=steps, dealias=dealias)
+    config = StepperConfig.spanning(t_probe, dt, dealias=dealias)
     final, _ = evolve(state, coeffs, config)
 
     if variant == "f":
@@ -429,7 +419,7 @@ def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
         "N": n_freq,
         "grid_n": grid.n,
         "grid_length": grid.length,
-        "dt": dt_eff,
+        "dt": config.dt,
         "solver_norm": solver_norm,
         "oracle_norm": oracle,
         "ratio": solver_norm / oracle if oracle > 0 else math.inf,
@@ -540,17 +530,11 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     mu_list = [mu_j for mu_j, _ in sweep_keys]
     check_decohere_band(grid.n, grid.length, pairs)
     runs = [(pair, tag) for pair in pairs.values() for tag in ("L1", "L2")]
-    members = []
-    for pair, tag in runs:
-        t_end = pair["t_internal"][tag]
-        coeffs = modified_system_coefficients(pair["mu"], pair[tag], c, pair["theta_sq"])
-        steps = max(1, int(math.ceil(t_end / spec.dt - 1e-9)))
-        members.append((FieldState(grid, b0.astype(np.complex128), np.zeros(grid.n),
-                                   np.zeros(grid.n), 0.0),
-                        coeffs.with_externals(ExternalPotential(psi_plus0, coeffs.speed_plus),
-                                              None),
-                        StepperConfig(dt=t_end / steps, t_end=t_end,
-                                      record_every=spec.record_every, dealias=spec.dealias)))
+    members = [(FieldState(grid, b0, psi_plus0, np.zeros(grid.n), 0.0),
+                modified_system_coefficients(pair["mu"], pair[tag], c, pair["theta_sq"]),
+                StepperConfig.spanning(pair["t_internal"][tag], spec.dt, spec.record_every,
+                                       spec.dealias))
+               for pair, tag in runs]
 
     params, psi_minus0 = unit_physical_params(), np.zeros(grid.n)
 
@@ -661,6 +645,10 @@ def run_growth(spec: ExperimentSpec) -> ExperimentResult:
             continue
         series = np.asarray(record.column(f"HsB_{s:g}"))
         env = np.maximum.accumulate(series)
+        if not np.all(env > 0):  # an underflowed norm has no logarithm to fit
+            result.add(f"growth_exponent_s{s:g}", None, "a zero H^s norm sample",
+                       "positive samples for a fit")
+            continue
         fit = fit_loglog(1.0 + times, env)
         result.fits[f"growth_s{s:g}"] = fit
         cap = (s - 1.0) + 0.5

@@ -118,14 +118,12 @@ class SpectralGrid:
         """Discrete H^s norm; s = 0 recovers the L^2(dx) norm."""
         return self.sobolev_norm_coeffs(self.forward(values), s)
 
-    def translation(self, shift, out: np.ndarray | None = None) -> np.ndarray:
+    def translation(self, shift) -> np.ndarray:
         """Half-spectrum multiplier exp(-i xi shift) taking a real f to
         x -> f(x - shift): exact translation, Nyquist cosine part kept.  `shift`
-        may be a column of shifts, one row per member; the multiplier is
-        written into `out` if given."""
+        may be a column of shifts, one row per member."""
         xi = self.wavenumbers[:self.n // 2 + 1]
-        if out is None:
-            out = np.empty(np.broadcast_shapes(np.shape(shift), xi.shape), complex)
+        out = np.empty(np.broadcast_shapes(np.shape(shift), xi.shape), complex)
         # cos, sin of the real angle 0 - xi shift (zero signs as the complex
         # product formed them): numpy's complex exp has no vectorised loop
         angle = np.subtract(0.0, np.multiply(xi, shift, out=out.imag), out=out.imag)

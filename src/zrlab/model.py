@@ -31,8 +31,7 @@ normalization, and the small-dispersion modified system are instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .grid import SpectralGrid
 
 __all__ = [
     "PhysicalParams",
-    "ExternalPotential",
     "GeneralCoefficients",
     "coefficients_from_params",
     "normalized_coefficients",
@@ -93,28 +91,6 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class ExternalPotential:
-    """A frozen real profile advected at constant speed.
-
-    Contributes profile(x - speed*t) to the potential seen by B.  The profile
-    is sampled on the run grid; translation is exact (trigonometric).
-    """
-
-    profile: np.ndarray
-    speed: float
-
-    def __post_init__(self) -> None:
-        prof = np.asarray(self.profile, dtype=np.float64)
-        if prof.ndim != 1:
-            raise ValueError("external potential profile must be one-dimensional")
-        if not np.all(np.isfinite(prof)):
-            raise ValueError("external potential profile contains non-finite entries")
-        prof = prof.copy()
-        prof.setflags(write=False)
-        object.__setattr__(self, "profile", prof)
-
-
-@dataclass(frozen=True)
 class GeneralCoefficients:
     """Coefficient record for the first-order (B, psi1, psi2) system."""
 
@@ -126,18 +102,12 @@ class GeneralCoefficients:
     speed_minus: float
     source_plus: float
     source_minus: float
-    external_plus: Optional[ExternalPotential] = None
-    external_minus: Optional[ExternalPotential] = None
 
     def __post_init__(self) -> None:
         for name in ("dispersion", "potential_plus", "potential_minus", "cubic",
                      "speed_plus", "speed_minus", "source_plus", "source_minus"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"coefficient {name} must be finite")
-
-    def with_externals(self, plus: Optional[ExternalPotential],
-                       minus: Optional[ExternalPotential]) -> "GeneralCoefficients":
-        return replace(self, external_plus=plus, external_minus=minus)
 
 
 def coefficients_from_params(p: PhysicalParams) -> GeneralCoefficients:
@@ -188,8 +158,10 @@ def modified_system_coefficients(mu: float, big_l: float, c: float,
         d(psi1)/dt + (mu(1-c)/L) d(psi1)/dx = (theta_sq mu / L) d/dx |B|^2
         d(psi2)/dt - (mu(1+c)/L) d(psi2)/dx = (theta_sq mu / L) d/dx |B|^2
 
-    External potential profiles are attached separately (they advect at the
-    corresponding transport speeds).
+    The travelling potential psi_ext = psi_plus0(x - (mu(1-c)/L) t) solves
+    psi1's free transport and enters V with psi1's coefficient 1, so by
+    linearity psi_ext + psi1 is psi1 started from psi1(0) + psi_plus0: runs
+    carry psi_ext as psi1's initial data and take these coefficients as is.
     """
     if not (0.0 < mu < 1.0):
         raise ValueError(f"mu must lie in (0, 1), got {mu}")

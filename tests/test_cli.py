@@ -283,12 +283,14 @@ RULE_CASES = {
     "grid.length": (["grid.length=0"], r"grid\.length must be positive"),
     "output.dir": (["output.dir="], r"output\.dir must be nonempty"),
     "output.prefix": (["output.prefix="], r"output\.prefix must be nonempty"),
+    "simulate.seed": (["experiment.seed=-1"], None),
     "simulate.initial": (["experiment.initial=bogus"], None),
     "simulate.width": (["experiment.width=0"], None),
     "simulate.psi_width": (["experiment.psi_width=-1"], None),
     "simulate.s_list": (["experiment.s_list="], None),
     "simulate.rules[0]": (["experiment.initial=plane_wave"],
                           "kappa = 1.0 is not a grid wavenumber"),
+    "conserve.seed": (["experiment.seed=-1"], None),
     "conserve.initial": (["experiment.initial=plateau"], None),
     "conserve.width": (["experiment.width=-2"], None),
     "conserve.psi_width": (["experiment.psi_width=0"], None),
@@ -306,6 +308,7 @@ RULE_CASES = {
     "inflate.rules[1]": (["grid.n=4096"], "grid.n and grid.length together"),
     "inflate.rules[2]": (["grid.n=128", "grid.length=25.0", "experiment.n_list=32,64"],
                          r"grid must resolve \|xi\|"),
+    "inflate.rules[3]": (["stepper.dt=1e-320"], "overflows the step count"),
     "c2probe.l": (["experiment.l=0"], None),
     "c2probe.n_list": (["experiment.n_list=16"], None),
     "c2probe.t_probe": (["experiment.t_probe=-0.01"], None),
@@ -316,6 +319,7 @@ RULE_CASES = {
     "decohere.mu_list": (["experiment.mu_list=0.1,1.5"], None),
     "decohere.rules[0]": (["experiment.mu=0.1", "experiment.m=2"], "m must satisfy m >= 1/mu"),
     "decohere.rules[1]": (["grid.n=256"], r"under-resolved small-dispersion run: grid \(n = 256"),
+    "decohere.rules[2]": (["stepper.dt=1e-320"], "overflows the step count"),
     "growth.amplitude": (["experiment.amplitude=0"], None),
     "growth.width": (["experiment.width=0"], None),
     "growth.psi_width": (["experiment.psi_width=-2"], None),
@@ -388,6 +392,30 @@ def test_decohere_scale_overflow_is_a_config_error(entry):
     OverflowError."""
     with pytest.raises(ConfigError, match="decohere scales overflow"):
         apply_overrides(default_spec("decohere"), [entry])
+
+
+@pytest.mark.parametrize("kind", ["simulate", "inflate", "decohere"])
+def test_tiny_dt_is_a_config_error(kind, tmp_path, capsys):
+    """A dt whose step count t_end / dt overflows stops at parse time as a
+    config error with nothing written, not as an OverflowError traceback:
+    simulate's StepperConfig and the step counts inflate and decohere derive
+    from t_probe and the internal horizons share one guard."""
+    assert main([kind, "--set", "stepper.dt=1e-320", "--set", f"output.dir={tmp_path}"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "overflows the step count" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_growth_underflowed_norm_is_inconclusive_with_manifest(tmp_path):
+    """An amplitude whose H^s norms underflow to zero parses and runs: the
+    exponent check has no positive samples to fit, so it reads inconclusive
+    (exit 2) and the run leaves its manifest."""
+    args = ["growth", "--set", "experiment.amplitude=1e-200", "--set", "stepper.t_end=1",
+            "--set", f"output.dir={tmp_path}"]
+    assert main(args) == 2
+    verdict = json.loads((tmp_path / "growth_manifest.json").read_text())["verdict"]
+    checks = {c["name"]: c["status"] for c in verdict["checks"]}
+    assert verdict["status"] == "inconclusive" and checks["growth_exponent_s3"] == "inconclusive"
 
 
 def test_growth_zero_amplitude_fails_at_parse_time(tmp_path):

@@ -14,7 +14,6 @@ from zrlab import (BlowUpError, FieldState, GeneralCoefficients, PhysicalParams,
                    conserved_quantities, evolve, normalized_coefficients,
                    plane_wave_state, strang_step, unit_physical_params)
 from zrlab.evolution import evolve_members
-from zrlab.model import ExternalPotential
 
 
 def smooth_state(grid, seed=0):
@@ -194,29 +193,30 @@ def test_dealias_masks_high_frequency_source():
 
 
 def test_static_external_is_exact_phase():
+    """A frozen psi1 (no speed, no source) is a static potential: B picks up
+    the exact phase exp(-i t psi1)."""
     grid = SpectralGrid(2.0 * np.pi, 64)
     profile = np.cos(grid.x)
-    coeffs = GeneralCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                 external_plus=ExternalPotential(profile, 0.0))
+    coeffs = GeneralCoefficients(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     b0 = np.exp(-np.sin(grid.x / 2) ** 2 * 4) + 0j
-    state = FieldState(grid, b0, np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    state = FieldState(grid, b0, profile, np.zeros(grid.n), 0.0)
     config = StepperConfig(dt=0.01, t_end=1.0, record_every=100)
     final, _ = evolve(state, coeffs, config)
     assert_allclose(final.b, b0 * np.exp(-1j * 1.0 * profile), atol=1e-12)
 
 
 def test_moving_external_second_order():
-    """V(x, t) = cos(x - t): the exact phase is int_0^t V = sin(x) - sin(x-t);
-    midpoint sampling of the travelling profile makes the error O(dt^2)."""
+    """psi1 = cos x transported at speed 1 with no source is the travelling
+    potential V(x, t) = cos(x - t): the exact phase is int_0^t V =
+    sin(x) - sin(x - t); the Strang splitting makes the error O(dt^2)."""
     grid = SpectralGrid(2.0 * np.pi, 64)
     profile = np.cos(grid.x)
-    coeffs = GeneralCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                 external_plus=ExternalPotential(profile, 1.0))
+    coeffs = GeneralCoefficients(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     b0 = np.ones(grid.n, dtype=complex)
     exact = b0 * np.exp(-1j * (np.sin(grid.x) - np.sin(grid.x - 0.5)))
 
     def err(dt):
-        state = FieldState(grid, b0, np.zeros(grid.n), np.zeros(grid.n), 0.0)
+        state = FieldState(grid, b0, profile, np.zeros(grid.n), 0.0)
         config = StepperConfig(dt=dt, t_end=0.5, record_every=10**9)
         final, _ = evolve(state, coeffs, config)
         return np.max(np.abs(final.b - exact))
@@ -224,16 +224,6 @@ def test_moving_external_second_order():
     e1, e2 = err(1e-2), err(5e-3)
     assert e1 < 1e-4
     assert e1 / e2 == pytest.approx(4.0, abs=0.5)
-
-
-def test_external_profile_grid_mismatch():
-    grid = SpectralGrid(2.0 * np.pi, 64)
-    coeffs = GeneralCoefficients(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                 external_plus=ExternalPotential(np.ones(32), 0.0))
-    state = FieldState(grid, np.ones(grid.n, dtype=complex), np.zeros(grid.n),
-                       np.zeros(grid.n), 0.0)
-    with pytest.raises(ValueError, match="does not match the run grid"):
-        strang_step(state, coeffs, 1e-3)
 
 
 def test_large_phase_step_warns():
@@ -295,8 +285,7 @@ def test_evolve_threads_bit_identical_to_serial(setup):
     """Four threads running evolve on the same inputs, switching often, give
     bit for bit the serial result: no two runs share work arrays."""
     grid, coeffs, state = setup
-    profile = 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length)
-    coeffs = coeffs.with_externals(ExternalPotential(profile, 0.7), None)
+    state.psi1 += 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length)
     config = StepperConfig(dt=1e-3, t_end=0.3, record_every=40)
     observers = (lambda st: {"m": grid.sobolev_norm(st.b)},)
     serial, serial_record = evolve(state, coeffs, config, observers)
@@ -383,7 +372,7 @@ def _mismatched_members(what):
     state = FieldState(grid, np.ones(grid.n, dtype=complex), np.zeros(grid.n),
                        np.zeros(grid.n), 0.0)
     config = StepperConfig(dt=0.01, t_end=0.1, record_every=2)
-    other_state, other_coeffs, other_config = state, coeffs, config
+    other_state, other_config = state, config
     if what == "grid":
         other_grid = SpectralGrid(2.0 * np.pi, 32)
         other_state = FieldState(other_grid, np.ones(32, dtype=complex), np.zeros(32),
@@ -392,12 +381,10 @@ def _mismatched_members(what):
         other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=2, dealias=False)
     elif what == "record_every":
         other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=3)
-    elif what == "externals":
-        other_coeffs = coeffs.with_externals(ExternalPotential(np.cos(grid.x), 1.0), None)
-    return [state, other_state], [coeffs, other_coeffs], [config, other_config]
+    return [state, other_state], [coeffs, coeffs], [config, other_config]
 
 
-@pytest.mark.parametrize("what", ["grid", "dealias", "record_every", "externals"])
+@pytest.mark.parametrize("what", ["grid", "dealias", "record_every"])
 def test_evolve_members_rejects_mismatched_members(what):
     with pytest.raises(ValueError):
         evolve_members(*_mismatched_members(what))

@@ -433,6 +433,28 @@ def test_decohere_initial_separation_can_fail(monkeypatch):
     assert result.status == "fail"
 
 
+def test_decohere_separation_and_stability_can_fail(monkeypatch):
+    """Negative control: with psi1's travelling data zeroed, B feels no
+    psi_plus0 potential, so the pair hardly separates (0.019 x target) and
+    sup||B - A||_Hk / mu drifts with mu (max/min 5.1): both checks fail at
+    the default spec."""
+    import zrlab.experiments as experiments
+
+    real_evolve_members = experiments.evolve_members
+
+    def evolve_without_psi1(states, coeffs, configs, observers=()):
+        for state in states:
+            state.psi1[:] = 0.0
+        return real_evolve_members(states, coeffs, configs, observers)
+
+    monkeypatch.setattr(experiments, "evolve_members", evolve_without_psi1)
+    result = run_decohere(default_spec("decohere"))
+    status = {c.name: c.status for c in result.checks}
+    assert status["separation_target"] == status["dev_bound_stability"] == "fail"
+    assert result.info["pair"]["separation_final"] < 0.05 * result.info["pair"]["analytic_target"]
+    assert result.info["dev_constant_stability"] > 3.0
+
+
 def test_decohere_runs_each_pair_once(monkeypatch):
     """The main (mu, M) pair is also a mu-sweep pair (M_j = max(M, ceil(1/mu_j))
     = M), so it runs once and feeds both the verdict and the sweep row; all

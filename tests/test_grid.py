@@ -146,11 +146,9 @@ def test_translation_column_is_one_row_per_shift(grid):
     shifts = np.array([[0.37], [-1.3], [0.0]])
     rows = grid.translation(shifts)
     assert rows.shape == (3, grid.n // 2 + 1)
-    out = np.empty_like(rows)
-    assert grid.translation(shifts, out=out) is out
     xi = grid.wavenumbers[:grid.n // 2 + 1]
-    for row, written, shift in zip(rows, out, shifts[:, 0]):
-        assert row.tobytes() == written.tobytes() == grid.translation(shift).tobytes()
+    for row, shift in zip(rows, shifts[:, 0]):
+        assert row.tobytes() == grid.translation(shift).tobytes()
         assert row[-1].imag == 0.0 and row[-1].real == np.cos(xi[-1] * shift)
         assert_allclose(row[:-1], np.exp(-1j * xi[:-1] * shift), rtol=0, atol=1e-15)
         assert row[0] == 1.0

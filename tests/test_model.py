@@ -8,7 +8,7 @@ from zrlab import (FieldState, PhysicalParams, SpectralGrid,
                    coefficients_from_params, conserved_quantities, iteration_schedule,
                    modified_system_coefficients, normalized_coefficients,
                    plane_wave_state, unit_physical_params)
-from zrlab.model import ExternalPotential, Schedule, to_physical_vars
+from zrlab.model import Schedule, to_physical_vars
 
 
 def test_unit_physical_collapse():
@@ -196,13 +196,3 @@ def test_iteration_schedule_degenerate_and_validation():
         iteration_schedule(1.0, 1.0, 1.0, eps=1.0 / 6.0)
     # small norms never get a step larger than 1
     assert iteration_schedule(0.1, 0.1, 1.0).dt == 1.0
-
-
-def test_external_potential_validation():
-    with pytest.raises(ValueError):
-        ExternalPotential(np.zeros((4, 4)), 1.0)
-    with pytest.raises(ValueError):
-        ExternalPotential(np.array([1.0, np.nan]), 1.0)
-    ext = ExternalPotential(np.ones(8), 0.5)
-    with pytest.raises(ValueError):
-        ext.profile[0] = 2.0  # frozen buffer

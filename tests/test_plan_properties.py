@@ -16,7 +16,6 @@ from zrlab import (FieldState, GeneralCoefficients, SpectralGrid,  # noqa: E402
                    unit_physical_params)
 from zrlab import evolution  # noqa: E402
 from zrlab.evolution import evolve_members  # noqa: E402
-from zrlab.model import ExternalPotential  # noqa: E402
 
 
 def band_limited(grid, rng, amplitude, real):
@@ -59,13 +58,10 @@ def random_state(grid, rng):
 
 
 @settings(max_examples=25, deadline=None)
-@given(fields(), st.booleans())
-def test_strang_step_mass_reversal_reality(case, external):
+@given(fields())
+def test_strang_step_mass_reversal_reality(case):
     grid, rng = case
     coeffs = coefficients_from_params(unit_physical_params())
-    if external:
-        profile = band_limited(grid, rng, 0.5, real=True)
-        coeffs = coeffs.with_externals(ExternalPotential(profile, 0.7), None)
     state = random_state(grid, rng)
     start = state.copy()
     mass0 = grid.sobolev_norm(state.b, 0.0) ** 2
@@ -139,21 +135,14 @@ def schedules(draw, members=1):
     return counts, 1 if stride == "every" else steps
 
 
-def with_external(coeffs, grid, rng, speed):
-    profile = band_limited(grid, rng, 0.5, real=True)
-    return coeffs.with_externals(ExternalPotential(profile, speed), None)
-
-
 @settings(max_examples=40, deadline=None)
-@given(fields(), st.integers(1, 3).flatmap(schedules), st.booleans(), st.floats(0.0, 0.1))
-def test_fused_evolve_matches_strang_steps(case, schedule, external, nyquist):
+@given(fields(), st.integers(1, 3).flatmap(schedules), st.floats(0.0, 0.1))
+def test_fused_evolve_matches_strang_steps(case, schedule, nyquist):
     grid, rng = case
     counts, record_every = schedule
     members = []
+    coeffs = coefficients_from_params(unit_physical_params())
     for k, steps in enumerate(counts):
-        coeffs = coefficients_from_params(unit_physical_params())
-        if external:
-            coeffs = with_external(coeffs, grid, rng, 0.7 - 0.4 * k)
         state = with_nyquist(random_state(grid, rng), nyquist)
         members.append((state, coeffs, steps, 1e-3 * (1 + k)))
     for got, want in fused_and_unfused(members, record_every):
@@ -169,24 +158,22 @@ def coefficient_records(draw):
 @settings(max_examples=30, deadline=None)
 @given(fields(), st.integers(1, 4).flatmap(lambda m: st.tuples(
     schedules(m), st.lists(coefficient_records(), min_size=m, max_size=m),
-    st.lists(st.sampled_from([5e-4, 1e-3, 2.5e-3]), min_size=m, max_size=m))),
-    st.booleans())
-def test_evolve_members_bit_identical_to_evolve(case, draws, external):
+    st.lists(st.sampled_from([5e-4, 1e-3, 2.5e-3]), min_size=m, max_size=m))))
+def test_evolve_members_bit_identical_to_evolve(case, draws):
     """Each member of a batch ends, and is recorded, bit for bit as when it
     runs alone; members differ in coefficients, dt, step count, start time and
-    a travelling external's profile and speed."""
+    their random psi data, which travels at their transport speeds."""
     grid, rng = case
     (counts, record_every), records, dts = draws
-    states, coeffs, configs = [], [], []
-    for k, (c, steps, dt) in enumerate(zip(records, counts, dts)):
+    states, configs = [], []
+    for k, (steps, dt) in enumerate(zip(counts, dts)):
         states.append(random_state(grid, rng))
         states[-1].time = 0.1 * k
-        coeffs.append(with_external(c, grid, rng, c.speed_plus) if external else c)
         configs.append(StepperConfig(dt=dt, t_end=steps * dt, record_every=record_every))
     observers = (lambda st: {"mass": st.grid.sobolev_norm(st.b) ** 2,
                              "psi": st.grid.sobolev_norm(st.psi1 - st.psi2, 1.0)},)
-    batch = evolve_members(states, coeffs, configs, observers)
-    for state, c, config, (final, record) in zip(states, coeffs, configs, batch):
+    batch = evolve_members(states, records, configs, observers)
+    for state, c, config, (final, record) in zip(states, records, configs, batch):
         alone, alone_record = evolve(state, c, config, observers)
         assert final.time == alone.time
         for name in ("b", "psi1", "psi2"):
