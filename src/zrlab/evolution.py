@@ -35,7 +35,8 @@ transport speed is that psi field's initial data, not a path of its own
 (`model.modified_system_coefficients`).  A step costs 2 complex and 2 real
 transforms and, off record times, allocates nothing: `_Plan.nonlinear`
 updates B and psi in place, and it and the loop write every result into
-the plan's work arrays.
+the plan's work arrays.  A record time syncs a copy for the observers and
+writes nothing back, so the trajectory does not depend on when they look.
 `evolve_members` steps several runs on one grid as the rows of one plan, so
 at small n, where each numpy call costs more than its arithmetic, a batch
 step makes the calls of one; `evolve` is its one-member case.
@@ -191,11 +192,11 @@ class _Plan:
         if k > 1:  # a member's row of V's half spectrum pairs with its two psi rows
             self.potential, self.vhat_rows = self.potential[:, None], self.vhat[:, None]
 
-    def nonlinear(self, b: np.ndarray, psi: np.ndarray, time) -> None:
+    def nonlinear(self, b: np.ndarray, psi: np.ndarray, start, step: int = 0) -> None:
         """The nonlinear sub-flow over dt, on B's grid values and the stacked
-        half spectra of psi1, psi2; updates `b` and `psi` in place.  `time` is
-        the step-start time a blow-up reports; with several members it is a
-        column, one start time per member."""
+        half spectra of psi1, psi2; updates `b` and `psi` in place.  A blow-up
+        reports the step-start time start + step dt, formed only then; with
+        several members `start` is a column, one start time per member."""
         absb2 = np.square(np.abs(b, out=self.absb2), out=self.absb2)
         np.fft.rfft(absb2, out=self.vhat)
         kick = np.multiply(self.vhat_rows, self.kick, out=self.psi_kick)
@@ -216,7 +217,8 @@ class _Plan:
         if not (np.isfinite(b, out=self.b_finite).all()
                 and np.isfinite(psi, out=self.psi_finite).all()):
             failed = ~(np.isfinite(b).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)))
-            raise BlowUpError(float(np.ravel(time)[np.argmax(np.ravel(failed))]))
+            time = np.ravel(start + step * self.dt)
+            raise BlowUpError(float(time[np.argmax(np.ravel(failed))]))
 
 
 def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
@@ -260,8 +262,9 @@ def evolve(state0: FieldState, coeffs: GeneralCoefficients, config: StepperConfi
 
     The initial state is not mutated.  Returns the final state and the
     record; rows are {t, **observer columns} at the recorded times.
-    Between records B (grid values) and psi1, psi2 (half spectra) run half
-    a linear step ahead; a record time adds the half-step that syncs them.
+    B (grid values) and psi1, psi2 (half spectra) run half a linear step
+    ahead; a record time syncs a copy of them for the observers and leaves
+    the stepped fields as they are.
     """
     return evolve_members([state0], [coeffs], [config], observers)[0]
 
@@ -291,15 +294,13 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
     records = [RunRecord() for _ in members]
 
     def snapshot(j: int, i: int = 0) -> None:
-        """Record member j after its step i, syncing its state first if i > 0."""
+        """Record member j after its step i, syncing a copy of its state first
+        if i > 0; reads the batch, never writes it."""
         state = members[j]
         if i:
-            bhat = g.forward(bs[j])
-            state.b = g.inverse(bhat * full["mult_b"][j])
+            state.b = g.inverse(g.forward(bs[j]) * full["mult_b"][j])
             state.psi1, state.psi2 = np.fft.irfft(psis[j] * full["mult_psi"][j], g.n)
             state.time = float(t0[j] + i * full["dt"][j])  # avoid accumulated addition drift
-            if i < steps[j]:
-                bs[j] = g.inverse(bhat * full["step_b"][j])
         row = {"t": state.time}
         for obs in observers:
             row.update(obs(state))
@@ -319,14 +320,12 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
     for i in range(1, steps[0] + 1):
         if steps[active - 1] < i:  # the last rows are done: step the others only
             active, b, psi, start = views(i)
-        plan.nonlinear(b, psi, start + (i - 1) * plan.dt)
-        recording = i % every == 0
+        plan.nonlinear(b, psi, start, i - 1)
         for j in range(active):
-            if recording or steps[j] == i:
+            if i % every == 0 or steps[j] == i:
                 snapshot(j, i)
-        if not recording:
-            bhat = np.multiply(np.fft.fft(b, out=plan.phase), plan.step_b, out=plan.phase)
-            np.fft.ifft(bhat, out=b)
+        bhat = np.multiply(np.fft.fft(b, out=plan.phase), plan.step_b, out=plan.phase)
+        np.fft.ifft(bhat, out=b)
         psi *= plan.step_psi
         if i % max(1, steps[0] // 10) == 0:
             logger.debug("evolve: step %d/%d", i, steps[0])

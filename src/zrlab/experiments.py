@@ -31,7 +31,7 @@ from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
 from .model import (FieldState, GeneralCoefficients, coefficients_from_params,
                     conserved_quantities, iteration_schedule, modified_system_coefficients,
-                    normalized_coefficients, plane_wave_state, unit_physical_params)
+                    normalized_coefficients, plane_wave_state)
 from .records import RunRecord
 
 __all__ = [
@@ -536,13 +536,13 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
                                        spec.dealias))
                for pair, tag in runs]
 
-    params, psi_minus0 = unit_physical_params(), np.zeros(grid.n)
+    psi_minus0 = np.zeros(grid.n)
 
-    def observe(st: FieldState) -> dict[str, float]:
-        diff = st.b - cf.small_dispersion_solution(b0, psi_plus0, psi_minus0, st.time)
-        return {**conserved_quantities(st, params, (k_reg,), -0.5),
-                "devA_L2": st.grid.sobolev_norm(diff, 0.0),
-                "devA_Hk": st.grid.sobolev_norm(diff, k_reg)}
+    def observe(st: FieldState) -> dict[str, float]:  # Q1 as conserved_quantities forms it
+        diff = grid.forward(st.b - cf.small_dispersion_solution(b0, psi_plus0, psi_minus0, st.time))
+        return {"Q1": grid.dx * float(np.sum(np.abs(st.b) ** 2)),
+                "devA_L2": grid.sobolev_norm_coeffs(diff, 0.0),
+                "devA_Hk": grid.sobolev_norm_coeffs(diff, k_reg)}
 
     try:
         outcomes = evolve_members(*zip(*members), observers=(observe,))

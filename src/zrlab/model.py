@@ -222,8 +222,8 @@ class FieldState:
 def conserved_quantities(state: FieldState, params: PhysicalParams,
                          s_list: tuple[float, ...] = (1.0,),
                          psi_index: float = -0.5) -> dict[str, float]:
-    """The record row of the four invariants of the physical system and the
-    monitored norms: Q1..Q4, HsB_<s> (||B||_{H^s} for each s in `s_list`),
+    """The record row, in the CSV's column order: the four invariants Q1..Q4
+    of the physical system, HsB_<s> (||B||_{H^s}, s in `s_list` ascending),
     and Hpsi1, Hpsi2 (||psi||_{H^psi_index}).
 
         Q1 = int |B|^2
@@ -257,7 +257,8 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
 
     b_hat = g.forward(b)
     return {"Q1": q1, "Q2": q2, "Q3": q3, "Q4": q4,
-            **{f"HsB_{float(s):g}": g.sobolev_norm_coeffs(b_hat, s) for s in s_list},
+            **{f"HsB_{float(s):g}": g.sobolev_norm_coeffs(b_hat, s)
+               for s in sorted(s_list)},
             "Hpsi1": g.sobolev_norm(state.psi1, psi_index),
             "Hpsi2": g.sobolev_norm(state.psi2, psi_index)}
 

@@ -1,20 +1,19 @@
 """Run records and their on-disk formats (CSV series, JSON manifest, fit files).
 
 All floating-point output uses 17 significant digits so that re-parsing a
-file reproduces every value bit-for-bit.
+file reproduces every value bit-for-bit.  A CSV's columns keep the order of
+the record's rows, so the observer that builds a row owns its column order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
     "RunRecord",
-    "canonical_column_order",
     "format_float",
     "write_record_csv",
     "read_record_csv",
@@ -27,30 +26,6 @@ __all__ = [
 def format_float(x: float) -> str:
     """Round-trip decimal form: float(format_float(x)) == x."""
     return "%.17g" % float(x)
-
-
-def _sobolev_index(name: str) -> float | None:
-    """s of a column HsB_<s> whose suffix is a finite number, else None."""
-    if not name.startswith("HsB_"):
-        return None
-    try:
-        s = float(name[len("HsB_"):])
-    except ValueError:
-        return None
-    return s if math.isfinite(s) else None
-
-
-def canonical_column_order(names) -> list[str]:
-    """t first, then Q1..Q4, then HsB_<s> with a finite number s by ascending
-    s, then Hpsi1/Hpsi2, then anything else in alphabetical order."""
-    names = list(names)
-    fixed = ["t", "Q1", "Q2", "Q3", "Q4"]
-    out = [c for c in fixed if c in names]
-    out += sorted((c for c in names if _sobolev_index(c) is not None),
-                  key=lambda c: (_sobolev_index(c), c))
-    out += [c for c in ("Hpsi1", "Hpsi2") if c in names]
-    rest = sorted(c for c in names if c not in out)
-    return out + rest
 
 
 @dataclass
@@ -77,11 +52,11 @@ class RunRecord:
 
 
 def write_record_csv(record: RunRecord, path) -> str:
-    """Write the series; returns the sha256 digest of the emitted bytes."""
-    order = canonical_column_order(record.columns)
-    lines = [",".join(order)]
+    """Write the series, columns in the order of the observer's row (the
+    record's key order); returns the sha256 digest of the emitted bytes."""
+    lines = [",".join(record.columns)]
     for i in range(len(record)):
-        lines.append(",".join(format_float(record.columns[c][i]) for c in order))
+        lines.append(",".join(format_float(col[i]) for col in record.columns.values()))
     text = "\n".join(lines) + "\n"
     Path(path).write_text(text)
     return hashlib.sha256(text.encode()).hexdigest()

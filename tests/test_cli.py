@@ -30,7 +30,6 @@ from zrlab.experiments import _coeffs_for, fit_loglog, inflation_grid
 from zrlab.grid import SpectralGrid
 from zrlab.records import (
     RunRecord,
-    canonical_column_order,
     format_float,
     read_fit_file,
     read_record_csv,
@@ -430,21 +429,6 @@ def test_growth_zero_amplitude_fails_at_parse_time(tmp_path):
 
 # -- records: CSV ------------------------------------------------------------------
 
-def test_canonical_column_order():
-    names = ["devA_L2", "Hpsi2", "HsB_2", "t", "Q3", "HsB_0.5", "Q1", "alpha"]
-    assert canonical_column_order(names) == [
-        "t", "Q1", "Q3", "HsB_0.5", "HsB_2", "Hpsi2", "alpha", "devA_L2"]
-
-
-def test_canonical_column_order_non_numeric_hsb():
-    """Only HsB_<s> with a finite number s joins the Sobolev group; other
-    HsB_ names sort with the rest, so a record can carry them."""
-    assert canonical_column_order(["HsB_x"]) == ["HsB_x"]
-    names = ["zeta", "HsB_x", "HsB_2", "HsB_inf", "Hpsi1", "t", "HsB_0.5", "HsB_nan"]
-    assert canonical_column_order(names) == [
-        "t", "HsB_0.5", "HsB_2", "Hpsi1", "HsB_inf", "HsB_nan", "HsB_x", "zeta"]
-
-
 def test_format_float_roundtrips():
     for x in (0.1, 1.0 / 3.0, 1e-300, 6.02214076e23, -math.pi, 0.0):
         assert float(format_float(x)) == x
@@ -453,7 +437,7 @@ def test_format_float_roundtrips():
 def test_record_csv_bit_roundtrip(tmp_path):
     """Every finite float (signed zeros and subnormals included) under any
     comma-free column names reads back bit for bit, and the returned digest
-    is that of the file."""
+    is that of the file; the header keeps the row's column order."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # a column name is one line of printable text without commas
@@ -476,9 +460,9 @@ def test_record_csv_bit_roundtrip(tmp_path):
         path = tmp_path / "series.csv"
         digest = write_record_csv(rec, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert path.read_text().splitlines()[0] == ",".join(canonical_column_order(columns))
+        assert path.read_text().splitlines()[0] == ",".join(columns)
         back = read_record_csv(path)
-        assert back.columns.keys() == rec.columns.keys()
+        assert list(back.columns) == columns
         for name in columns:  # bit for bit: == would let -0.0 stand for 0.0
             assert [v.hex() for v in back.column(name)] == [v.hex() for v in rec.column(name)]
 
@@ -588,6 +572,15 @@ def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatc
     assert verdict["status"] == "fail"
     assert {"name": "completion", "status": "fail", "observed": "blow-up at t = 0.5",
             "expected": "finite fields"} in verdict["checks"]
+
+
+def test_cli_simulate_sobolev_columns_ascend(tmp_path):
+    """s_list = 3,1 writes HsB_1 before HsB_3: the invariant row lists its
+    Sobolev norms by ascending s, and the CSV keeps the row's order."""
+    assert main(["simulate", "--set", "experiment.s_list=3,1", "--set", "stepper.t_end=0.01",
+                 "--set", f"output.dir={tmp_path}"]) == 0
+    header = (tmp_path / "simulate_series.csv").read_text().splitlines()[0]
+    assert header == "t,Q1,Q2,Q3,Q4,HsB_1,HsB_3,Hpsi1,Hpsi2"
 
 
 def test_cli_simulate_pass_and_artifacts(tmp_path, capsys):

@@ -13,6 +13,7 @@ from zrlab import (BlowUpError, FieldState, GeneralCoefficients, PhysicalParams,
                    SpectralGrid, StepperConfig, coefficients_from_params,
                    conserved_quantities, evolve, normalized_coefficients,
                    plane_wave_state, strang_step, unit_physical_params)
+from zrlab import evolution
 from zrlab.evolution import evolve_members
 
 
@@ -347,6 +348,25 @@ def test_evolve_members_blow_up_carries_the_member_step_start(blow_up_first):
         with pytest.raises(BlowUpError) as excinfo:
             evolve_members([m[0] for m in members], [coeffs, coeffs], [m[1] for m in members])
     assert excinfo.value.time == 0.75
+
+
+def test_evolve_members_blow_up_time_formed_only_on_blow_up(monkeypatch):
+    """The loop hands the nonlinear kernel the members' start times and the
+    step index, and forms no per-step time array: every one of a 2-member,
+    100-step batch's steps receives the same `start` object."""
+    grid = SpectralGrid(2.0 * np.pi, 32)
+    coeffs = normalized_coefficients()
+    state = FieldState(grid, 0.1 * np.exp(1j * grid.x), np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    kernel, starts = evolution._Plan.nonlinear, []
+
+    def spy(plan, b, psi, start, step=0):
+        starts.append(start)
+        return kernel(plan, b, psi, start, step)
+
+    monkeypatch.setattr(evolution._Plan, "nonlinear", spy)
+    config = StepperConfig(dt=0.01, t_end=1.0, record_every=10)
+    evolve_members([state, state], [coeffs, coeffs], [config, config])
+    assert len(starts) == 100 and all(start is starts[0] for start in starts)
 
 
 def test_evolve_members_phase_warning_fires_for_one_member():

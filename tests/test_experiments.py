@@ -34,6 +34,7 @@ from zrlab.experiments import (
     run_simulate,
 )
 from zrlab.evolution import BlowUpError
+from zrlab.records import write_record_csv
 
 
 # -- log-log fits --------------------------------------------------------------
@@ -226,6 +227,28 @@ def test_run_conserve_physical_preset_all_checks():
     assert "series" in result.records and "series_half_dt" in result.records
 
 
+@pytest.mark.parametrize("kind", ["conserve", "decohere"])
+def test_q1_drift_can_fail(monkeypatch, kind):
+    """Negative control: a stepper that scales B by 1 + 1e-9 after each
+    nonlinear step gains mass, and q1_drift fails in conserve and decohere;
+    the same small specs pass unpatched."""
+    from zrlab import evolution
+
+    spec = default_spec(kind)
+    spec = (replace(spec, t_end=0.4, dt=0.004, record_every=25) if kind == "conserve" else
+            replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=())))
+    run = run_conserve if kind == "conserve" else run_decohere
+    assert {c.name: c.status for c in run(spec).checks}["q1_drift"] == "pass"
+    kernel = evolution._Plan.nonlinear
+
+    def leaking(plan, b, psi, start, step=0):
+        kernel(plan, b, psi, start, step)
+        b *= 1.0 + 1e-9
+
+    monkeypatch.setattr(evolution._Plan, "nonlinear", leaking)
+    assert {c.name: c.status for c in run(spec).checks}["q1_drift"] == "fail"
+
+
 def test_conserve_q4_order2_can_fail(monkeypatch):
     """Negative control: a Lie (first-order) splitting built from the public
     sub-flows drifts Q4 at first order, so halving dt halves the drift, the
@@ -394,10 +417,12 @@ def test_c2probe_dual_route_can_fail(monkeypatch):
 
 # -- decohere ----------------------------------------------------------------------
 
-def test_run_decohere_structural_relations_small():
+def test_run_decohere_structural_relations_small(tmp_path):
     spec = default_spec("decohere")
     spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=()))
     result = run_decohere(spec)
+    write_record_csv(result.records["series_L1"], tmp_path / "series.csv")
+    assert (tmp_path / "series.csv").read_text().splitlines()[0] == "t,Q1,devA_L2,devA_Hk"
     names = {c.name: c for c in result.checks}
     assert names["phase_gap"].status == "pass"
     assert names["theta_relation"].status == "pass"

@@ -2,7 +2,8 @@
 transforms agree with the complex ones, a Strang step conserves mass, is
 reversible and keeps psi1, psi2 real, the fused loop in `evolve` matches a
 loop of the unfused `strang_step` for one member or several, and a batch of
-members gives bit for bit what `evolve` gives each member alone."""
+members gives bit for bit what `evolve` gives each member alone, whenever
+its observers look."""
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ def test_fused_evolve_matches_strang_steps(case, schedule, nyquist):
         members.append((state, coeffs, steps, 1e-3 * (1 + k)))
     for got, want in fused_and_unfused(members, record_every):
         assert_states_match(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields(), st.lists(st.integers(3, 12), min_size=1, max_size=3))
+def test_records_do_not_steer_the_trajectory(case, counts):
+    """Recording at every step, at a stride that does not divide the longest
+    run's step count, or only at its end leaves every member's final fields
+    bit for bit the same: a record time only reads the stepped fields."""
+    grid, rng = case
+    states = [random_state(grid, rng) for _ in counts]
+    coeffs = [coefficients_from_params(unit_physical_params())] * len(counts)
+    steps = max(counts)
+    stride = next(r for r in range(2, steps) if steps % r)
+    finals = []
+    for every in (1, stride, steps):
+        configs = [StepperConfig(dt=1e-3, t_end=c * 1e-3, record_every=every) for c in counts]
+        outcomes = evolve_members(states, coeffs, configs)
+        finals.append([[getattr(final, name).tobytes() for name in ("b", "psi1", "psi2")]
+                       for final, _ in outcomes])
+    assert finals[0] == finals[1] == finals[2]
 
 
 @st.composite
