@@ -1,8 +1,11 @@
 """Closed-form references computed independently of the PDE solver.
 
-Everything here works in continuous frequency with Gauss-Legendre quadrature
-(panels split at the kinks of indicator-overlap functions), so comparisons
-against the spectral solver are genuine cross-validations.
+Everything here works in continuous frequency, so comparisons against the
+spectral solver are genuine cross-validations.  Two Gauss-Legendre rules do
+all the integration: `_panel_integral`, the outer xi integral of
+(1+|xi|)^{2s} times a density on panels split at the density's kinks and at
+0 (where the weight kinks), and `_overlap_integral`, the inner xi_1 integral
+of the resonance kernel phi(t, a(xi_1)) over the overlap of two supports.
 
 Fourier/norm conventions on the line:
 
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import SpectralGrid
+from .grid import SpectralGrid, dealiased_band
 
 __all__ = [
     "HatDatum",
@@ -76,10 +79,6 @@ class HatDatum:
         if not all(math.isfinite(v) for v in (self.lo, self.hi, self.amplitude)):
             raise ValueError("hat parameters must be finite")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def build_fN(n_freq: int, k: float, variant: str = "inflation_f") -> tuple[HatDatum, ...]:
     """Two-sided (or single) frequency bumps with amplitude N^{1/2-k}.
@@ -121,20 +120,30 @@ def _check_disjoint(hats: Sequence[HatDatum]) -> None:
             raise ValueError("hat supports overlap")
 
 
-def hat_sobolev_norm(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> float:
-    """Hat-integral H^s norm of a sum of disjoint hats, by quadrature.
+def _panel_integral(breaks: Sequence[float], s: float, density, nodes: int) -> float:
+    """int (1+|xi|)^{2s} density(xi) dxi from min(breaks) to max(breaks), by a
+    nodes-point Gauss-Legendre rule on each panel between consecutive breaks.
 
-    Hats straddling the origin are split there: the weight (1+|xi|)^{2s} has
-    a kink at 0 that would otherwise stall Gauss-Legendre convergence."""
-    _check_disjoint(hats)
+    The breaks list the kinks of density; 0 is added when they straddle it,
+    since the weight kinks there and would otherwise stall convergence."""
+    breaks = [float(b) for b in breaks]
+    if min(breaks) < 0.0 < max(breaks):
+        breaks.append(0.0)
+    pts = sorted(set(breaks))
     x, w = _gl(nodes)
     total = 0.0
-    for h in hats:
-        for a, b in _panels((h.lo, h.hi, 0.0) if h.lo < 0.0 < h.hi else (h.lo, h.hi)):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            xi = mid + half * x
-            total += h.amplitude**2 * half * float(np.sum(w * (1.0 + np.abs(xi)) ** (2.0 * s)))
-    return math.sqrt(total)
+    for a, b in zip(pts, pts[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xi = mid + half * x
+        total += half * float(np.sum(w * (1.0 + np.abs(xi)) ** (2.0 * s) * density(xi)))
+    return total
+
+
+def hat_sobolev_norm(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> float:
+    """Hat-integral H^s norm of a sum of disjoint hats, by quadrature."""
+    _check_disjoint(hats)
+    return math.sqrt(sum(h.amplitude**2 * _panel_integral((h.lo, h.hi), s, lambda xi: 1.0, nodes)
+                         for h in hats))
 
 
 def normalize_hats(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> tuple[HatDatum, ...]:
@@ -162,7 +171,7 @@ def synthesize_hat_field(grid: SpectralGrid, hats: Sequence[HatDatum]) -> np.nda
             raise ValueError(
                 f"hat [{h.lo}, {h.hi}) contains no grid frequencies (L too small)")
         coeffs[sel] += h.amplitude / grid.length
-    if not np.all(np.abs(xi[np.abs(coeffs) > 0]) <= np.max(np.abs(xi[grid.dealias_mask]))):
+    if not np.all(np.abs(xi[np.abs(coeffs) > 0]) <= dealiased_band(grid.n, grid.length)):
         raise ValueError("hat support extends beyond the dealiased band")
     return grid.inverse(coeffs)
 
@@ -200,14 +209,18 @@ def _phi(t: float, a: np.ndarray, time_nodes: int) -> np.ndarray:
     return 0.5 * t * (re + 1j * im)
 
 
+def _overlap_integral(t: float, lo: np.ndarray, hi: np.ndarray, a, nodes: int,
+                      time_nodes: int) -> np.ndarray:
+    """Row-wise int_lo^hi phi(t, a(xi_1)) d xi_1 by a nodes-point
+    Gauss-Legendre rule, phi as in _phi; a row with hi <= lo is empty and
+    gives 0.  `a` maps the (rows, nodes) array of xi_1 nodes to the phase."""
+    half = np.maximum(0.0, 0.5 * (hi - lo))
+    x, w = _gl(nodes)
+    xi1 = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    return half * np.sum(w * _phi(t, a(xi1), time_nodes), axis=1)
+
+
 # -- second-derivative (bilinear) kernel ---------------------------------------
-
-def _pair_interval(b0: HatDatum, psi: HatDatum, xi: np.ndarray):
-    """Integration interval in xi_1: supp(B0hat) cap (xi - supp(psihat))."""
-    lo = np.maximum(b0.lo, xi - psi.hi)
-    hi = np.minimum(b0.hi, xi - psi.lo)
-    return lo, hi
-
 
 def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64,
           time_nodes: int = 0) -> np.ndarray:
@@ -224,19 +237,11 @@ def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64,
     route, a time_nodes-point quadrature of the t' integral, independent of it.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    lo, hi = _pair_interval(b0, psi10, xi)
-    half = np.maximum(0.0, 0.5 * (hi - lo))
-    mid = 0.5 * (lo + hi)
-    x, w = _gl(nodes)
-    xi1 = mid[:, None] + half[:, None] * x[None, :]
-    a = (xi[:, None] - xi1) * (xi[:, None] + xi1 - 1.0)
-    inner = np.sum(w[None, :] * _phi(t, a, time_nodes), axis=1) * half
+    col = xi[:, None]
+    # xi_1 runs over supp(B0hat) cap (xi - supp(psi10hat))
+    inner = _overlap_integral(t, np.maximum(b0.lo, xi - psi10.hi), np.minimum(b0.hi, xi - psi10.lo),
+                              lambda xi1: (col - xi1) * (col + xi1 - 1.0), nodes, time_nodes)
     return np.exp(-1j * t * xi**2) * b0.amplitude * psi10.amplitude * inner
-
-
-def _panels(breaks: Sequence[float]) -> list[tuple[float, float]]:
-    pts = sorted(set(float(b) for b in breaks))
-    return [(a, b) for a, b in zip(pts, pts[1:]) if b - a > 0.0]
 
 
 def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
@@ -245,76 +250,47 @@ def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
 
     The output support is [b0.lo + psi10.lo, b0.hi + psi10.hi]; the overlap
     length is piecewise linear with kinks at the two interior corners, so the
-    outer integral is split there (and at 0, where the weight kinks)."""
-    breaks = [b0.lo + psi10.lo, b0.lo + psi10.hi, b0.hi + psi10.lo, b0.hi + psi10.hi]
-    if breaks[0] < 0.0 < breaks[-1]:
-        breaks.append(0.0)
-    x, w = _gl(nodes)
-    total = 0.0
-    for a, b in _panels(breaks):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xi = mid + half * x
-        vals = l_hat(xi, t, b0, psi10, nodes, time_nodes)
-        total += half * float(np.sum(w * (1.0 + np.abs(xi)) ** (2.0 * k) * np.abs(vals) ** 2))
-    return math.sqrt(total)
+    outer integral is split there."""
+    breaks = (b0.lo + psi10.lo, b0.lo + psi10.hi, b0.hi + psi10.lo, b0.hi + psi10.hi)
+    return math.sqrt(_panel_integral(
+        breaks, k, lambda xi: np.abs(l_hat(xi, t, b0, psi10, nodes, time_nodes)) ** 2, nodes))
 
 
 # -- first-order transport response ---------------------------------------------
 
-def _psi1_hat_sq_integrand(xi: np.ndarray, t: float, hats: Sequence[HatDatum],
-                           speed: float, source: float, nodes: int,
-                           time_nodes: int = 0) -> np.ndarray:
-    """|psi1hat(xi, t)|^2 for the first Duhamel iterate
+def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
+                     speed: float = 1.0, source: float = 1.0,
+                     nodes: int = 64, time_nodes: int = 0) -> float:
+    """Hat-integral H^l norm of the first-order transport response at time t,
+    the first Duhamel iterate
 
         psi1hat(xi, t) = source * (i xi) exp(-i speed t xi) * (1/2pi) *
             sum_pairs int fhat_i(xi_1) conj(fhat_j(xi_1 - xi))
                           phi(t, xi (xi - 2 xi_1 + speed)) d xi_1
 
-    of d(psi)/dt + speed d(psi)/dx = source d/dx |exp(i t d_xx) f|^2."""
-    x, w = _gl(nodes)
-    acc = np.zeros(xi.shape, dtype=np.complex128)
-    for hi_hat in hats:
-        for hj_hat in hats:
-            lo = np.maximum(hi_hat.lo, xi + hj_hat.lo)
-            hi = np.minimum(hi_hat.hi, xi + hj_hat.hi)
-            half = 0.5 * (hi - lo)
-            live = half > 0.0
-            if not np.any(live):
-                continue
-            half = np.where(live, half, 0.0)
-            mid = 0.5 * (lo + hi)
-            xi1 = mid[:, None] + half[:, None] * x[None, :]
-            a = xi[:, None] * (xi[:, None] - 2.0 * xi1 + speed)
-            phi = _phi(t, a, time_nodes)
-            acc += hi_hat.amplitude * hj_hat.amplitude * half * np.sum(w[None, :] * phi, axis=1)
-    return (np.abs(xi) * np.abs(acc) / (2.0 * np.pi)) ** 2 * source**2
-
-
-def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
-                     speed: float = 1.0, source: float = 1.0,
-                     nodes: int = 64, time_nodes: int = 0) -> float:
-    """Hat-integral H^l norm of the first-order transport response at time t.
+    of d(psi)/dt + speed d(psi)/dx = source d/dx |exp(i t d_xx) f|^2.
 
     This is the continuum, whole-line oracle for the solver's psi field when
     the envelope data is the hat sum and couplings are at first order.  Use
     as_grid_norm(...) when comparing against grid Sobolev norms.  time_nodes
     as in l_hat: 0 takes the closed form, > 0 the dual route."""
     _check_disjoint(hats)
-    breaks: list[float] = []
-    for hi_hat in hats:
-        for hj_hat in hats:
-            breaks += [hi_hat.lo - hj_hat.hi, hi_hat.lo - hj_hat.lo,
-                       hi_hat.hi - hj_hat.hi, hi_hat.hi - hj_hat.lo]
-    if min(breaks) < 0.0 < max(breaks):
-        breaks.append(0.0)  # weight kink
-    x, w = _gl(nodes)
-    total = 0.0
-    for a, b in _panels(breaks):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xi = mid + half * x
-        sq = _psi1_hat_sq_integrand(xi, t, hats, speed, source, nodes, time_nodes)
-        total += half * float(np.sum(w * (1.0 + np.abs(xi)) ** (2.0 * l) * sq))
-    return math.sqrt(total)
+
+    def psi1_hat_sq(xi: np.ndarray) -> np.ndarray:
+        col = xi[:, None]
+        acc = np.zeros(xi.shape, dtype=np.complex128)
+        for hi_hat in hats:
+            for hj_hat in hats:
+                lo = np.maximum(hi_hat.lo, xi + hj_hat.lo)
+                hi = np.minimum(hi_hat.hi, xi + hj_hat.hi)
+                if np.any(hi > lo):
+                    acc += hi_hat.amplitude * hj_hat.amplitude * _overlap_integral(
+                        t, lo, hi, lambda xi1: col * (col - 2.0 * xi1 + speed), nodes, time_nodes)
+        return (np.abs(xi) * np.abs(acc) / (2.0 * np.pi)) ** 2 * source**2
+
+    # the pair overlaps kink where xi is a difference of two hat edges
+    breaks = [u - v for p in hats for q in hats for u in (p.lo, p.hi) for v in (q.lo, q.hi)]
+    return math.sqrt(_panel_integral(breaks, l, psi1_hat_sq, nodes))
 
 
 # -- small-dispersion closed form -----------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .closed_forms import modulated_sinc
 from .evolution import StepperConfig
-from .grid import SpectralGrid
+from .grid import SpectralGrid, dealiased_band
 from .model import PhysicalParams, check_plane_wave
 
 __all__ = [
@@ -227,7 +227,7 @@ def inflation_band(n_freq: int) -> float:
 def check_inflation_band(grid_n: int, grid_length: float, n_freq: int) -> None:
     """Raise ConfigError unless the dealiased band of the grid (n, length)
     covers `inflation_band(n_freq)`."""
-    band = (2.0 * math.pi / grid_length) * (grid_n // 3)
+    band = dealiased_band(grid_n, grid_length)
     need = inflation_band(n_freq)
     _require(band >= need, f"grid must resolve |xi| <= {need:.2f} after dealiasing "
                            f"for N = {n_freq} (resolved band is {band:.2f})")
@@ -260,8 +260,8 @@ def check_decohere_band(grid_n: int, grid_length: float, pairs: dict) -> None:
     """Raise ConfigError unless the dealiased band of the grid (n, length)
     holds decohere's data band plus the chirp of every run of `pairs`: the
     phase gradient grows at most like t * max|psi'| over an internal horizon t."""
+    band = dealiased_band(grid_n, grid_length)
     grid = SpectralGrid(grid_length, grid_n)
-    band = float(np.max(np.abs(grid.wavenumbers[grid.dealias_mask])))
     slope = float(np.max(np.abs(grid.derivative(modulated_sinc(grid.x), 1))))
     horizon = max(t for pair in pairs.values() for t in pair["t_internal"].values())
     need = 8.0 + horizon * slope

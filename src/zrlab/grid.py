@@ -10,7 +10,7 @@ Conventions (fixed once, used everywhere):
 * Parseval         (1/n) sum_m |f_m|^2 = sum_j |fhat_j|^2
 * Sobolev norm     ||f||_{H^s} = sqrt( L * sum_j (1+|xi_j|)^{2s} |fhat_j|^2 )
                    (H^0 equals the L^2(dx) norm of the grid function)
-* dealiasing       2/3 rule: keep modes with |j| <= n/3
+* dealiasing       2/3 rule: keep |j| <= n/3, i.e. |xi_j| <= dealiased_band(n, L)
 * Nyquist          the unpaired j = -n/2 mode (no conjugate partner) is zeroed
                    by odd-order derivatives; translation keeps its cosine part
 
@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "SpectralGrid",
+    "dealiased_band",
     "next_pow2",
 ]
 
@@ -36,6 +37,11 @@ def next_pow2(m: float) -> int:
     while p < m:
         p *= 2
     return p
+
+
+def dealiased_band(n: int, length: float) -> float:
+    """Largest |xi| the 2/3 rule keeps on the grid (n, length): (2 pi / L) floor(n/3)."""
+    return (2.0 * np.pi / length) * (n // 3)
 
 
 def _is_pow2(m: int) -> bool:
@@ -66,7 +72,7 @@ class SpectralGrid:
         x = -0.5 * self.length + dx * np.arange(self.n)
         modes = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer j in FFT layout
         xi = (2.0 * np.pi / self.length) * modes
-        mask = np.abs(modes) <= self.n / 3
+        mask = np.abs(xi) <= dealiased_band(self.n, self.length)
         parity = np.where(np.mod(modes, 2) == 0, 1.0, -1.0)  # (-1)^j
         for name, arr in (("x", x), ("wavenumbers", xi), ("modes", modes),
                           ("dealias_mask", mask), ("_parity", parity)):
@@ -107,12 +113,9 @@ class SpectralGrid:
     def dealias(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs * self.dealias_mask
 
-    def sobolev_weights(self, s: float) -> np.ndarray:
-        """(1 + |xi_j|)^{2s} in FFT layout."""
-        return (1.0 + np.abs(self.wavenumbers)) ** (2.0 * s)
-
     def sobolev_norm_coeffs(self, coeffs: np.ndarray, s: float) -> float:
-        return float(np.sqrt(self.length * np.sum(self.sobolev_weights(s) * np.abs(coeffs) ** 2)))
+        weights = (1.0 + np.abs(self.wavenumbers)) ** (2.0 * s)
+        return float(np.sqrt(self.length * np.sum(weights * np.abs(coeffs) ** 2)))
 
     def sobolev_norm(self, values: np.ndarray, s: float = 0.0) -> float:
         """Discrete H^s norm; s = 0 recovers the L^2(dx) norm."""

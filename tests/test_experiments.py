@@ -365,6 +365,30 @@ def test_oracle_ratio_can_fail(monkeypatch):
     assert all(0.6 < m["ratio"] < 0.75 for m in result.info["members"])
 
 
+def test_inflation_slope_can_fail(monkeypatch):
+    """Negative control: a solver norm scaled by N^0.3 moves the fitted slope
+    from about 0.245 to about 0.545, outside 0.25 +/- 0.1, while every member's
+    solver/oracle ratio (computed inside inflate_member) still passes."""
+    import zrlab.experiments as experiments
+
+    spec = default_spec("inflate")
+    spec = replace(spec, table=dict(spec.table, n_list=(8, 16, 32, 64), t_probe=0.02))
+    statuses = {c.name: c.status for c in run_inflate(spec).checks}
+    assert statuses["inflation_slope"] == "pass"
+
+    member = experiments.inflate_member
+
+    def steeper(n_freq, *args, **kwargs):
+        out = member(n_freq, *args, **kwargs)
+        return dict(out, solver_norm=out["solver_norm"] * n_freq**0.3)
+
+    monkeypatch.setattr(experiments, "inflate_member", steeper)
+    statuses = {c.name: c.status for c in run_inflate(spec).checks}
+    assert statuses["inflation_slope"] == "fail"
+    ratios = [v for name, v in statuses.items() if name.startswith("oracle_ratio")]
+    assert len(ratios) == 4 and set(ratios) == {"pass"}
+
+
 # -- c2probe -----------------------------------------------------------------------
 
 def test_c2probe_unbounded_growth_can_fail(monkeypatch):
@@ -413,6 +437,27 @@ def test_c2probe_dual_route_can_fail(monkeypatch):
     assert statuses["dual_route"] == "fail"
     assert [m["norm"] for m in result.info["members"]] == norms
     assert 0.4 < result.info["dual_route_max_rel_diff"] < 0.6
+
+
+def test_c2_slope_can_fail(monkeypatch):
+    """Negative control: both routes of the kernel norm scaled by N^0.3 (the
+    B0 bump is [0, 1/N]) move the fitted slope 0.3 off -l - 1/2, so c2_slope
+    fails while dual_route, which compares the routes, still passes."""
+    import zrlab.experiments as experiments
+
+    spec = default_spec("c2probe")
+    statuses = {c.name: c.status for c in run_c2probe(spec).checks}
+    assert statuses["c2_slope"] == "pass"
+
+    l_hat_norm = experiments.cf.l_hat_norm
+
+    def steeper(t, b0, psi10, k, nodes=64, time_nodes=0):
+        return l_hat_norm(t, b0, psi10, k, nodes, time_nodes) * (1.0 / b0.hi) ** 0.3
+
+    monkeypatch.setattr(experiments.cf, "l_hat_norm", steeper)
+    statuses = {c.name: c.status for c in run_c2probe(spec).checks}
+    assert statuses["c2_slope"] == "fail"
+    assert statuses["dual_route"] == "pass"
 
 
 # -- decohere ----------------------------------------------------------------------
