@@ -21,7 +21,7 @@ from .closed_forms import (HatDatum, as_grid_norm, build_c2_psi10, build_fN,
 from .evolution import BlowUpError, StepperConfig, evolve, strang_step
 from .grid import SpectralGrid, next_pow2
 from .model import (FieldState, GeneralCoefficients, PhysicalParams,
-                    coefficients_from_params, conserved_quantities, iteration_schedule,
+                    coefficients_from_params, conserved_quantities,
                     modified_system_coefficients, normalized_coefficients,
                     plane_wave_state, unit_physical_params)
 
@@ -33,7 +33,7 @@ __all__ = [
     "PhysicalParams", "GeneralCoefficients", "FieldState",
     "coefficients_from_params", "normalized_coefficients", "unit_physical_params",
     "modified_system_coefficients",
-    "conserved_quantities", "plane_wave_state", "iteration_schedule",
+    "conserved_quantities", "plane_wave_state",
     # evolution
     "StepperConfig", "BlowUpError", "evolve", "strang_step",
     # closed forms

@@ -43,8 +43,6 @@ __all__ = [
     "emit_config",
     "default_spec",
     "Key",
-    "inflation_band",
-    "check_inflation_band",
     "check_coefficient_preset",
     "decohere_pairs",
     "check_decohere_band",
@@ -146,8 +144,7 @@ _SCHEMAS: dict[str, dict[str, Key]] = {
              "length": Key(_float, rule=_POSITIVE)},
     "params": {"preset": Key(_str), **{name: Key(_float) for name in
                                        ("theta", "gamma", "omega", "beta", "nu")}},
-    "stepper": {"dt": Key(_float), "t_end": Key(_float), "record_every": Key(_int),
-                "dealias": Key(_bool)},
+    "stepper": {"dt": Key(_float), "t_end": Key(_float), "record_every": Key(_int)},
     "output": {"dir": Key(_str, rule=_NONEMPTY), "prefix": Key(_str, rule=_NONEMPTY)},
 }
 # the ExperimentSpec field behind each of those entries
@@ -171,12 +168,12 @@ class KindDeclaration:
     """Everything one experiment kind adds to the dialect.
 
     `keys` declares each [experiment] key.  `grid` is the default
-    (n, length); (None, None) means auto-sized (inflate) or unused (c2probe).
-    `stepper` is the default (dt, t_end, record_every).  `reads` names the
-    [grid], [params] and [stepper] entries the kind reads, as whole sections
-    or "section.key"; every other entry must keep its default.  `rules`
-    check what spans several entries: each takes the spec and raises
-    ConfigError when it fails.
+    (n, length); (None, None) means unread: inflate sizes a grid per member,
+    and c2probe needs none.  `stepper` is the default (dt, t_end,
+    record_every).  `reads` names the [grid], [params] and [stepper] entries
+    the kind reads, as whole sections or "section.key"; every other entry
+    must keep its default.  `rules` check what spans several entries: each
+    takes the spec and raises ConfigError when it fails.
     """
 
     help: str
@@ -217,20 +214,6 @@ def check_coefficient_preset(kind: str, preset: str) -> None:
     _require(preset in _PRESETS, f"params.preset must be one of {_PRESETS}")
     _require(preset != "none" or not DECLARATIONS[kind].reads_entry("params", "preset"),
              f"params.preset = none leaves kind {kind} without coefficients")
-
-
-def inflation_band(n_freq: int) -> float:
-    """Half-width 2N + 2 + 2/N of the doubled data support of inflation member N."""
-    return 2.0 * n_freq + 2.0 + 2.0 / n_freq
-
-
-def check_inflation_band(grid_n: int, grid_length: float, n_freq: int) -> None:
-    """Raise ConfigError unless the dealiased band of the grid (n, length)
-    covers `inflation_band(n_freq)`."""
-    band = dealiased_band(grid_n, grid_length)
-    need = inflation_band(n_freq)
-    _require(band >= need, f"grid must resolve |xi| <= {need:.2f} after dealiasing "
-                           f"for N = {n_freq} (resolved band is {band:.2f})")
 
 
 def _decohere_pair(mu: float, m_big: float) -> dict:
@@ -316,7 +299,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         rules=(_global_existence,)),
     "inflate": KindDeclaration(
         help="frequency-sweep norm inflation of the transport field",
-        # t_end comes from t_probe
+        # t_end comes from t_probe; each member sizes its own grid
         preset="normalized", grid=(None, None), stepper=(2.5e-3, 0.0, 1),
         keys={
             "k": Key(_float, 0.25, (lambda k: 0.0 < k < 1.0,
@@ -328,16 +311,11 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "modes_per_hat": Key(_int, 4, (lambda v: v >= 1, "must be >= 1")),
             "nodes": _NODES,
         },
-        reads=("grid", "params", "stepper.dt", "stepper.dealias"),
+        reads=("params", "stepper.dt"),
         rules=(lambda s: _require(
                    s.table["l"] >= 2.0 * s.table["k"] - 0.5,
                    f"inflation hypothesis l >= 2k - 1/2 violated (k={s.table['k']} -> "
                    f"need l >= {2.0 * s.table['k'] - 0.5}, got l={s.table['l']})"),
-               lambda s: _require((s.grid_n is None) == (s.grid_length is None),
-                                  "inflate takes grid.n and grid.length together (an "
-                                  "explicit grid) or neither (a grid sized per member)"),
-               lambda s: s.grid_n is None or check_inflation_band(
-                   s.grid_n, s.grid_length, max(s.table["n_list"])),
                lambda s: _as_config_error("stepper", StepperConfig.spanning,
                                           s.table["t_probe"], s.dt))),
     "c2probe": KindDeclaration(
@@ -366,7 +344,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                            (lambda v: all(0.0 < mu < 1.0 for mu in v),
                             "entries must lie in (0, 1)")),
         },
-        reads=("grid", "stepper.dt", "stepper.record_every", "stepper.dealias"),
+        reads=("grid", "stepper.dt", "stepper.record_every"),
         rules=(lambda s: _require(s.table["m"] >= max(1.0, 1.0 / s.table["mu"]),
                                   f"experiment.m must satisfy m >= 1/mu = "
                                   f"{1.0 / s.table['mu']:.6g}, got {s.table['m']}"),
@@ -414,7 +392,6 @@ class ExperimentSpec:
     dt: float
     t_end: float
     record_every: int
-    dealias: bool
     out_dir: str
     prefix: str
     table: dict = field(default_factory=dict)
@@ -431,7 +408,7 @@ def default_spec(kind: str) -> ExperimentSpec:
         raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {', '.join(KINDS)})")
     decl = DECLARATIONS[kind]
     return ExperimentSpec(kind, *decl.grid, decl.preset, *astuple(PhysicalParams()),
-                          *decl.stepper, dealias=True, out_dir="runs", prefix=kind,
+                          *decl.stepper, out_dir="runs", prefix=kind,
                           table={name: key.default for name, key in decl.keys.items()})
 
 
@@ -566,8 +543,7 @@ def _shared_rules(spec: ExperimentSpec) -> None:
                                            spec.nu) == astuple(PhysicalParams()),
              "params.theta/gamma/omega/beta/nu require params.preset = physical")
     _as_config_error("params", spec.physical_params)
-    _as_config_error("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every,
-                     spec.dealias)
+    _as_config_error("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every)
 
 
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:

@@ -84,14 +84,12 @@ class StepperConfig:
     """Time-stepping controls.
 
     dt must divide t_end to within roundoff; states are recorded at t = 0,
-    every `record_every` steps, and at t_end.  `dealias` applies the 2/3 mask
-    to the quadratic source feeding the psi fields.
+    every `record_every` steps, and at t_end.
     """
 
     dt: float
     t_end: float
     record_every: int = 1
-    dealias: bool = True
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.dt) or self.dt <= 0:
@@ -104,12 +102,12 @@ class StepperConfig:
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
 
     @classmethod
-    def spanning(cls, t_end: float, dt: float, record_every: Optional[int] = None,
-                 dealias: bool = True) -> "StepperConfig":
+    def spanning(cls, t_end: float, dt: float,
+                 record_every: Optional[int] = None) -> "StepperConfig":
         """The fewest equal steps of at most dt (to within 1e-9 of a step), at
         least one, spanning [0, t_end]; recording at both ends only by default."""
         steps = max(1, math.ceil(_quotient(t_end, dt) - 1e-9))
-        return cls(t_end / steps, t_end, steps if record_every is None else record_every, dealias)
+        return cls(t_end / steps, t_end, steps if record_every is None else record_every)
 
     @property
     def steps(self) -> Optional[int]:
@@ -139,12 +137,12 @@ class _Plan:
     """What every step of a batch of runs (members) reuses, the one nonlinear
     kernel, and its work arrays.
 
-    Built for one grid and dealias flag and, per member, a coefficient record
-    and dt.  Row k of each array in `full` is member k's: the linear
-    multipliers for tau = dt/2 (B on the full spectrum; psi1 and psi2 stacked
-    on the real half spectrum) and their squares for a whole dt (a square, not
+    Built for one grid and, per member, a coefficient record and dt.  Row k
+    of each array in `full` is member k's: the linear multipliers for
+    tau = dt/2 (B on the full spectrum; psi1 and psi2 stacked on the real
+    half spectrum) and their squares for a whole dt (a square, not
     `translation(speed*dt)`: the Nyquist cosine rule does not compose), the
-    psi half-kick multipliers (d/dx of |B|^2, 2/3-masked when dealiasing), the
+    psi half-kick multipliers (d/dx of |B|^2, always under the 2/3 mask), the
     potential row, cubic coefficient and dt, and the work arrays every step
     writes into: |B|^2, the psi kicks, V, a half spectrum (|B|^2's, then V's)
     and a complex grid array (the phase factor, then B's spectrum).
@@ -159,7 +157,7 @@ class _Plan:
     """
 
     def __init__(self, grid: SpectralGrid, coeffs: Sequence[GeneralCoefficients],
-                 dts: Sequence[float], dealias: bool = True):
+                 dts: Sequence[float]):
         m, n, h = len(coeffs), grid.n, grid.n // 2 + 1
         self.grid, dt = grid, np.array(dts, float)
         tau = 0.5 * dt[:, None]
@@ -167,8 +165,7 @@ class _Plan:
         def per_member(*names: str) -> np.ndarray:
             return np.array([[getattr(c, name) for name in names] for c in coeffs])
 
-        mask = grid.dealias_mask if dealias else np.ones(n)
-        ddx = grid.derivative_coeffs(mask, 1)[:h]
+        ddx = grid.derivative_coeffs(grid.dealias_mask, 1)[:h]
         mult_b = np.exp(-1j * per_member("dispersion") * grid.wavenumbers**2 * tau)
         mult_psi = grid.translation((per_member("speed_plus", "speed_minus") * tau)[..., None])
         self.full = {
@@ -234,23 +231,22 @@ def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
 
 
 def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                   dealias: bool = True, plan: Optional[_Plan] = None) -> FieldState:
+                   plan: Optional[_Plan] = None) -> FieldState:
     """Advance the potential/source sub-flow by dt (symmetric, reversible;
     state.b is updated in place).  `plan`, if given, must have been built for
-    this dt and dealias flag."""
-    p = plan if plan is not None else _Plan(state.grid, [coeffs], [dt], dealias)
+    this dt."""
+    p = plan if plan is not None else _Plan(state.grid, [coeffs], [dt])
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2]))
     p.nonlinear(state.b, psi, state.time)
     state.psi1, state.psi2 = np.fft.irfft(psi, state.grid.n)
     return state
 
 
-def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                dealias: bool = True) -> FieldState:
+def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float) -> FieldState:
     """One full Strang step; advances state.time by dt."""
-    plan = _Plan(state.grid, [coeffs], [dt], dealias)
+    plan = _Plan(state.grid, [coeffs], [dt])
     linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
-    nonlinear_step(state, coeffs, dt, dealias=dealias, plan=plan)
+    nonlinear_step(state, coeffs, dt, plan=plan)
     linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
     state.time += dt
     return state
@@ -276,20 +272,20 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
     plan: each member's (final state, record), bit for bit what `evolve`
     returns for it alone.
 
-    The members share a grid, a dealias flag and `record_every`;
-    coefficients, start time, dt and step count may differ.  Observers see
-    one member's state at a time.  A blow-up raises `BlowUpError` at the
-    failing member's step-start time.
+    The members share a grid and `record_every`; coefficients, start time,
+    dt and step count may differ.  Observers see one member's state at a
+    time.  A blow-up raises `BlowUpError` at the failing member's step-start
+    time.
     """
-    g, dealias, every = states[0].grid, configs[0].dealias, configs[0].record_every
+    g, every = states[0].grid, configs[0].record_every
     if not len(states) == len(coeffs) == len(configs) or any(st.grid != g for st in states) \
-            or any((c.dealias, c.record_every) != (dealias, every) for c in configs):
+            or any(c.record_every != every for c in configs):
         raise ValueError("members need a state, coefficients and a stepper config each, "
-                         "and must share a grid, a dealias flag and record_every")
+                         "and must share a grid and record_every")
     order = sorted(range(len(states)), key=lambda k: -configs[k].steps)  # longest first
     members = [states[k].copy() for k in order]
     steps = [configs[k].steps for k in order]
-    plan = _Plan(g, [coeffs[k] for k in order], [configs[k].dt for k in order], dealias)
+    plan = _Plan(g, [coeffs[k] for k in order], [configs[k].dt for k in order])
     full, t0 = plan.full, np.array([st.time for st in members])
     records = [RunRecord() for _ in members]
 

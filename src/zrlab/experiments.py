@@ -25,12 +25,11 @@ import numpy as np
 
 from . import closed_forms as cf
 from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
-                     check_decohere_band, check_inflation_band, decohere_pairs,
-                     inflation_band)
+                     check_decohere_band, decohere_pairs)
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
 from .model import (FieldState, GeneralCoefficients, coefficients_from_params,
-                    conserved_quantities, iteration_schedule, modified_system_coefficients,
+                    conserved_quantities, modified_system_coefficients,
                     normalized_coefficients, plane_wave_state)
 from .records import RunRecord
 
@@ -239,16 +238,6 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
     raise ConfigError(f"unknown initial preset {kind_initial!r}")
 
 
-def _log_schedule(result: ExperimentResult, state: FieldState) -> None:
-    g = state.grid
-    sched = iteration_schedule(g.sobolev_norm(state.psi1, 0.0),
-                               g.sobolev_norm(state.psi2, 0.0),
-                               g.sobolev_norm(state.b, 0.0))
-    logger.info("iteration schedule estimate: dT = %.6g, m = %d (horizon %.6g)",
-                sched.dt, sched.steps, sched.horizon)
-    result.info["schedule"] = {"dt": sched.dt, "steps": sched.steps, "horizon": sched.horizon}
-
-
 def _boundary_note(result: ExperimentResult, state: FieldState) -> None:
     frac = state.grid.boundary_mass_fraction(state.b)
     result.info["boundary_mass_fraction"] = frac
@@ -272,16 +261,15 @@ def _blow_up(result: ExperimentResult, exc: BlowUpError) -> ExperimentResult:
 
 def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence[float]):
     """Set up a simulate/conserve/growth run: build the initial data (noting
-    boundary mass and the iteration schedule in `result`) and return
-    (initial state, plane-wave Omega or None, run), where run(dt) evolves the
-    data with step dt under the invariant observer, recording at the spec's
-    record times.  run(dt) returns (final state, record), or None after a
-    blow-up, which it adds to `result` as a failed completion check."""
+    its boundary mass in `result`) and return (initial state, plane-wave
+    Omega or None, run), where run(dt) evolves the data with step dt under
+    the invariant observer, recording at the spec's record times.  run(dt)
+    returns (final state, record), or None after a blow-up, which it adds to
+    `result` as a failed completion check."""
     grid = _grid_for(spec)
     coeffs = _coeffs_for(spec)
     state0, omega_freq = _initial_state(spec, grid, coeffs)
     _boundary_note(result, state0)
-    _log_schedule(result, state0)
     # the normalized preset has no physical energy: the unit parameters stand
     # in, and only Q1 and the momentum part (preset-independent) back a verdict
     params, psi_index = spec.physical_params(), spec.table["psi_index"]
@@ -291,8 +279,7 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
 
     def run(dt: float) -> Optional[tuple[FieldState, RunRecord]]:
         steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
-        config = StepperConfig(dt=dt, t_end=spec.t_end,
-                               record_every=steps_per_record, dealias=spec.dealias)
+        config = StepperConfig(dt=dt, t_end=spec.t_end, record_every=steps_per_record)
         try:
             return evolve(state0, coeffs, config, observers=(observe,))
         except BlowUpError as exc:
@@ -374,24 +361,18 @@ def expected_inflation_slope(k: float, l: float) -> float:
     return l - (2.0 * k - 0.5)
 
 
-def inflation_grid(n_freq: int, modes_per_hat: int,
-                   explicit: Optional[SpectralGrid] = None) -> SpectralGrid:
+def inflation_grid(n_freq: int, modes_per_hat: int) -> SpectralGrid:
     """Grid whose frequency lattice contains the hat edges exactly and whose
     dealiased band covers the doubled data support |xi| <= 2N + 2 + 2/N."""
-    if explicit is not None:
-        check_inflation_band(explicit.n, explicit.length, n_freq)
-        return explicit
     length = 2.0 * math.pi * modes_per_hat * n_freq
-    need = inflation_band(n_freq)
+    need = 2.0 * n_freq + 2.0 + 2.0 / n_freq
     n = next_pow2(int(math.ceil(3.0 * modes_per_hat * n_freq * need)))
     return SpectralGrid(length, n)
 
 
 def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
                    variant: str, modes_per_hat: int, nodes: int,
-                   coeffs: Optional[GeneralCoefficients] = None,
-                   explicit_grid: Optional[SpectralGrid] = None,
-                   dealias: bool = True) -> dict:
+                   coeffs: Optional[GeneralCoefficients] = None) -> dict:
     """One N of the inflation sweep: solver norm, oracle norm, ratio.
 
     The envelope data is the two-bump hat family normalized to unit H^k
@@ -401,11 +382,11 @@ def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
     """
     coeffs = coeffs if coeffs is not None else normalized_coefficients()
     hats = cf.normalize_hats(cf.build_fN(n_freq, k, f"inflation_{variant}"), k, nodes)
-    grid = inflation_grid(n_freq, modes_per_hat, explicit_grid)
+    grid = inflation_grid(n_freq, modes_per_hat)
     b0 = cf.synthesize_hat_field(grid, hats)
     state = FieldState(grid, b0, np.zeros(grid.n), np.zeros(grid.n), 0.0)
 
-    config = StepperConfig.spanning(t_probe, dt, dealias=dealias)
+    config = StepperConfig.spanning(t_probe, dt)
     final, _ = evolve(state, coeffs, config)
 
     if variant == "f":
@@ -439,13 +420,11 @@ def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
             "the regime the reduction argument targets; slope taken from the "
             "same formula and flagged here")
 
-    explicit = _grid_for(spec) if spec.grid_n is not None else None
     coeffs = _coeffs_for(spec)
 
     def worker(n_freq: int) -> dict:
         member = inflate_member(n_freq, k, l, t["t_probe"], spec.dt, variant,
-                                t["modes_per_hat"], t["nodes"], coeffs=coeffs,
-                                explicit_grid=explicit, dealias=spec.dealias)
+                                t["modes_per_hat"], t["nodes"], coeffs=coeffs)
         logger.info("inflate N=%d: solver %.6e oracle %.6e ratio %.4f",
                     n_freq, member["solver_norm"], member["oracle_norm"], member["ratio"])
         return member
@@ -532,8 +511,7 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     runs = [(pair, tag) for pair in pairs.values() for tag in ("L1", "L2")]
     members = [(FieldState(grid, b0, psi_plus0, np.zeros(grid.n), 0.0),
                 modified_system_coefficients(pair["mu"], pair[tag], c, pair["theta_sq"]),
-                StepperConfig.spanning(pair["t_internal"][tag], spec.dt, spec.record_every,
-                                       spec.dealias))
+                StepperConfig.spanning(pair["t_internal"][tag], spec.dt, spec.record_every))
                for pair, tag in runs]
 
     psi_minus0 = np.zeros(grid.n)

@@ -49,8 +49,6 @@ __all__ = [
     "conserved_quantities",
     "check_plane_wave",
     "plane_wave_state",
-    "Schedule",
-    "iteration_schedule",
 ]
 
 
@@ -227,7 +225,7 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
     and Hpsi1, Hpsi2 (||psi||_{H^psi_index}).
 
         Q1 = int |B|^2
-        Q3 = int u rho + P,  P = (i/2) int (B conj(B)_x - B_x conj(B))
+        Q3 = theta int u rho + P,  P = (i/2) int (B conj(B)_x - B_x conj(B))
         Q4 = (omega/2) int |B_x|^2 + (gamma q / 4) int |B|^4
              + (gamma/2) int (u - (nu/2) rho) |B|^2
              + (beta/4) int rho^2 + (1/4) int u^2 + (nu / 2 theta) P
@@ -235,7 +233,8 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
 
     Integrals are dx-weighted sums (spectrally accurate on the torus); B_x is
     the spectral derivative.  psi1, psi2 are converted back to (rho, u) with
-    the record's beta.
+    the record's beta.  On the flow of `params` the stepper holds Q1 and Q3
+    (the momentum) to round-off and Q2, Q4 to second order in dt.
     """
     g = state.grid
     dx = g.dx
@@ -246,7 +245,7 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
 
     q1 = dx * float(np.sum(absb2))
     momentum = dx * float(np.sum(np.imag(np.conj(b) * bx)))
-    q3 = dx * float(np.sum(u * rho)) + momentum
+    q3 = params.theta * dx * float(np.sum(u * rho)) + momentum
     q4 = (0.5 * params.omega * dx * float(np.sum(np.abs(bx) ** 2))
           + 0.25 * params.gamma * params.q * dx * float(np.sum(absb2**2))
           + 0.5 * params.gamma * dx * float(np.sum((u - 0.5 * params.nu * rho) * absb2))
@@ -295,37 +294,3 @@ def plane_wave_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
     v = coeffs.potential_plus * c1 + coeffs.potential_minus * c2 + coeffs.cubic * amplitude**2
     omega_freq = coeffs.dispersion * kappa**2 + v
     return FieldState(grid, b, psi1, psi2, 0.0), omega_freq
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Local-step estimate: step size, step count, and covered horizon."""
-
-    dt: float
-    steps: int
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.steps
-
-
-def iteration_schedule(norm_psi1: float, norm_psi2: float, norm_b0: float,
-                       eps: float = 0.01) -> Schedule:
-    """Local-existence iteration budget implied by the data sizes.
-
-    dT = min(||psi1||, ||psi2||)^(-1/(1/2 - 3 eps)) clamped to (0, 1], and
-    m = ceil(min_norm / (dT^(1/2-3eps) ||B0||^2)) steps, so that the covered
-    horizon m*dT scales like ||B0||^{-2}.  Degenerate zero-psi data get the
-    unit budget (1.0, 1).
-    """
-    if min(norm_psi1, norm_psi2, norm_b0) < 0:
-        raise ValueError("norms must be nonnegative")
-    if not 0 <= eps < 1.0 / 6.0:
-        raise ValueError(f"eps must lie in [0, 1/6), got {eps}")
-    exponent = 0.5 - 3.0 * eps
-    min_norm = min(norm_psi1, norm_psi2)
-    if min_norm == 0.0 or norm_b0 == 0.0:
-        return Schedule(dt=1.0, steps=1)
-    dt = min(1.0, min_norm ** (-1.0 / exponent))
-    m = max(1, math.ceil(min_norm / (dt**exponent * norm_b0**2)))
-    return Schedule(dt=dt, steps=m)

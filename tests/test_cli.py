@@ -26,8 +26,7 @@ from zrlab.config import (
 )
 from zrlab import experiments
 from zrlab.evolution import BlowUpError, StepperConfig
-from zrlab.experiments import _coeffs_for, fit_loglog, inflation_grid
-from zrlab.grid import SpectralGrid
+from zrlab.experiments import _coeffs_for, fit_loglog
 from zrlab.records import (
     RunRecord,
     format_float,
@@ -83,7 +82,7 @@ def test_parse_bad_value_types():
     with pytest.raises(ConfigError, match=r"\[stepper\] dt: expected a number"):
         parse_config("[stepper]\ndt = fast\n", "conserve")
     with pytest.raises(ConfigError, match="expected a boolean"):
-        parse_config("[stepper]\ndealias = maybe\n", "conserve")
+        parse_config("[experiment]\nrichardson = maybe\n", "conserve")
     with pytest.raises(ConfigError, match="expected a finite number"):
         parse_config("[stepper]\ndt = inf\n", "conserve")
 
@@ -166,9 +165,6 @@ def test_validate_named_constraints():
         parse_config("[grid]\nn = 100\n[experiment]\nkind = conserve\n")
     with pytest.raises(ConfigError, match="not an integer multiple of dt"):
         parse_config("[stepper]\ndt = 0.003\nt_end = 1.0\n[experiment]\nkind = conserve\n")
-    with pytest.raises(ConfigError, match=r"grid must resolve \|xi\|"):
-        parse_config("[grid]\nn = 128\nlength = 25.0\n"
-                     "[experiment]\nkind = inflate\nn_list = 32,64\n")
     with pytest.raises(ConfigError, match="strictly ascending"):
         parse_config("[experiment]\nkind = inflate\nn_list = 64,32\n")
 
@@ -192,9 +188,9 @@ def test_validate_params_gate():
 
 @pytest.mark.parametrize("kind, entries", [
     ("c2probe", ("grid.n=64", "grid.length=1", "params.preset=physical", "params.theta=3",
-                 "stepper.dt=0.3", "stepper.t_end=5", "stepper.record_every=7",
-                 "stepper.dealias=false")),
-    ("inflate", ("stepper.t_end=5", "stepper.record_every=7")),
+                 "stepper.dt=0.3", "stepper.t_end=5", "stepper.record_every=7")),
+    ("inflate", ("grid.n=4096", "grid.length=100", "stepper.t_end=5",
+                 "stepper.record_every=7")),
     ("decohere", ("params.preset=normalized", "stepper.t_end=5")),
 ])
 def test_unread_entries_rejected(kind, entries, tmp_path):
@@ -213,25 +209,16 @@ def test_unread_entries_rejected(kind, entries, tmp_path):
 
 
 @pytest.mark.parametrize("entry", ["grid.n=4096", "grid.length=100.0"])
-def test_inflate_lone_grid_entry_rejected(entry):
-    """inflate uses an explicit grid only when both grid entries are set, so
-    one alone would be ignored: it is refused by name."""
-    with pytest.raises(ConfigError, match="grid.n and grid.length together"):
+def test_inflate_lone_grid_entry_rejected(entry, tmp_path, capsys):
+    """inflate sizes its grid per member and reads no [grid] entry, so a grid
+    entry, alone or with the other, is refused by name with nothing written."""
+    key = entry.split("=")[0]
+    with pytest.raises(ConfigError, match=f"{key} is not consulted by kind=inflate"):
         apply_overrides(parse_config("", "inflate"), [entry, "experiment.n_list=8,16,32"])
-
-
-def test_inflate_band_checked_at_parse_time():
-    """Parse and run share one band predicate: a grid whose dealiased band
-    (66.03) holds 2N + 2 but not 2N + 2 + 2/N for N = 32 fails at parse time,
-    and passes both checks once N = 32 leaves the sweep."""
-    grid = SpectralGrid(2.0 * math.pi * 1365 / 66.03, 4096)
-    overrides = ["grid.n=4096", f"grid.length={grid.length!r}"]
-    with pytest.raises(ConfigError, match=r"resolve \|xi\| <= 66.06 .* N = 32"):
-        apply_overrides(default_spec("inflate"), overrides + ["experiment.n_list=16,32"])
-    with pytest.raises(ConfigError, match=r"resolve \|xi\| <= 66.06 .* N = 32"):
-        inflation_grid(32, 4, grid)
-    apply_overrides(default_spec("inflate"), overrides + ["experiment.n_list=8,16"])
-    assert inflation_grid(16, 4, grid) is grid
+    both = ["--set", "grid.n=4096", "--set", "grid.length=100"]
+    assert main(["inflate", *both, "--set", f"output.dir={tmp_path}"]) == 1
+    assert "grid.n is not consulted by kind=inflate" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("dt, t_end", [
@@ -304,10 +291,7 @@ RULE_CASES = {
     "inflate.nodes": (["experiment.nodes=8"], None),
     "inflate.rules[0]": (["experiment.k=0.5", "experiment.l=0.4"],
                          "inflation hypothesis l >= 2k - 1/2"),
-    "inflate.rules[1]": (["grid.n=4096"], "grid.n and grid.length together"),
-    "inflate.rules[2]": (["grid.n=128", "grid.length=25.0", "experiment.n_list=32,64"],
-                         r"grid must resolve \|xi\|"),
-    "inflate.rules[3]": (["stepper.dt=1e-320"], "overflows the step count"),
+    "inflate.rules[1]": (["stepper.dt=1e-320"], "overflows the step count"),
     "c2probe.l": (["experiment.l=0"], None),
     "c2probe.n_list": (["experiment.n_list=16"], None),
     "c2probe.t_probe": (["experiment.t_probe=-0.01"], None),

@@ -177,20 +177,18 @@ def test_evolve_records_and_preserves_input(setup):
 def test_dealias_masks_high_frequency_source():
     """|B|^2 of a j = +/-20 cosine pair lives at modes 0 and +/-40; with n = 64
     the 2/3 mask kills |j| > 21, so the dealiased source is exactly zero and
-    psi stays frozen, while the unmasked run picks the mode up."""
-    grid = SpectralGrid(2.0 * np.pi, 64)
+    psi stays frozen, while with n = 128 the mask keeps |j| <= 42 and psi
+    picks the mode up."""
     coeffs = normalized_coefficients()
-    b = (2.0 * np.cos(20.0 * grid.x)).astype(complex)
 
-    def run(dealias):
+    def run(n):
+        grid = SpectralGrid(2.0 * np.pi, n)
+        b = (2.0 * np.cos(20.0 * grid.x)).astype(complex)
         state = FieldState(grid, b, np.zeros(grid.n), np.zeros(grid.n), 0.0)
-        strang_step(state, coeffs, 1e-2, dealias=dealias)
-        return state
+        return strang_step(state, coeffs, 1e-2)
 
-    frozen = run(dealias=True)
-    alive = run(dealias=False)
-    assert np.max(np.abs(frozen.psi1)) < 1e-14
-    assert np.max(np.abs(alive.psi1)) > 1e-4
+    assert np.max(np.abs(run(64).psi1)) < 1e-14
+    assert np.max(np.abs(run(128).psi1)) > 0.5
 
 
 def test_static_external_is_exact_phase():
@@ -397,14 +395,12 @@ def _mismatched_members(what):
         other_grid = SpectralGrid(2.0 * np.pi, 32)
         other_state = FieldState(other_grid, np.ones(32, dtype=complex), np.zeros(32),
                                  np.zeros(32), 0.0)
-    elif what == "dealias":
-        other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=2, dealias=False)
     elif what == "record_every":
         other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=3)
     return [state, other_state], [coeffs, coeffs], [config, other_config]
 
 
-@pytest.mark.parametrize("what", ["grid", "dealias", "record_every"])
+@pytest.mark.parametrize("what", ["grid", "record_every"])
 def test_evolve_members_rejects_mismatched_members(what):
     with pytest.raises(ValueError):
         evolve_members(*_mismatched_members(what))

@@ -25,6 +25,7 @@ from zrlab.experiments import (
     expected_inflation_slope,
     fit_loglog,
     inflate_member,
+    inflation_grid,
     run_c2probe,
     run_conserve,
     run_decohere,
@@ -34,6 +35,7 @@ from zrlab.experiments import (
     run_simulate,
 )
 from zrlab.evolution import BlowUpError
+from zrlab.grid import dealiased_band
 from zrlab.records import write_record_csv
 
 
@@ -208,10 +210,10 @@ def test_run_simulate_reports_blowup_as_failure():
 
 
 def test_run_simulate_attaches_schedule_and_boundary_info():
+    """The initial data's boundary mass is noted; no iteration schedule is."""
     result = run_simulate(_small_simulate_spec())
     assert result.info["boundary_mass_fraction"] < 1e-8
-    sched = result.info["schedule"]
-    assert sched["dt"] > 0 and sched["steps"] >= 1
+    assert "schedule" not in result.info
 
 
 # -- conserve ---------------------------------------------------------------------
@@ -263,7 +265,7 @@ def test_conserve_q4_order2_can_fail(monkeypatch):
         for i in range(config.steps + 1):
             if i:
                 linear_halfstep(state, coeffs, config.dt)  # the whole dt, not half
-                nonlinear_step(state, coeffs, config.dt, dealias=config.dealias)
+                nonlinear_step(state, coeffs, config.dt)
                 state.time = i * config.dt
             if i % config.record_every == 0 or i == config.steps:
                 row = {"t": state.time}
@@ -281,6 +283,28 @@ def test_conserve_q4_order2_can_fail(monkeypatch):
     lie = run_conserve(spec)
     assert lie.info["richardson_ratio"] == pytest.approx(2.0, abs=0.25)
     assert {c.name: c.status for c in lie.checks}["q4_order2"] == "fail"
+
+
+def test_conserve_q4_drift_can_fail(monkeypatch):
+    """Negative control: a plan whose psi kick is 0.1 % too strong breaks the
+    energy balance, so Q4 drifts past q4_tol while Q1 stays exact; the same
+    config passes unpatched."""
+    from zrlab import evolution
+
+    spec = replace(default_spec("conserve"), grid_n=128, grid_length=32.0, dt=0.01,
+                   t_end=1.0, record_every=10)
+    spec = replace(spec, table=dict(spec.table, psi_amplitude=0.3, richardson=False))
+    statuses = {c.name: c.status for c in run_conserve(spec).checks}
+    assert statuses == {"q1_drift": "pass", "q4_drift": "pass"}
+    build = evolution._Plan.__init__
+
+    def strong_kick(plan, grid, coeffs, dts):
+        build(plan, grid, coeffs, dts)
+        plan.full["kick"] *= 1.001
+
+    monkeypatch.setattr(evolution._Plan, "__init__", strong_kick)
+    statuses = {c.name: c.status for c in run_conserve(spec).checks}
+    assert statuses == {"q1_drift": "pass", "q4_drift": "fail"}
 
 
 def test_run_conserve_blowup_in_half_dt_run_fails_completion(monkeypatch):
@@ -329,6 +353,17 @@ def test_inflate_member_tracks_oracle_at_small_n():
     member_g = inflate_member(8, 0.25, 0.25, t_probe=0.02, dt=2.5e-3,
                               variant="g", modes_per_hat=4, nodes=64)
     assert 0.9 <= member_g["ratio"] <= 1.1
+
+
+def test_inflation_grid_covers_doubled_support():
+    """Each member's grid holds the hat edges on its lattice and resolves the
+    doubled data support |xi| <= 2N + 2 + 2/N after dealiasing."""
+    for n_freq in range(2, 65):
+        for modes_per_hat in range(1, 5):
+            grid = inflation_grid(n_freq, modes_per_hat)
+            assert grid.length == 2.0 * math.pi * modes_per_hat * n_freq
+            need = 2.0 * n_freq + 2.0 + 2.0 / n_freq
+            assert dealiased_band(grid.n, grid.length) >= need, (n_freq, modes_per_hat)
 
 
 def test_run_inflate_few_points_is_inconclusive(monkeypatch):
@@ -523,6 +558,26 @@ def test_decohere_separation_and_stability_can_fail(monkeypatch):
     assert status["separation_target"] == status["dev_bound_stability"] == "fail"
     assert result.info["pair"]["separation_final"] < 0.05 * result.info["pair"]["analytic_target"]
     assert result.info["dev_constant_stability"] > 3.0
+
+
+@pytest.mark.parametrize("field, check", [("L2", "phase_gap"), ("theta_sq", "theta_relation")])
+def test_decohere_structural_checks_can_fail(monkeypatch, field, check):
+    """Negative control: phase_gap and theta_relation test decohere's
+    parameter scheme, not the run.  A `_decohere_pair` whose L2, or
+    Theta^2, is off by a factor 1 + 1e-6 fails exactly that check at the
+    default spec."""
+    from zrlab import config
+
+    decohere_pair = config._decohere_pair
+
+    def skewed(mu, m_big):
+        pair = decohere_pair(mu, m_big)
+        pair[field] *= 1.0 + 1e-6
+        return pair
+
+    monkeypatch.setattr(config, "_decohere_pair", skewed)
+    result = run_decohere(default_spec("decohere"))
+    assert {c.name for c in result.checks if c.status != "pass"} == {check}
 
 
 def test_decohere_runs_each_pair_once(monkeypatch):

@@ -1,14 +1,14 @@
-"""Parameter mapping, change of variables, invariants, plane waves, schedule."""
+"""Parameter mapping, change of variables, invariants, plane waves."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zrlab import (FieldState, PhysicalParams, SpectralGrid,
-                   coefficients_from_params, conserved_quantities, iteration_schedule,
+from zrlab import (FieldState, PhysicalParams, SpectralGrid, StepperConfig,
+                   coefficients_from_params, conserved_quantities, evolve,
                    modified_system_coefficients, normalized_coefficients,
                    plane_wave_state, unit_physical_params)
-from zrlab.model import Schedule, to_physical_vars
+from zrlab.model import to_physical_vars
 
 
 def test_unit_physical_collapse():
@@ -172,27 +172,51 @@ def test_plane_wave_rejects_bad_kappa():
         plane_wave_state(g, co, 1.0, kappa=40.0)  # beyond the band
 
 
-def test_iteration_schedule_example():
-    # ||psi|| = 16, ||B0|| = 1, eps = 0: dT = 16^{-2} = 1/256,
-    # m = ceil(16 / (dT^{1/2} * 1)) = 256, horizon exactly 1 = ||B0||^{-2}
-    sched = iteration_schedule(16.0, 16.0, 1.0, eps=0.0)
-    assert sched == Schedule(dt=1.0 / 256.0, steps=256)
-    assert sched.horizon == pytest.approx(1.0)
+def _exact_invariant_drifts(params, dt, theta_less=False):
+    """Relative drifts of Q1 and Q3 over 20 fused steps of a phased Gaussian B
+    with psi1 = 0.3 e^{-(x/3)^2}, psi2 = psi1 / 2.  `theta_less` swaps in the
+    Q3 formula without the factor theta: int u rho + P."""
+    grid = SpectralGrid(64.0, 256)
+    psi1 = 0.3 * np.exp(-((grid.x / 3.0) ** 2))
+    state = FieldState(grid, np.exp(-((grid.x / 2.0) ** 2) + 0.5j * grid.x), psi1, 0.5 * psi1)
+
+    def observe(st):
+        row = conserved_quantities(st, params)
+        if theta_less:
+            rho, u = st.psi1 + st.psi2, np.sqrt(params.beta) * (st.psi1 - st.psi2)
+            row["Q3"] -= (params.theta - 1.0) * grid.dx * float(np.sum(u * rho))
+        return row
+
+    _, record = evolve(state, coefficients_from_params(params),
+                       StepperConfig(dt, 20 * dt), (observe,))
+    drifts = {}
+    for name in ("Q1", "Q3"):
+        series = np.asarray(record.column(name))
+        drifts[name] = float(np.max(np.abs(series - series[0]))) / abs(series[0])
+    return drifts
 
 
-def test_iteration_schedule_horizon_scales_with_mass():
-    base = iteration_schedule(16.0, 16.0, 1.0, eps=0.0)
-    heavier = iteration_schedule(16.0, 16.0, 2.0, eps=0.0)
-    # the covered horizon contracts like ||B0||^{-2}
-    assert heavier.horizon == pytest.approx(base.horizon / 4.0, rel=0.05)
+def test_mass_and_momentum_exact_for_drawn_params():
+    """Q1 and Q3 = theta int u rho + P are invariants the Strang scheme holds
+    to round-off, for any physical parameters with beta - nu^2 > 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.example(1.3, 0.9, 0.8, 2.2, 0.7 / np.sqrt(2.2), 1e-2)
+    @hypothesis.given(st.floats(0.5, 2.0), st.floats(0.5, 1.5), st.floats(0.5, 1.5),
+                      st.floats(0.5, 3.0), st.floats(-0.9, 0.9), st.floats(2e-3, 1e-2))
+    def check(theta, gamma, omega, beta, nu_frac, dt):
+        params = PhysicalParams(theta, gamma, omega, beta, nu_frac * np.sqrt(beta))
+        drifts = _exact_invariant_drifts(params, dt)
+        assert drifts["Q1"] < 1e-12 and drifts["Q3"] < 1e-12
+
+    check()
 
 
-def test_iteration_schedule_degenerate_and_validation():
-    assert iteration_schedule(0.0, 5.0, 1.0) == Schedule(dt=1.0, steps=1)
-    assert iteration_schedule(5.0, 5.0, 0.0) == Schedule(dt=1.0, steps=1)
-    with pytest.raises(ValueError):
-        iteration_schedule(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        iteration_schedule(1.0, 1.0, 1.0, eps=1.0 / 6.0)
-    # small norms never get a step larger than 1
-    assert iteration_schedule(0.1, 0.1, 1.0).dt == 1.0
+def test_theta_less_momentum_drifts():
+    """Negative control: without the factor theta, Q3 is no invariant at
+    theta = 1.3 and fails the round-off bound the exact formula meets."""
+    params = PhysicalParams(1.3, 0.9, 0.8, 2.2, 0.7)
+    assert _exact_invariant_drifts(params, 1e-2)["Q3"] < 1e-12
+    assert _exact_invariant_drifts(params, 1e-2, theta_less=True)["Q3"] > 1e-6

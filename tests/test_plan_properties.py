@@ -211,8 +211,8 @@ def test_fused_whole_step_multiplier_negative_control(monkeypatch):
     coeffs = coefficients_from_params(unit_physical_params())
     build = evolution._Plan.__init__
 
-    def translated_whole_step(plan, grid, coeffs, dts, dealias=True):
-        build(plan, grid, coeffs, dts, dealias)
+    def translated_whole_step(plan, grid, coeffs, dts):
+        build(plan, grid, coeffs, dts)
         (c,), (dt,) = coeffs, dts
         plan.step_psi[...] = np.stack([grid.translation(c.speed_plus * dt),
                                        grid.translation(c.speed_minus * dt)])
