@@ -35,8 +35,11 @@ transport speed is that psi field's initial data, not a path of its own
 (`model.modified_system_coefficients`).  A step costs 2 complex and 2 real
 transforms and, off record times, allocates nothing: `_Plan.nonlinear`
 updates B and psi in place, and it and the loop write every result into
-the plan's work arrays.  A record time syncs a copy for the observers and
-writes nothing back, so the trajectory does not depend on when they look.
+the plan's work arrays.  The four transforms call numpy's pocketfft gufuncs,
+as `np.fft.*` does after 3-4 us of Python per call, so the bits are the
+same.  The finite test rides on the phase reduction.  A record time syncs a
+copy for the observers and writes nothing back, so the trajectory does not
+depend on when they look.
 `evolve_members` steps several runs on one grid as the rows of one plan, so
 at small n, where each numpy call costs more than its arithmetic, a batch
 step makes the calls of one; `evolve` is its one-member case.
@@ -144,8 +147,10 @@ class _Plan:
     `translation(speed*dt)`: the Nyquist cosine rule does not compose), the
     psi half-kick multipliers (d/dx of |B|^2, always under the 2/3 mask), the
     potential row, cubic coefficient and dt, and the work arrays every step
-    writes into: |B|^2, the psi kicks, V, a half spectrum (|B|^2's, then V's)
-    and a complex grid array (the phase factor, then B's spectrum).
+    writes into: |B|^2 (then |V| dt), the psi kicks, V, a half spectrum
+    (|B|^2's, then V's) and a complex grid array (the phase factor, then B's
+    spectrum).  `gufuncs`, numpy's pocketfft gufuncs, are imported here:
+    numpy.fft loads lazily, and a run that builds no plan never needs it.
 
     The step reads the views of the first k rows that `narrow(k)` sets under
     the same names: the members still stepping are a prefix, so a finished
@@ -159,7 +164,9 @@ class _Plan:
     def __init__(self, grid: SpectralGrid, coeffs: Sequence[GeneralCoefficients],
                  dts: Sequence[float]):
         m, n, h = len(coeffs), grid.n, grid.n // 2 + 1
-        self.grid, dt = grid, np.array(dts, float)
+        from numpy.fft import _pocketfft_umath as gufuncs
+
+        self.gufuncs, self.inv_n, dt = gufuncs, 1.0 / n, np.array(dts, float)
         tau = 0.5 * dt[:, None]
 
         def per_member(*names: str) -> np.ndarray:
@@ -175,9 +182,8 @@ class _Plan:
             "potential": per_member("potential_plus", "potential_minus").astype(complex),
             "cubic": per_member("cubic")[:, 0], "dt": dt,
             "absb2": np.empty((m, n)), "v": np.empty((m, n)),
-            "b_finite": np.empty((m, n), bool), "phase": np.empty((m, n), complex),
-            "vhat": np.empty((m, h), complex),
-            "psi_kick": np.empty((m, 2, h), complex), "psi_finite": np.empty((m, 2, h), bool),
+            "phase": np.empty((m, n), complex), "vhat": np.empty((m, h), complex),
+            "psi_kick": np.empty((m, 2, h), complex),
         }
         self.narrow(m)
 
@@ -191,29 +197,36 @@ class _Plan:
 
     def nonlinear(self, b: np.ndarray, psi: np.ndarray, start, step: int = 0) -> None:
         """The nonlinear sub-flow over dt, on B's grid values and the stacked
-        half spectra of psi1, psi2; updates `b` and `psi` in place.  A blow-up
-        reports the step-start time start + step dt, formed only then; with
-        several members `start` is a column, one start time per member."""
+        half spectra of psi1, psi2; updates `b` and `psi` in place.  The phase
+        guard max |V| dt < pi is also B's finite test (a NaN or inf on the
+        path |B|^2 -> V -> angle fails it); psi, which need not reach V, gets
+        one sum.  Only when either trips does `diagnose` run."""
         absb2 = np.square(np.abs(b, out=self.absb2), out=self.absb2)
-        np.fft.rfft(absb2, out=self.vhat)
+        self.gufuncs.rfft_n_even(absb2, 1.0, out=(self.vhat,))
         kick = np.multiply(self.vhat_rows, self.kick, out=self.psi_kick)
         psi += kick
         np.matmul(self.potential, psi, out=self.vhat_rows)
-        v = np.fft.irfft(self.vhat, self.grid.n, out=self.v)
+        v = self.gufuncs.irfft(self.vhat, self.inv_n, out=(self.v,))
         v += np.multiply(self.cubic, absb2, out=absb2)
         angle = np.multiply(v, -self.dt, out=v)  # exp(-i dt V) as cos, sin: no complex exp
-        if np.abs(angle, out=absb2).max() >= np.pi:  # max |V| dt over the members
-            for rad in np.ravel(absb2.max(axis=-1)):
-                if rad >= np.pi:
-                    warnings.warn(f"potential phase advanced {rad:.3g} rad (>= pi) in one "
-                                  "step; decrease dt", RuntimeWarning)
+        calm = np.abs(angle, out=absb2).max() < np.pi  # max |V| dt over the members
         np.cos(angle, out=self.phase.real)
         np.sin(angle, out=self.phase.imag)
         b *= self.phase
         psi += kick
-        if not (np.isfinite(b, out=self.b_finite).all()
-                and np.isfinite(psi, out=self.psi_finite).all()):
-            failed = ~(np.isfinite(b).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)))
+        if not (calm and math.isfinite(abs(psi.sum()))):
+            self.diagnose(b, psi, start, step)
+
+    def diagnose(self, b: np.ndarray, psi: np.ndarray, start, step: int) -> None:
+        """`nonlinear`'s slow path: warn per member whose phase advanced pi or
+        more, then raise `BlowUpError` if a field is not finite, at the first
+        such member's step-start time start + step dt, formed only then."""
+        for rad in np.ravel(self.absb2.max(axis=-1)):
+            if rad >= np.pi:
+                warnings.warn(f"potential phase advanced {rad:.3g} rad (>= pi) in one "
+                              "step; decrease dt", RuntimeWarning)
+        failed = ~(np.isfinite(b).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)))
+        if failed.any():
             time = np.ravel(start + step * self.dt)
             raise BlowUpError(float(time[np.argmax(np.ravel(failed))]))
 
@@ -313,6 +326,7 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
     bs = np.stack([g.inverse(g.forward(st.b) * mult) for st, mult in zip(members, full["mult_b"])])
     psis = np.fft.rfft(np.stack([(st.psi1, st.psi2) for st in members])) * full["mult_psi"]
     active, b, psi, start = views(1)
+    fft, ifft, log_every = plan.gufuncs.fft, plan.gufuncs.ifft, max(1, steps[0] // 10)
     for i in range(1, steps[0] + 1):
         if steps[active - 1] < i:  # the last rows are done: step the others only
             active, b, psi, start = views(i)
@@ -320,10 +334,10 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
         for j in range(active):
             if i % every == 0 or steps[j] == i:
                 snapshot(j, i)
-        bhat = np.multiply(np.fft.fft(b, out=plan.phase), plan.step_b, out=plan.phase)
-        np.fft.ifft(bhat, out=b)
+        bhat = np.multiply(fft(b, 1.0, out=(plan.phase,)), plan.step_b, out=plan.phase)
+        ifft(bhat, plan.inv_n, out=(b,))
         psi *= plan.step_psi
-        if i % max(1, steps[0] // 10) == 0:
+        if i % log_every == 0:
             logger.debug("evolve: step %d/%d", i, steps[0])
     out: list = [None] * len(members)
     for j, k in enumerate(order):

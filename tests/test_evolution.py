@@ -1,8 +1,10 @@
 """Strang stepper: exactness, conservation, reversibility, order, guards,
-the fused loop's private work arrays, and the per-member guards of a batch."""
+the fused loop's private work arrays and direct FFT calls, and the
+per-member guards of a batch."""
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -418,3 +420,124 @@ def test_evolve_members_zero_step_member(setup):
     assert np.array_equal(still.b, state.b) and still.b is not state.b
     alone, alone_record = evolve(state, coeffs, configs[1], observers)
     assert moved.b.tobytes() == alone.b.tobytes() and record.columns == alone_record.columns
+
+
+@pytest.mark.parametrize("n", [8, 480, 512, 2**15])
+@pytest.mark.parametrize("rows", [(), (3,)])
+def test_fft_gufuncs_match_numpy_fft(n, rows):
+    """The fused loop's four transforms, called as it calls numpy's pocketfft
+    gufuncs (fct 1.0 or 1/n, out=(work array,)), give np.fft's bits on 1-D
+    and batched inputs, at powers of two and at a 5-smooth n."""
+    gufuncs = evolution._Plan(SpectralGrid(2.0 * np.pi, 8), [normalized_coefficients()],
+                              [0.1]).gufuncs
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(rows + (n,)) + 1j * rng.standard_normal(rows + (n,))
+    x = rng.standard_normal(rows + (n,))
+    half = np.fft.rfft(x) + 1j * rng.standard_normal(rows + (n // 2 + 1,))
+    calls = [(gufuncs.fft, z, 1.0, complex, n, np.fft.fft(z)),
+             (gufuncs.ifft, z, 1.0 / n, complex, n, np.fft.ifft(z)),
+             (gufuncs.rfft_n_even, x, 1.0, complex, n // 2 + 1, np.fft.rfft(x)),
+             (gufuncs.irfft, half, 1.0 / n, float, n, np.fft.irfft(half, n))]
+    for gufunc, arg, fct, dtype, length, want in calls:
+        out = np.empty(rows + (length,), dtype)
+        assert gufunc(arg, fct, out=(out,)) is out
+        assert np.array_equal(out, want), gufunc.__name__
+
+
+def test_slow_path_passes_a_finite_psi_whose_sum_overflows(monkeypatch):
+    """A finite psi whose entries sum past the float64 range trips the cheap
+    psi test; the slow path finds every field finite and raises nothing.
+    With no potential coupling psi stays out of V, so B's phase stays calm."""
+    grid = SpectralGrid(2.0 * np.pi, 32)
+    coeffs = GeneralCoefficients(1.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, 0.0)
+    plan = evolution._Plan(grid, [coeffs], [1e-3])
+    diagnose, calls = evolution._Plan.diagnose, []
+
+    def spy(*args):
+        calls.append(args)
+        return diagnose(*args)
+
+    monkeypatch.setattr(evolution._Plan, "diagnose", spy)
+    b = 0.1 * np.exp(1j * grid.x)
+    psi = np.full((2, grid.n // 2 + 1), 1e308 + 0j)
+    with np.errstate(over="ignore"):
+        plan.nonlinear(b, psi, 0.0)
+    assert len(calls) == 1 and np.isfinite(psi).all() and np.isfinite(b).all()
+
+
+def test_slow_path_warns_once_per_loud_member_and_does_not_raise():
+    """A finite step whose max |V| dt reaches pi in two of three members takes
+    the slow path: one "decrease dt" warning per loud member, each with its
+    own phase, and no BlowUpError."""
+    grid = SpectralGrid(2.0 * np.pi, 64)
+    coeffs = normalized_coefficients()
+
+    def flat(amplitude):
+        return FieldState(grid, amplitude * np.ones(grid.n, dtype=complex),
+                          np.zeros(grid.n), np.zeros(grid.n), 0.0)
+
+    config = StepperConfig(dt=0.1, t_end=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolve_members([flat(0.1), flat(10.0), flat(20.0)], [coeffs] * 3, [config] * 3)
+    messages = sorted(str(w.message) for w in caught if "decrease dt" in str(w.message))
+    assert len(messages) == 2
+    assert "advanced 10 rad" in messages[0] and "advanced 40 rad" in messages[1]
+
+
+def test_blow_up_tests_fail_without_the_exact_finite_test(monkeypatch):
+    """Negative control: a slow path that warns but skips the exact isfinite
+    test (it is handed finite stand-ins for b and psi) lets every blow-up
+    test above run to t_end without raising."""
+    diagnose = evolution._Plan.diagnose
+
+    def warn_only(plan, b, psi, start, step):
+        diagnose(plan, np.zeros_like(b), np.zeros_like(psi), start, step)
+
+    monkeypatch.setattr(evolution._Plan, "diagnose", warn_only)
+    blow_up_tests = [test_blow_up_detected, test_evolve_blow_up_carries_failing_step_start,
+                     test_blow_up_detected_in_psi_alone,
+                     lambda: test_evolve_members_blow_up_carries_the_member_step_start(True),
+                     lambda: test_evolve_members_blow_up_carries_the_member_step_start(False)]
+    for blow_up_test in blow_up_tests:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+                blow_up_test()
+
+
+def _evolve_peak_bytes(steps, every_step=None):
+    """Peak traced memory of one `evolve` of `steps` steps at n = 512,
+    recording at both ends only; `every_step(plan, b, psi)` runs after each
+    nonlinear kernel when given."""
+    grid = SpectralGrid(32.0, 512)
+    coeffs = coefficients_from_params(unit_physical_params())
+    state = smooth_state(grid)
+    config = StepperConfig(dt=1e-3, t_end=steps * 1e-3, record_every=steps)
+    kernel = evolution._Plan.nonlinear
+
+    def step(plan, b, psi, start, i=0):
+        kernel(plan, b, psi, start, i)
+        every_step(plan, b, psi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if every_step is not None:
+            mp.setattr(evolution._Plan, "nonlinear", step)
+        tracemalloc.start()
+        try:
+            evolve(state, coeffs, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_evolve_peak_memory_does_not_grow_with_steps():
+    """Between records the fused loop allocates nothing that outlives a step:
+    2 000 steps at n = 512 peak no higher than 20 steps, within one grid
+    array.  A loop that keeps psi's half spectra each step fails the guard
+    (negative control)."""
+    grid_array = 512 * 16
+    assert _evolve_peak_bytes(2000) <= _evolve_peak_bytes(20) + grid_array
+    kept = []
+    leaking = _evolve_peak_bytes(2000, lambda plan, b, psi: kept.append(psi.copy()))
+    assert leaking > _evolve_peak_bytes(20) + grid_array
