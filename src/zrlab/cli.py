@@ -11,7 +11,6 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +61,6 @@ def _jsonable(obj):
     return obj
 
 
-def _spec_resolved(spec: ExperimentSpec) -> dict:
-    resolved = asdict(spec)
-    resolved["experiment"] = resolved.pop("table")
-    return _jsonable(resolved)
-
-
 def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[str]:
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -92,7 +85,6 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
     manifest = {
         "kind": spec.kind,
         "config_echo": emit_config(spec),
-        "resolved": _spec_resolved(spec),
         "verdict": _jsonable({
             "status": result.status,
             "checks": [{"name": c.name, "status": c.status,

@@ -71,7 +71,6 @@ class HatDatum:
     lo: float
     hi: float
     amplitude: float
-    tag: str = ""
 
     def __post_init__(self) -> None:
         if not (self.lo < self.hi):
@@ -95,13 +94,13 @@ def build_fN(n_freq: int, k: float, variant: str = "inflation_f") -> tuple[HatDa
     big_n = float(n_freq)
     amp = big_n ** (0.5 - k)
     if variant == "inflation_f":
-        return (HatDatum(-big_n - 1.0 / big_n, -big_n, amp, "fA"),
-                HatDatum(big_n + 1.0, big_n + 1.0 + 1.0 / big_n, amp, "fB"))
+        return (HatDatum(-big_n - 1.0 / big_n, -big_n, amp),
+                HatDatum(big_n + 1.0, big_n + 1.0 + 1.0 / big_n, amp))
     if variant == "inflation_g":
-        return (HatDatum(-big_n - 1.0 / big_n, -big_n, amp, "gA"),
-                HatDatum(big_n - 1.0, big_n - 1.0 + 1.0 / big_n, amp, "gB"))
+        return (HatDatum(-big_n - 1.0 / big_n, -big_n, amp),
+                HatDatum(big_n - 1.0, big_n - 1.0 + 1.0 / big_n, amp))
     if variant == "c2_B0":
-        return (HatDatum(0.0, 1.0 / big_n, amp, "B0"),)
+        return (HatDatum(0.0, 1.0 / big_n, amp),)
     raise ValueError(f"unknown hat variant {variant!r}")
 
 
@@ -110,7 +109,7 @@ def build_c2_psi10(n_freq: int, l: float) -> tuple[HatDatum, ...]:
     if n_freq < 2:
         raise ValueError(f"N must be >= 2, got {n_freq}")
     big_n = float(n_freq)
-    return (HatDatum(-1.0 / big_n, 1.0 / big_n, big_n ** (0.5 - l), "psi10"),)
+    return (HatDatum(-1.0 / big_n, 1.0 / big_n, big_n ** (0.5 - l)),)
 
 
 def _check_disjoint(hats: Sequence[HatDatum]) -> None:
@@ -151,7 +150,7 @@ def normalize_hats(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> tuple
     norm = hat_sobolev_norm(hats, s, nodes)
     if norm == 0.0:
         raise ValueError("cannot normalize zero data")
-    return tuple(HatDatum(h.lo, h.hi, h.amplitude / norm, h.tag) for h in hats)
+    return tuple(HatDatum(h.lo, h.hi, h.amplitude / norm) for h in hats)
 
 
 def synthesize_hat_field(grid: SpectralGrid, hats: Sequence[HatDatum]) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "emit_config",
     "default_spec",
     "Key",
-    "check_coefficient_preset",
     "decohere_pairs",
     "check_decohere_band",
     "DECLARATIONS",
@@ -54,10 +53,9 @@ _SECTIONS = ("grid", "params", "stepper", "experiment", "output")
 
 
 class ConfigError(ValueError):
-    """Malformed or invalid configuration; carries a source location."""
+    """Malformed or invalid configuration; the message leads with its source location."""
 
     def __init__(self, message: str, where: str | None = None):
-        self.where = where
         super().__init__(f"{where}: {message}" if where else message)
 
 
@@ -142,8 +140,8 @@ _SCHEMAS: dict[str, dict[str, Key]] = {
     "grid": {"n": Key(_int, rule=(lambda n: n >= 8 and n & (n - 1) == 0,
                                   "must be a power of two >= 8")),
              "length": Key(_float, rule=_POSITIVE)},
-    "params": {"preset": Key(_str), **{name: Key(_float) for name in
-                                       ("theta", "gamma", "omega", "beta", "nu")}},
+    "params": {"preset": Key(_str, rule=_one_of("normalized", "physical")),
+               **{name: Key(_float) for name in ("theta", "gamma", "omega", "beta", "nu")}},
     "stepper": {"dt": Key(_float), "t_end": Key(_float), "record_every": Key(_int)},
     "output": {"dir": Key(_str, rule=_NONEMPTY), "prefix": Key(_str, rule=_NONEMPTY)},
 }
@@ -167,17 +165,19 @@ _WIDTH = Key(_float, 2.0, _POSITIVE)  # the Gaussian widths `width` and `psi_wid
 class KindDeclaration:
     """Everything one experiment kind adds to the dialect.
 
-    `keys` declares each [experiment] key.  `grid` is the default
-    (n, length); (None, None) means unread: inflate sizes a grid per member,
-    and c2probe needs none.  `stepper` is the default (dt, t_end,
-    record_every).  `reads` names the [grid], [params] and [stepper] entries
-    the kind reads, as whole sections or "section.key"; every other entry
-    must keep its default.  `rules` check what spans several entries: each
-    takes the spec and raises ConfigError when it fails.
+    `keys` declares each [experiment] key.  `preset` is the default
+    params.preset; None means unread: c2probe and decohere build no
+    coefficients from [params].  `grid` is the default (n, length); (None,
+    None) means unread: inflate sizes a grid per member, and c2probe needs
+    none.  `stepper` is the default (dt, t_end, record_every).  `reads`
+    names the [grid], [params] and [stepper] entries the kind reads, as
+    whole sections or "section.key"; every other entry must keep its
+    default.  `rules` check what spans several entries: each takes the spec
+    and raises ConfigError when it fails.
     """
 
     help: str
-    preset: str
+    preset: Optional[str]
     grid: tuple[Optional[int], Optional[float]]
     stepper: tuple[float, float, int]
     keys: dict[str, Key]
@@ -207,14 +207,6 @@ def _as_config_error(section: str, build: Callable, *args) -> None:
 
 # The predicates below are shared by config validation and the runs, so a
 # config that parses also runs.
-
-def check_coefficient_preset(kind: str, preset: str) -> None:
-    """Raise ConfigError unless a run of `kind` can build its coefficients
-    from `preset`: a kind that reads params.preset needs one other than none."""
-    _require(preset in _PRESETS, f"params.preset must be one of {_PRESETS}")
-    _require(preset != "none" or not DECLARATIONS[kind].reads_entry("params", "preset"),
-             f"params.preset = none leaves kind {kind} without coefficients")
-
 
 def _decohere_pair(mu: float, m_big: float) -> dict:
     """The (L1, L2) geometry for one mu: scales, horizon and internal times."""
@@ -282,7 +274,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "experiment", check_plane_wave, s.table["kappa"], s.grid_n, s.grid_length),)),
     "conserve": KindDeclaration(
         help="audit Q1-Q4 drift (mass to round-off, energy to o(dt^2))",
-        preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
+        preset="physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
         keys={
             "seed": Key(_int, 0, _NONNEGATIVE),
             "initial": Key(_str, "gaussian", _one_of("gaussian", "random")),
@@ -321,7 +313,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
     "c2probe": KindDeclaration(
         help="bilinear-kernel growth probe (smoothness failure), quadrature only",
         # pure quadrature: grid, params and stepper unused
-        preset="normalized", grid=(None, None), stepper=(1e-3, 0.0, 1),
+        preset=None, grid=(None, None), stepper=(1e-3, 0.0, 1),
         keys={
             "k": Key(_float, 0.0),
             "l": Key(_float, -1.0, (lambda l: l <= -0.5, "must be <= -1/2: the "
@@ -334,7 +326,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
     "decohere": KindDeclaration(
         help="small-dispersion pair drifting O(1) apart from identical data",
         # coefficients are built from (mu, m, c); dt is the internal-time step
-        preset="none", grid=(2048, 100.0), stepper=(5e-3, 0.0, 20),
+        preset=None, grid=(2048, 100.0), stepper=(5e-3, 0.0, 20),
         keys={
             "mu": Key(_float, 0.05, _UNIT_INTERVAL),
             "m": Key(_float, 20.0),
@@ -355,7 +347,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                           for t_end in pair["t_internal"].values()])),
     "growth": KindDeclaration(
         help="long-horizon Sobolev growth against a priori envelopes",
-        preset="unit_physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),
+        preset="physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),
         keys={
             # the exponent fit needs ||B||_{H^s} > 0
             "amplitude": Key(_float, 1.0, (lambda v: v != 0, "must be nonzero")),
@@ -373,8 +365,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
 
 KINDS = tuple(DECLARATIONS)
 
-_PRESETS = ("normalized", "unit_physical", "physical", "none")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -383,7 +373,7 @@ class ExperimentSpec:
     kind: str
     grid_n: Optional[int]
     grid_length: Optional[float]
-    preset: str
+    preset: Optional[str]
     theta: float
     gamma: float
     omega: float
@@ -397,9 +387,8 @@ class ExperimentSpec:
     table: dict = field(default_factory=dict)
 
     def physical_params(self) -> PhysicalParams:
-        if self.preset == "physical":
-            return PhysicalParams(self.theta, self.gamma, self.omega, self.beta, self.nu)
-        return PhysicalParams()
+        # validation holds theta..nu at the unit defaults under any preset but physical
+        return PhysicalParams(self.theta, self.gamma, self.omega, self.beta, self.nu)
 
 
 def default_spec(kind: str) -> ExperimentSpec:
@@ -538,7 +527,6 @@ def emit_config(spec: ExperimentSpec) -> str:
 def _shared_rules(spec: ExperimentSpec) -> None:
     """The rules every kind shares: [params] and [stepper] are checked by
     constructing what they configure."""
-    check_coefficient_preset(spec.kind, spec.preset)
     _require(spec.preset == "physical" or (spec.theta, spec.gamma, spec.omega, spec.beta,
                                            spec.nu) == astuple(PhysicalParams()),
              "params.theta/gamma/omega/beta/nu require params.preset = physical")

@@ -6,9 +6,10 @@ made of named checks.  Scaling claims are operationalized as least-squares
 slopes in log-log coordinates over at least four points with r^2 >= 0.98;
 anything less yields the verdict "inconclusive", never "pass".
 
-Sweeps over N run members in parallel threads, largest N first; each
+Sweeps over N run their members in a thread pool, largest N first; each
 member is sequential and the results come back in ascending N, so records
-are deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto).
+are deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto;
+1 = a pool of one worker).
 Decohere's runs step together as one batch (`evolve_members`) instead.
 """
 
@@ -24,8 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import closed_forms as cf
-from .config import (ConfigError, ExperimentSpec, check_coefficient_preset,
-                     check_decohere_band, decohere_pairs)
+from .config import ConfigError, ExperimentSpec, check_decohere_band, decohere_pairs
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_pow2
 from .model import (FieldState, GeneralCoefficients, coefficients_from_params,
@@ -158,13 +158,8 @@ def _run_sweep(keys: Sequence, worker: Callable) -> list:
     """Run worker(key) for every key, largest key (the longest member) first;
     returns the results in ascending key order."""
     keys = sorted(keys, reverse=True)
-    workers = _max_workers(len(keys))
-    if workers == 1:
-        out = [worker(k) for k in keys]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(worker, keys))
-    return out[::-1]
+    with ThreadPoolExecutor(max_workers=_max_workers(len(keys))) as pool:
+        return list(pool.map(worker, keys))[::-1]
 
 
 def _sweep_slope(result: ExperimentResult, name: str, table: list[dict], column: str,
@@ -190,7 +185,6 @@ def _grid_for(spec: ExperimentSpec) -> SpectralGrid:
 
 
 def _coeffs_for(spec: ExperimentSpec) -> GeneralCoefficients:
-    check_coefficient_preset(spec.kind, spec.preset)
     if spec.preset == "normalized":
         return normalized_coefficients()
     return coefficients_from_params(spec.physical_params())

@@ -57,7 +57,7 @@ def test_parse_minimal_conserve_config():
     assert spec.table["amplitude"] == 0.7
     assert spec.dt == 0.002 and spec.t_end == 0.4
     # untouched entries keep their per-kind defaults
-    assert spec.grid_n == 512 and spec.preset == "unit_physical"
+    assert spec.grid_n == 512 and spec.preset == "physical"
     assert spec.table["q1_tol"] == 1e-10
 
 
@@ -170,9 +170,11 @@ def test_validate_named_constraints():
 
 
 def test_validate_params_gate():
-    # explicit constants demand the physical preset...
+    # explicit constants demand the physical preset (simulate's default is
+    # normalized; conserve's is physical and takes them alone)...
     with pytest.raises(ConfigError, match="require params.preset = physical"):
-        parse_config("[params]\ntheta = 2.0\n[experiment]\nkind = conserve\n")
+        parse_config("[params]\ntheta = 2.0\n[experiment]\nkind = simulate\n")
+    assert parse_config("[params]\ntheta = 2.0\n[experiment]\nkind = conserve\n").theta == 2.0
     # ...and the constants themselves are checked
     with pytest.raises(ConfigError, match=r"\[params\]: beta must be positive"):
         parse_config("[params]\npreset = physical\nbeta = -1\n"
@@ -242,11 +244,11 @@ def test_whole_steps_config_agrees_with_stepper(dt, t_end):
                                   if d.reads_entry("params", "preset")])
 @pytest.mark.parametrize("preset", ["normalized", "unit_physical", "physical", "none"])
 def test_preset_config_agrees_with_runner(kind, preset, tmp_path):
-    """Parse and run share one preset predicate: a preset that parses builds
-    the run's coefficients, and `none` fails at parse time, not mid-run."""
+    """Parse and run share one preset rule: a preset that parses builds the
+    run's coefficients, and any other fails at parse time, not mid-run."""
     overrides = [f"params.preset={preset}"]
-    if preset == "none":
-        with pytest.raises(ConfigError, match=f"leaves kind {kind} without coefficients"):
+    if preset not in ("normalized", "physical"):
+        with pytest.raises(ConfigError, match=r"params\.preset must be one of"):
             apply_overrides(default_spec(kind), overrides)
         assert main([kind, "--set", overrides[0], "--set", f"output.dir={tmp_path}"]) == 1
         assert not any(tmp_path.iterdir())
@@ -269,6 +271,7 @@ RULE_CASES = {
     "grid.length": (["grid.length=0"], r"grid\.length must be positive"),
     "output.dir": (["output.dir="], r"output\.dir must be nonempty"),
     "output.prefix": (["output.prefix="], r"output\.prefix must be nonempty"),
+    "params.preset": (["params.preset=unit_physical"], r"params\.preset must be one of"),
     "simulate.seed": (["experiment.seed=-1"], None),
     "simulate.initial": (["experiment.initial=bogus"], None),
     "simulate.width": (["experiment.width=0"], None),
@@ -498,6 +501,23 @@ def test_manifest_digest_matches_echo(tmp_path):
     d = json.loads(path.read_text())
     assert d == {**manifest, "config_digest": d["config_digest"]}
     assert d["config_digest"] == hashlib.sha256(d["config_echo"].encode()).hexdigest()
+
+
+def test_manifest_holds_one_spec_record(tmp_path):
+    """The manifest records the spec once, as its digested `config_echo`,
+    which reparses to the spec the run used; the echo of a physical-preset
+    kind states the constants theta..nu it reads."""
+    for kind, overrides in (("c2probe", []), ("simulate", ["stepper.t_end=0.01"])):
+        overrides = [f"output.dir={tmp_path / kind}", *overrides]
+        assert main([kind, *(arg for entry in overrides for arg in ("--set", entry))]) == 0
+        manifest = json.loads((tmp_path / kind / f"{kind}_manifest.json").read_text())
+        assert set(manifest) == {"artifacts", "config_digest", "config_echo", "kind", "verdict",
+                                 "version", "wall_time_s"}
+        assert parse_config(manifest["config_echo"], kind) == apply_overrides(
+            default_spec(kind), overrides)
+    echo = emit_config(default_spec("conserve")).splitlines()
+    assert {"preset = physical", "theta = 1.0", "gamma = 1.0", "omega = 1.0", "beta = 1.0",
+            "nu = 0.0"} <= set(echo)
 
 
 # -- CLI end to end ---------------------------------------------------------------------

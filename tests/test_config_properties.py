@@ -1,20 +1,27 @@
 """Property test of the per-kind config declaration: validation of any drawn
-spec raises nothing but ConfigError, and every spec it accepts survives an
-emit/parse round trip unchanged."""
+spec raises nothing but ConfigError, every spec it accepts survives an
+emit/parse round trip unchanged, and a kind that reads [params] builds its
+coefficients from every accepted spec (a config that parses also runs)."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from zrlab.config import (KINDS, ConfigError, default_spec, emit_config,  # noqa: E402
-                          parse_config, validate_spec)
+from zrlab.config import (DECLARATIONS, KINDS, ConfigError, default_spec,  # noqa: E402
+                          emit_config, parse_config, validate_spec)
+from zrlab.experiments import _coeffs_for  # noqa: E402
+from zrlab.model import PhysicalParams  # noqa: E402
 
 # string keys take one of a fixed set of values, valid for some kind or none
 CHOICES = {"initial": ("gaussian", "plane_wave", "plateau", "random", "bogus"),
            "variant": ("f", "g", "h")}
+PRESETS = ("normalized", "physical", "unit_physical", "none", "bogus")
+# the constants theta..nu; nu scales from 0.5, not from its default 0
+CONSTANTS = dict(zip(("theta", "gamma", "omega", "beta", "nu"),
+                     astuple(PhysicalParams(nu=0.5))))
 
 
 def _value(name: str, default, factors):
@@ -42,6 +49,11 @@ def specs(draw):
     factors = (st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-2.0, 2.0))
                if draw(st.booleans()) else st.floats(1.0, 2.0))
     table = {name: draw(_value(name, default, factors)) for name, default in spec.table.items()}
+    # [params] entries in some specs: a drawn preset, scaled constants
+    if draw(st.booleans()):
+        spec = replace(spec, preset=draw(st.sampled_from(PRESETS)))
+    if draw(st.booleans()):
+        spec = replace(spec, **{name: draw(factors) * base for name, base in CONSTANTS.items()})
     return replace(spec, table=table)
 
 
@@ -52,3 +64,5 @@ def test_emit_parse_roundtrip_generated(spec):
     except ConfigError:
         return  # e.g. inflate's l >= 2k - 1/2 when k is scaled more than l
     assert parse_config(emit_config(spec), spec.kind) == spec
+    if DECLARATIONS[spec.kind].reads_entry("params", "preset"):
+        _coeffs_for(spec)

@@ -140,8 +140,9 @@ def test_max_workers_env(monkeypatch):
 
 
 def test_run_sweep_merges_by_sorted_key(monkeypatch):
-    """The largest key, the longest member, is dispatched first, serially and
-    to the pool; the results come back in ascending key order either way."""
+    """The largest key, the longest member, is dispatched first to the pool,
+    a pool of one worker included; the results come back in ascending key
+    order either way."""
     import zrlab.experiments as experiments
 
     keys = [3, 1, 2]
@@ -156,16 +157,16 @@ def test_run_sweep_merges_by_sorted_key(monkeypatch):
     class Pool(experiments.ThreadPoolExecutor):
         def map(self, fn, keys):
             keys = list(keys)
-            dispatched.append(keys)
+            dispatched.append((self._max_workers, keys))
             return super().map(fn, keys)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
     monkeypatch.setenv("ZRLAB_THREADS", "1")
     serial = _run_sweep(keys, worker)
-    assert started == [3, 2, 1] and dispatched == []
+    assert started == [3, 2, 1] and dispatched == [(1, [3, 2, 1])]
     monkeypatch.setenv("ZRLAB_THREADS", "3")
     threaded = _run_sweep(keys, worker)
-    assert dispatched == [[3, 2, 1]]
+    assert dispatched[1] == (3, [3, 2, 1])
     assert serial == threaded == ["r1", "r2", "r3"]
 
 
