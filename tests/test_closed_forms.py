@@ -1,6 +1,7 @@
 """Closed-form oracles: kernels, hat data, norms, profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,18 +214,24 @@ def test_l_hat_dual_routes_agree():
     assert_allclose(a, b, rtol=1e-10, atol=1e-15)
 
 
+def _unfolded_phi(t, a, time_nodes):
+    """The dual route's rule before the fold: the same time_nodes-point GL rule
+    on [0, t], summed over every node as a complex exp."""
+    x, w = _gl(time_nodes)
+    tp = 0.5 * t * (x + 1.0)
+    return 0.5 * t * np.tensordot(np.exp(1j * np.multiply.outer(a, tp)), w, axes=([-1], [0]))
+
+
 def test_phi_time_quadrature_matches_complex_exp_reference():
-    """The dual route's real-arithmetic GL rule equals the same rule summed as
-    a complex exp, for |t a| in the series range, near 1 and up to 1e3.  Both
-    sum the same cos/sin values of the same angles with weights of total 2,
-    so float64 round-off bounds the gap by about 1e-13 t (|phi| <= t)."""
+    """The dual route's folded GL rule equals the same rule summed over every
+    node as a complex exp, for |t a| in the series range, near 1 and up to
+    1e3, and for odd counts (1, 3, 63), whose centre node x = 0 keeps its
+    single weight, as for even ones.  Both sum the same rule with weights of
+    total 2, so float64 round-off in the angles bounds the gap by about
+    1e-13 t (|phi| <= t); the largest gap seen, 9.96e-14 t, is at two nodes
+    with |t a| near 1e3, and the reference carries most of it."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-
-    def reference(t, a, time_nodes):
-        x, w = _gl(time_nodes)
-        tp = 0.5 * t * (x + 1.0)
-        return 0.5 * t * np.tensordot(np.exp(1j * np.multiply.outer(a, tp)), w, axes=([-1], [0]))
 
     ta = st.one_of(st.floats(-1e-6, 1e-6, exclude_min=True, exclude_max=True),
                    st.floats(0.5, 2.0), st.floats(-2.0, -0.5), st.floats(-1e3, 1e3))
@@ -232,14 +239,37 @@ def test_phi_time_quadrature_matches_complex_exp_reference():
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.floats(1e-4, 10.0),
                       st.lists(st.lists(ta, min_size=3, max_size=3), min_size=1, max_size=4),
-                      st.sampled_from([1, 2, 64]))
+                      st.sampled_from([1, 2, 3, 63, 64]))
     def matches(t, ta_rows, time_nodes):
         a = np.array(ta_rows) / t
         got = _phi(t, a, time_nodes)
         assert got.shape == a.shape
-        assert np.max(np.abs(got - reference(t, a, time_nodes))) <= 1e-13 * t
+        assert np.max(np.abs(got - _unfolded_phi(t, a, time_nodes))) <= 1e-13 * t
 
     matches()
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phi_time_quadrature_peak_memory():
+    """One dual-route call on a 64 x 64 panel of phases at 64 time nodes peaks
+    under 1.5 MiB: the folded rule holds one (64, 64, 32) real angle array
+    (1 MiB) and takes its cosine in place.  The unfolded complex-exp rule goes
+    past the same bound (negative control): it holds 64 x 64 x 64 complex
+    values (4 MiB)."""
+    t = 0.01
+    a = np.random.default_rng(0).uniform(-1e3, 1e3, (64, 64)) / t
+    bound = 1.5 * 2**20
+    _phi(t, a, 64)  # builds the cached rule outside the traced calls
+    assert _peak_bytes(_phi, t, a, 64) < bound
+    assert _peak_bytes(_unfolded_phi, t, a, 64) > bound
 
 
 def test_l_hat_norm_dual_routes():

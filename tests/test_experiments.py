@@ -427,6 +427,29 @@ def test_inflation_slope_can_fail(monkeypatch):
 
 # -- c2probe -----------------------------------------------------------------------
 
+# N: (norm, dual_route) of the default c2probe run, as recorded before the
+# dual route's time rule was folded on its node symmetry
+C2PROBE_DEFAULT_MEMBERS = {
+    16: (0.051639777586892234, 0.051639777586892234),
+    32: (0.07302967419732233, 0.07302967419732233),
+    64: (0.10327955584897609, 0.10327955584897609),
+    128: (0.14605934865012624, 0.14605934865012624),
+    256: (0.206559111791344, 0.206559111791344),
+}
+
+
+def test_c2probe_default_member_table_is_pinned():
+    """The default run's member table keeps its recorded values: each N's
+    closed-form and dual-route kernel norms within 1e-13 relative, a bound
+    for round-off across machines rather than a bitwise pin."""
+    members = run_c2probe(default_spec("c2probe")).info["members"]
+    assert [m["N"] for m in members] == list(C2PROBE_DEFAULT_MEMBERS)
+    for m in members:
+        norm, dual = C2PROBE_DEFAULT_MEMBERS[m["N"]]
+        assert m["norm"] == pytest.approx(norm, rel=1e-13, abs=0.0)
+        assert m["dual_route"] == pytest.approx(dual, rel=1e-13, abs=0.0)
+
+
 def test_c2probe_unbounded_growth_can_fail(monkeypatch):
     """Negative control: the kernel norm grows with N over a small sweep, and a
     stand-in l_hat_norm that shrinks with N (the B0 bump is [0, 1/N]) fails
