@@ -19,7 +19,7 @@ from .closed_forms import (HatDatum, as_grid_norm, build_c2_psi10, build_fN,
                            modulated_sinc, normalize_hats, resonance_phi,
                            small_dispersion_solution, smooth_plateau, synthesize_hat_field)
 from .evolution import BlowUpError, StepperConfig, evolve, strang_step
-from .grid import SpectralGrid, next_pow2
+from .grid import SpectralGrid, next_fast_len
 from .model import (FieldState, GeneralCoefficients, PhysicalParams,
                     coefficients_from_params, conserved_quantities,
                     modified_system_coefficients, normalized_coefficients,
@@ -28,7 +28,7 @@ from .model import (FieldState, GeneralCoefficients, PhysicalParams,
 __all__ = [
     "__version__",
     # grid
-    "SpectralGrid", "next_pow2",
+    "SpectralGrid", "next_fast_len",
     # model
     "PhysicalParams", "GeneralCoefficients", "FieldState",
     "coefficients_from_params", "normalized_coefficients", "unit_physical_params",

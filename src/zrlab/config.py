@@ -32,7 +32,7 @@ import numpy as np
 
 from .closed_forms import modulated_sinc
 from .evolution import StepperConfig
-from .grid import SpectralGrid, dealiased_band
+from .grid import GRID_SIZE_RULE, SpectralGrid, dealiased_band, is_grid_size
 from .model import PhysicalParams, check_plane_wave
 
 __all__ = [
@@ -78,15 +78,6 @@ def _int(text: str) -> int:
         raise ValueError(f"expected an integer, got {text!r}")
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _str(text: str) -> str:
     return text.strip()
 
@@ -99,8 +90,6 @@ def _list_of(item: Callable) -> Callable:
 
 
 def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(_render(v) for v in value)
     if isinstance(value, float):
@@ -137,8 +126,7 @@ def _one_of(*choices: str) -> tuple[Callable[[object], bool], str]:
 
 # the entries of every section but [experiment] (declared per kind)
 _SCHEMAS: dict[str, dict[str, Key]] = {
-    "grid": {"n": Key(_int, rule=(lambda n: n >= 8 and n & (n - 1) == 0,
-                                  "must be a power of two >= 8")),
+    "grid": {"n": Key(_int, rule=(is_grid_size, GRID_SIZE_RULE)),
              "length": Key(_float, rule=_POSITIVE)},
     "params": {"preset": Key(_str, rule=_one_of("normalized", "physical")),
                **{name: Key(_float) for name in ("theta", "gamma", "omega", "beta", "nu")}},
@@ -286,7 +274,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "psi_index": Key(_float, -0.5),
             "q1_tol": Key(_float, 1e-10, _POSITIVE),
             "q4_tol": Key(_float, 1e-6, _POSITIVE),
-            "richardson": Key(_bool, True),
         },
         rules=(_global_existence,)),
     "inflate": KindDeclaration(

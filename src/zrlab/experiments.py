@@ -27,7 +27,7 @@ import numpy as np
 from . import closed_forms as cf
 from .config import ConfigError, ExperimentSpec, check_decohere_band, decohere_pairs
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
-from .grid import SpectralGrid, next_pow2
+from .grid import SpectralGrid, next_fast_len
 from .model import (FieldState, GeneralCoefficients, coefficients_from_params,
                     conserved_quantities, modified_system_coefficients,
                     normalized_coefficients, plane_wave_state)
@@ -190,16 +190,12 @@ def _coeffs_for(spec: ExperimentSpec) -> GeneralCoefficients:
     return coefficients_from_params(spec.physical_params())
 
 
-def _gaussian(x: np.ndarray, amplitude: float, width: float) -> np.ndarray:
-    return amplitude * np.exp(-((x / width) ** 2))
-
-
 def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
                    amplitude: float, width: float, real: bool) -> np.ndarray:
     """Band-limited random field with Gaussian spectral envelope."""
     envelope = np.exp(-((grid.wavenumbers * width / 4.0) ** 2))
     coeffs = envelope * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    values = grid.inverse(grid.dealias(coeffs))
+    values = grid.inverse(coeffs * grid.dealias_mask)
     if real:
         values = values.real
     norm = grid.sobolev_norm(values, 0.0)
@@ -220,7 +216,7 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
     if kind_initial in ("gaussian", "plateau"):
         shape = np.exp(-((x / t["width"]) ** 2)) if kind_initial == "gaussian" \
             else cf.smooth_plateau(x)
-        psi = _gaussian(x, t["psi_amplitude"], t["psi_width"])
+        psi = t["psi_amplitude"] * np.exp(-((x / t["psi_width"]) ** 2))
         return FieldState(grid, t["amplitude"] * shape, psi, psi, 0.0), None
     if kind_initial == "random":
         rng = np.random.default_rng(t["seed"])
@@ -331,18 +327,17 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
         result.info["q2_drift"] = _rel_drift(record.column("Q2"))
         result.info["q3_drift"] = _rel_drift(record.column("Q3"))
 
-        if spec.table["richardson"]:
-            outcome = run(0.5 * spec.dt)
-            if outcome is None:
-                return result
-            _, record_half = outcome
-            result.records["series_half_dt"] = record_half
-            half_drift = _rel_drift(record_half.column("Q4"))
-            ratio = q4_drift / half_drift if half_drift > 0 else math.inf
-            result.info["q4_drift_half_dt"] = half_drift
-            result.info["richardson_ratio"] = ratio
-            result.add("q4_order2", 3.5 <= ratio <= 4.5, f"ratio = {ratio:.3f}",
-                       "in [3.5, 4.5] (second-order drift)")
+        outcome = run(0.5 * spec.dt)
+        if outcome is None:
+            return result
+        _, record_half = outcome
+        result.records["series_half_dt"] = record_half
+        half_drift = _rel_drift(record_half.column("Q4"))
+        ratio = q4_drift / half_drift if half_drift > 0 else math.inf
+        result.info["q4_drift_half_dt"] = half_drift
+        result.info["richardson_ratio"] = ratio
+        result.add("q4_order2", 3.5 <= ratio <= 4.5, f"ratio = {ratio:.3f}",
+                   "in [3.5, 4.5] (second-order drift)")
     else:
         result.info["note"] = ("preset lacks a physical-parameter energy; "
                                "Q2-Q4 columns are diagnostics only")
@@ -360,7 +355,7 @@ def inflation_grid(n_freq: int, modes_per_hat: int) -> SpectralGrid:
     dealiased band covers the doubled data support |xi| <= 2N + 2 + 2/N."""
     length = 2.0 * math.pi * modes_per_hat * n_freq
     need = 2.0 * n_freq + 2.0 + 2.0 / n_freq
-    n = next_pow2(int(math.ceil(3.0 * modes_per_hat * n_freq * need)))
+    n = next_fast_len(3.0 * modes_per_hat * n_freq * need)
     return SpectralGrid(length, n)
 
 

@@ -20,32 +20,47 @@ the alternating phase exp(-i xi_j * (-L/2)) = (-1)^j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "GRID_SIZE_RULE",
     "SpectralGrid",
     "dealiased_band",
-    "next_pow2",
+    "is_grid_size",
+    "next_fast_len",
 ]
 
+# n even keeps the parity (-1)^j, the half spectrum and the Nyquist rules
+# exact; 5-smooth lengths are the ones pocketfft transforms fast.
+GRID_SIZE_RULE = "must be even, >= 8 and have no prime factor but 2, 3 and 5"
 
-def next_pow2(m: float) -> int:
-    """Smallest power of two >= m (and >= 2)."""
-    p = 2
-    while p < m:
-        p *= 2
-    return p
+
+def is_grid_size(n: int) -> bool:
+    """Whether n is a valid grid size (GRID_SIZE_RULE); config validation and
+    SpectralGrid both ask this."""
+    if n < 8 or n % 2:
+        return False
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def next_fast_len(m: float) -> int:
+    """Smallest valid grid size >= m."""
+    n = max(8, math.ceil(m))
+    n += n % 2
+    while not is_grid_size(n):
+        n += 2
+    return n
 
 
 def dealiased_band(n: int, length: float) -> float:
     """Largest |xi| the 2/3 rule keeps on the grid (n, length): (2 pi / L) floor(n/3)."""
     return (2.0 * np.pi / length) * (n // 3)
-
-
-def _is_pow2(m: int) -> bool:
-    return m >= 2 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -57,7 +72,7 @@ class SpectralGrid:
     length : float
         Period L of the domain [-L/2, L/2). Must be positive and finite.
     n : int
-        Number of nodes; a power of two (so n is even and FFTs are fast).
+        Number of nodes; a valid grid size (`is_grid_size`).
     """
 
     length: float
@@ -66,8 +81,8 @@ class SpectralGrid:
     def __post_init__(self) -> None:
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"grid length must be positive and finite, got {self.length}")
-        if not _is_pow2(self.n):
-            raise ValueError(f"grid size must be a power of two >= 2, got {self.n}")
+        if not is_grid_size(self.n):
+            raise ValueError(f"grid size {GRID_SIZE_RULE}, got {self.n}")
         dx = self.length / self.n
         x = -0.5 * self.length + dx * np.arange(self.n)
         modes = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer j in FFT layout
@@ -109,9 +124,6 @@ class SpectralGrid:
 
     def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         return self.inverse(self.derivative_coeffs(self.forward(values), order))
-
-    def dealias(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs * self.dealias_mask
 
     def sobolev_norm_coeffs(self, coeffs: np.ndarray, s: float) -> float:
         weights = (1.0 + np.abs(self.wavenumbers)) ** (2.0 * s)

@@ -44,7 +44,6 @@ __all__ = [
     "normalized_coefficients",
     "unit_physical_params",
     "modified_system_coefficients",
-    "to_physical_vars",
     "FieldState",
     "conserved_quantities",
     "check_plane_wave",
@@ -179,14 +178,6 @@ def modified_system_coefficients(mu: float, big_l: float, c: float,
     )
 
 
-# -- change of variables -----------------------------------------------------
-
-def to_physical_vars(psi1: np.ndarray, psi2: np.ndarray, beta: float):
-    """(psi1, psi2) -> (rho, u)."""
-    rb = math.sqrt(beta)
-    return psi1 + psi2, rb * (psi1 - psi2)
-
-
 # -- state -------------------------------------------------------------------
 
 @dataclass
@@ -238,9 +229,10 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
     """
     g = state.grid
     dx = g.dx
-    rho, u = to_physical_vars(state.psi1, state.psi2, params.beta)
+    rho, u = state.psi1 + state.psi2, math.sqrt(params.beta) * (state.psi1 - state.psi2)
     b = state.b
-    bx = g.derivative(b, 1)
+    b_hat = g.forward(b)
+    bx = g.inverse(g.derivative_coeffs(b_hat, 1))
     absb2 = np.abs(b) ** 2
 
     q1 = dx * float(np.sum(absb2))
@@ -254,7 +246,6 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
           + 0.5 * params.nu / params.theta * momentum)
     q2 = q4 - 0.5 * params.nu / params.theta * q3
 
-    b_hat = g.forward(b)
     return {"Q1": q1, "Q2": q2, "Q3": q3, "Q4": q4,
             **{f"HsB_{float(s):g}": g.sobolev_norm_coeffs(b_hat, s)
                for s in sorted(s_list)},

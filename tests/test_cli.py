@@ -8,6 +8,7 @@ CSV/fit files plus a JSON manifest with content digests.
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from zrlab.config import (
 from zrlab import experiments
 from zrlab.evolution import BlowUpError, StepperConfig
 from zrlab.experiments import _coeffs_for, fit_loglog
+from zrlab.grid import GRID_SIZE_RULE, SpectralGrid
 from zrlab.records import (
     RunRecord,
     format_float,
@@ -81,8 +83,6 @@ def test_parse_bad_value_types():
         parse_config("[grid]\nn = twelve\n", "conserve")
     with pytest.raises(ConfigError, match=r"\[stepper\] dt: expected a number"):
         parse_config("[stepper]\ndt = fast\n", "conserve")
-    with pytest.raises(ConfigError, match="expected a boolean"):
-        parse_config("[experiment]\nrichardson = maybe\n", "conserve")
     with pytest.raises(ConfigError, match="expected a finite number"):
         parse_config("[stepper]\ndt = inf\n", "conserve")
 
@@ -161,12 +161,29 @@ def test_validate_named_constraints():
         parse_config("[experiment]\nkind = c2probe\nl = 0\n")
     with pytest.raises(ConfigError, match=r"m must satisfy m >= 1/mu"):
         parse_config("[experiment]\nkind = decohere\nmu = 0.1\nm = 2\n")
-    with pytest.raises(ConfigError, match="power of two"):
-        parse_config("[grid]\nn = 100\n[experiment]\nkind = conserve\n")
+    with pytest.raises(ConfigError, match="no prime factor but 2, 3 and 5"):
+        parse_config("[grid]\nn = 98\n[experiment]\nkind = conserve\n")
     with pytest.raises(ConfigError, match="not an integer multiple of dt"):
         parse_config("[stepper]\ndt = 0.003\nt_end = 1.0\n[experiment]\nkind = conserve\n")
     with pytest.raises(ConfigError, match="strictly ascending"):
         parse_config("[experiment]\nkind = inflate\nn_list = 64,32\n")
+
+
+@pytest.mark.parametrize("n, valid", [(4, False), (14, False), (49, False), (75, False),
+                                      (98, False), (8, True), (480, True), (512, True),
+                                      (1_600_000, True)])
+def test_grid_size_rule_has_one_owner(n, valid):
+    """The grid.n entry and SpectralGrid accept the same sizes and refuse the
+    others with the same rule text, so a config that parses also runs."""
+    text = f"[grid]\nn = {n}\n[experiment]\nkind = conserve\n"
+    if valid:
+        assert parse_config(text).grid_n == SpectralGrid(64.0, n).n == n
+        return
+    rule = re.escape(GRID_SIZE_RULE)
+    with pytest.raises(ConfigError, match=rf"grid\.n {rule}, got {n}"):
+        parse_config(text)
+    with pytest.raises(ValueError, match=rf"grid size {rule}, got {n}"):
+        SpectralGrid(64.0, n)
 
 
 def test_validate_params_gate():
@@ -267,7 +284,7 @@ def test_validate_spec_direct():
 # "<kind>.rules[i]" for a kind rule, "<section>.<key>" for the other sections'
 # entries; each with the text its ConfigError must carry.
 RULE_CASES = {
-    "grid.n": (["grid.n=100"], r"grid\.n must be a power of two"),
+    "grid.n": (["grid.n=98"], r"grid\.n must be even, >= 8 and have no prime factor"),
     "grid.length": (["grid.length=0"], r"grid\.length must be positive"),
     "output.dir": (["output.dir="], r"output\.dir must be nonempty"),
     "output.prefix": (["output.prefix="], r"output\.prefix must be nonempty"),
@@ -623,7 +640,6 @@ def test_cli_conserve_pass_via_overrides(tmp_path, capsys):
                  "--set", "stepper.t_end=0.2",
                  "--set", "stepper.dt=0.002",
                  "--set", "stepper.record_every=20",
-                 "--set", "experiment.richardson=false",
                  "--set", f"output.dir={tmp_path}"])
     out = capsys.readouterr().out
     assert code == 0

@@ -26,9 +26,7 @@ CONSTANTS = dict(zip(("theta", "gamma", "omega", "beta", "nu"),
 
 def _value(name: str, default, factors):
     """Values for one experiment key: the default scaled by a drawn factor
-    (elementwise for lists), any boolean, or a listed choice."""
-    if isinstance(default, bool):
-        return st.booleans()
+    (elementwise for lists), or a listed choice."""
     if isinstance(default, str):
         return st.sampled_from(CHOICES[name])
 

@@ -288,15 +288,15 @@ def test_conserve_q4_order2_can_fail(monkeypatch):
 
 def test_conserve_q4_drift_can_fail(monkeypatch):
     """Negative control: a plan whose psi kick is 0.1 % too strong breaks the
-    energy balance, so Q4 drifts past q4_tol while Q1 stays exact; the same
-    config passes unpatched."""
+    energy balance, so Q4 drifts past q4_tol, no longer at second order in
+    dt, while Q1 stays exact; the same config passes unpatched."""
     from zrlab import evolution
 
     spec = replace(default_spec("conserve"), grid_n=128, grid_length=32.0, dt=0.01,
                    t_end=1.0, record_every=10)
-    spec = replace(spec, table=dict(spec.table, psi_amplitude=0.3, richardson=False))
+    spec = replace(spec, table=dict(spec.table, psi_amplitude=0.3))
     statuses = {c.name: c.status for c in run_conserve(spec).checks}
-    assert statuses == {"q1_drift": "pass", "q4_drift": "pass"}
+    assert statuses == {"q1_drift": "pass", "q4_drift": "pass", "q4_order2": "pass"}
     build = evolution._Plan.__init__
 
     def strong_kick(plan, grid, coeffs, dts):
@@ -305,7 +305,7 @@ def test_conserve_q4_drift_can_fail(monkeypatch):
 
     monkeypatch.setattr(evolution._Plan, "__init__", strong_kick)
     statuses = {c.name: c.status for c in run_conserve(spec).checks}
-    assert statuses == {"q1_drift": "pass", "q4_drift": "fail"}
+    assert statuses == {"q1_drift": "pass", "q4_drift": "fail", "q4_order2": "fail"}
 
 
 def test_run_conserve_blowup_in_half_dt_run_fails_completion(monkeypatch):

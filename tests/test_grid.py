@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zrlab import SpectralGrid, next_pow2
+from zrlab import SpectralGrid, next_fast_len
 
 
 def dft_oracle(grid, values):
@@ -111,7 +111,7 @@ def test_dealias_matches_exact_convolution():
             out += v * np.exp(1j * j * g.x)
         return out
 
-    product_hat = g.dealias(g.forward(synth(c1) * synth(c2)))
+    product_hat = g.forward(synth(c1) * synth(c2)) * g.dealias_mask
     for j in range(-band, band + 1):
         exact = sum(c1[p] * c2[j - p] for p in c1 if (j - p) in c2)
         got = product_hat[g.modes == j][0]
@@ -163,17 +163,18 @@ def test_boundary_mass_fraction():
     assert g.boundary_mass_fraction(np.zeros(g.n)) == 0.0
 
 
-def test_next_pow2():
-    assert next_pow2(1) == 2
-    assert next_pow2(2) == 2
-    assert next_pow2(3) == 4
-    assert next_pow2(1000) == 1024
-    assert next_pow2(1024) == 1024
+def test_next_fast_len():
+    """The smallest even 5-smooth size >= max(m, 8), against a listing of
+    every 2^a 3^b 5^c (a >= 1) up to 2^11."""
+    sizes = sorted(2**a * 3**b * 5**c for a in range(1, 12) for b in range(7) for c in range(5))
+    for m in range(1, 2049):
+        assert next_fast_len(m) == min(s for s in sizes if s >= max(m, 8))
+    assert next_fast_len(1579032) == 1600000  # inflate's N = 256 member
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        SpectralGrid(2.0 * np.pi, 48 + 1)  # not a power of two
+        SpectralGrid(2.0 * np.pi, 48 + 1)  # odd
     with pytest.raises(ValueError):
         SpectralGrid(0.0, 32)
     with pytest.raises(ValueError):

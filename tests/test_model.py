@@ -8,7 +8,6 @@ from zrlab import (FieldState, PhysicalParams, SpectralGrid, StepperConfig,
                    coefficients_from_params, conserved_quantities, evolve,
                    modified_system_coefficients, normalized_coefficients,
                    plane_wave_state, unit_physical_params)
-from zrlab.model import to_physical_vars
 
 
 def test_unit_physical_collapse():
@@ -62,7 +61,7 @@ def test_coefficient_mapping_reproduces_physical_rhs():
 
     # original transport rows (u-row source = gamma*nu/2, the energy-conserving
     # normalization; the nu-free variant demonstrably breaks Q4 conservation)
-    rho, u = to_physical_vars(psi1, psi2, p.beta)
+    rho, u = psi1 + psi2, rb * (psi1 - psi2)
     drho_phys = (-dx(u - p.nu * rho) - p.gamma * dx(absb2)) / p.theta
     du_phys = (-dx(p.beta * rho - p.nu * u) + 0.5 * p.gamma * p.nu * dx(absb2)) / p.theta
     assert_allclose(drho_sys, drho_phys, atol=1e-10)

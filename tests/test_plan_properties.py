@@ -1,5 +1,6 @@
-"""Property tests of the stepper plan over random band-limited data: the real
-transforms agree with the complex ones, a Strang step conserves mass, is
+"""Property tests of the stepper plan over random band-limited data on grids
+of every valid size up to 256: the real transforms agree with the complex
+ones, translation keeps the Nyquist cosine rule, a Strang step conserves mass, is
 reversible and keeps psi1, psi2 real, the fused loop in `evolve` matches a
 loop of the unfused `strang_step` for one member or several, and a batch of
 members gives bit for bit what `evolve` gives each member alone, whenever
@@ -23,15 +24,20 @@ def band_limited(grid, rng, amplitude, real):
     """Random field whose modes lie inside the dealiased band, scaled to sup norm
     `amplitude`."""
     coeffs = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    values = grid.inverse(grid.dealias(coeffs))
+    values = grid.inverse(coeffs * grid.dealias_mask)
     values = values.real if real else values
     return amplitude * values / np.max(np.abs(values))
 
 
+# every valid grid size up to 256: even, >= 8, 5-smooth
+SIZES = sorted({2**a * 3**b * 5**c for a in range(1, 9) for b in range(5) for c in range(4)}
+               & set(range(8, 257)))
+
+
 @st.composite
 def fields(draw):
-    """(grid, rng): a power-of-two grid of drawn length and a seeded generator."""
-    n = 2 ** draw(st.integers(3, 8))
+    """(grid, rng): a grid of drawn valid size and length, and a seeded generator."""
+    n = draw(st.sampled_from(SIZES))
     length = draw(st.floats(4.0, 64.0))
     return SpectralGrid(length, n), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -50,6 +56,23 @@ def test_real_transforms_match_complex(case):
     back = np.fft.irfft(fhat, grid.n)
     assert back.dtype == np.float64
     assert_allclose(back, f, atol=1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fields(), st.floats(-10.0, 10.0), st.floats(-1.0, 1.0))
+def test_translation_moves_band_and_keeps_nyquist_cosine(case, shift, nyquist):
+    """On every valid grid size the half-spectrum translation takes a
+    band-limited real field f to x -> f(x - shift) and scales the unpaired
+    Nyquist mode by cos(xi_{n/2} shift), keeping the result real."""
+    grid, rng = case
+    f = band_limited(grid, rng, 1.0, real=True)
+    alternating = (-1.0) ** np.arange(grid.n)
+    row = grid.translation(shift)
+    shifted = np.fft.irfft(np.fft.rfft(f + nyquist * alternating) * row, grid.n)
+    moved = grid.inverse(grid.forward(f) * np.exp(-1j * grid.wavenumbers * shift)).real
+    cosine = np.cos(grid.wavenumbers[grid.n // 2] * shift)
+    assert row[-1].imag == 0.0 and row[-1].real == cosine
+    assert_allclose(shifted, moved + nyquist * cosine * alternating, atol=1e-11)
 
 
 def random_state(grid, rng):
