@@ -16,10 +16,10 @@ the kind never reads must keep its default — experiment validity hinges on
 exact hypothesis ranges, so silent typos and no-op settings are not an
 option.  Each entry's rule is declared next to it (`Key`), and each
 kind's rules that span several entries next to its keys
-(`KindDeclaration.rules`); `validate_spec` runs them all.  `parse_config`
-resolves per-kind defaults and validates; `emit_config` writes a spec back
-out (without the unread entries) such that parse_config(emit_config(spec))
-== spec.
+(`KindDeclaration.rules`); `validate_spec` runs them all.  `read_entries`
+alone says which entries a spec reads.  `parse_config` resolves per-kind
+defaults and validates; `emit_config` writes the read entries of a spec
+back out such that parse_config(emit_config(spec)) == spec.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "emit_config",
     "default_spec",
     "Key",
+    "read_entries",
     "decohere_pairs",
     "check_decohere_band",
     "DECLARATIONS",
@@ -148,34 +149,33 @@ _T_PROBE = Key(_float, 0.1, _POSITIVE)
 _NODES = Key(_int, 64, (lambda v: v >= 16, "must be >= 16"))
 _WIDTH = Key(_float, 2.0, _POSITIVE)  # the Gaussian widths `width` and `psi_width`
 
+# the [experiment] keys each initial-data preset reads (`_initial_state`);
+# growth, which has no `initial` key, starts from the Gaussian
+_INITIAL_KEYS = {
+    "gaussian": ("amplitude", "width", "psi_amplitude", "psi_width"),
+    "plane_wave": ("amplitude", "kappa", "c1", "c2"),
+    "plateau": ("amplitude", "psi_amplitude", "psi_width"),
+    "random": ("seed", "amplitude", "width", "psi_amplitude", "psi_width"),
+}
+
 
 @dataclass(frozen=True)
 class KindDeclaration:
     """Everything one experiment kind adds to the dialect.
 
-    `keys` declares each [experiment] key.  `preset` is the default
-    params.preset; None means unread: c2probe and decohere build no
-    coefficients from [params].  `grid` is the default (n, length); (None,
-    None) means unread: inflate sizes a grid per member, and c2probe needs
-    none.  `stepper` is the default (dt, t_end, record_every).  `reads`
-    names the [grid], [params] and [stepper] entries the kind reads, as
-    whole sections or "section.key"; every other entry must keep its
-    default.  `rules` check what spans several entries: each takes the spec
-    and raises ConfigError when it fails.
+    `keys` declares each [experiment] key.  `preset`, `grid` and `stepper`
+    are the defaults of params.preset, [grid] (n, length) and [stepper] (dt,
+    t_end, record_every); None marks an entry the kind never reads.  `rules`
+    check what spans several entries: each takes the spec and raises
+    ConfigError when it fails.
     """
 
     help: str
     preset: Optional[str]
     grid: tuple[Optional[int], Optional[float]]
-    stepper: tuple[float, float, int]
+    stepper: tuple[Optional[float], Optional[float], Optional[int]]
     keys: dict[str, Key]
-    reads: tuple[str, ...] = ("grid", "params", "stepper")
     rules: tuple[Callable[[ExperimentSpec], object], ...] = ()
-
-    def reads_entry(self, section: str, key: str) -> bool:
-        """Whether the kind reads [section] key ([experiment] and [output] always)."""
-        return (section in ("experiment", "output") or section in self.reads
-                or f"{section}.{key}" in self.reads)
 
 
 # -- rules ----------------------------------------------------------------------------
@@ -246,8 +246,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         preset="normalized", grid=(512, 64.0), stepper=(1e-3, 1.0, 10),
         keys={
             "seed": Key(_int, 0, _NONNEGATIVE),
-            "initial": Key(_str, "gaussian", _one_of("gaussian", "plane_wave", "plateau",
-                                                     "random")),
+            "initial": Key(_str, "gaussian", _one_of(*_INITIAL_KEYS)),
             "amplitude": Key(_float, 1.0),
             "width": _WIDTH,
             "kappa": Key(_float, 1.0),
@@ -279,7 +278,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
     "inflate": KindDeclaration(
         help="frequency-sweep norm inflation of the transport field",
         # t_end comes from t_probe; each member sizes its own grid
-        preset="normalized", grid=(None, None), stepper=(2.5e-3, 0.0, 1),
+        preset="normalized", grid=(None, None), stepper=(2.5e-3, None, None),
         keys={
             "k": Key(_float, 0.25, (lambda k: 0.0 < k < 1.0,
                                     "must satisfy the inflation hypothesis 0 < k < 1")),
@@ -290,7 +289,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "modes_per_hat": Key(_int, 4, (lambda v: v >= 1, "must be >= 1")),
             "nodes": _NODES,
         },
-        reads=("params", "stepper.dt"),
         rules=(lambda s: _require(
                    s.table["l"] >= 2.0 * s.table["k"] - 0.5,
                    f"inflation hypothesis l >= 2k - 1/2 violated (k={s.table['k']} -> "
@@ -300,7 +298,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
     "c2probe": KindDeclaration(
         help="bilinear-kernel growth probe (smoothness failure), quadrature only",
         # pure quadrature: grid, params and stepper unused
-        preset=None, grid=(None, None), stepper=(1e-3, 0.0, 1),
+        preset=None, grid=(None, None), stepper=(None, None, None),
         keys={
             "k": Key(_float, 0.0),
             "l": Key(_float, -1.0, (lambda l: l <= -0.5, "must be <= -1/2: the "
@@ -308,12 +306,11 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "n_list": replace(_N_LIST, default=(16, 32, 64, 128, 256)),
             "t_probe": replace(_T_PROBE, default=0.01),
             "nodes": _NODES,
-        },
-        reads=()),
+        }),
     "decohere": KindDeclaration(
         help="small-dispersion pair drifting O(1) apart from identical data",
         # coefficients are built from (mu, m, c); dt is the internal-time step
-        preset=None, grid=(2048, 100.0), stepper=(5e-3, 0.0, 20),
+        preset=None, grid=(2048, 100.0), stepper=(5e-3, None, 20),
         keys={
             "mu": Key(_float, 0.05, _UNIT_INTERVAL),
             "m": Key(_float, 20.0),
@@ -323,7 +320,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                            (lambda v: all(0.0 < mu < 1.0 for mu in v),
                             "entries must lie in (0, 1)")),
         },
-        reads=("grid", "stepper.dt", "stepper.record_every"),
         rules=(lambda s: _require(s.table["m"] >= max(1.0, 1.0 / s.table["mu"]),
                                   f"experiment.m must satisfy m >= 1/mu = "
                                   f"{1.0 / s.table['mu']:.6g}, got {s.table['m']}"),
@@ -366,9 +362,9 @@ class ExperimentSpec:
     omega: float
     beta: float
     nu: float
-    dt: float
-    t_end: float
-    record_every: int
+    dt: Optional[float]
+    t_end: Optional[float]
+    record_every: Optional[int]
     out_dir: str
     prefix: str
     table: dict = field(default_factory=dict)
@@ -394,6 +390,19 @@ def _entries(spec: ExperimentSpec) -> list[tuple[str, str, Key, object]]:
     return ([(section, key, _SCHEMAS[section][key], getattr(spec, name))
              for (section, key), name in _SPEC_FIELD.items()]
             + [("experiment", key, keys[key], spec.table[key]) for key in sorted(keys)])
+
+
+def read_entries(spec: ExperimentSpec) -> set[str]:
+    """The "section.key" entries a run of `spec` reads; every other entry must
+    keep its default.  These are [output], the [grid], [params] and [stepper]
+    entries the kind declares a default for, theta..nu only under
+    params.preset = physical, and the kind's [experiment] keys but the
+    initial-data keys the chosen `initial` preset does not read."""
+    chosen = _INITIAL_KEYS.get(spec.table.get("initial", "gaussian"), ())
+    unread = set().union(*_INITIAL_KEYS.values()).difference(chosen)  # other presets' keys
+    return {f"{section}.{key}" for section, key, _, default in _entries(default_spec(spec.kind))
+            if (spec.preset == "physical" if section == "params" and key != "preset"
+                else key not in unread if section == "experiment" else default is not None)}
 
 
 # -- raw text -> sections ---------------------------------------------------------
@@ -495,15 +504,11 @@ def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpe
 
 def emit_config(spec: ExperimentSpec) -> str:
     """Serialize a spec so that parse_config(emit_config(spec)) == spec.  Only
-    the entries its kind reads are written; an unset grid entry and theta..nu
-    under any preset but physical are left out."""
+    the entries it reads (`read_entries`) are written."""
     sections: dict[str, list[str]] = {"experiment": [f"kind = {spec.kind}"]}
+    read = read_entries(spec)
     for section, key, _, value in _entries(spec):
-        if section == "params":
-            emitted = key == "preset" or spec.preset == "physical"
-        else:
-            emitted = value is not None
-        if emitted and DECLARATIONS[spec.kind].reads_entry(section, key):
+        if f"{section}.{key}" in read:
             sections.setdefault(section, []).append(f"{key} = {_render(value)}")
     return "\n".join(line for section in _SECTIONS if section in sections
                      for line in (f"[{section}]", *sections[section], ""))
@@ -513,12 +518,13 @@ def emit_config(spec: ExperimentSpec) -> str:
 
 def _shared_rules(spec: ExperimentSpec) -> None:
     """The rules every kind shares: [params] and [stepper] are checked by
-    constructing what they configure."""
-    _require(spec.preset == "physical" or (spec.theta, spec.gamma, spec.omega, spec.beta,
-                                           spec.nu) == astuple(PhysicalParams()),
-             "params.theta/gamma/omega/beta/nu require params.preset = physical")
+    constructing what they configure, a stepper entry the kind never reads
+    held at a value that passes."""
     _as_config_error("params", spec.physical_params)
-    _as_config_error("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every)
+    given = zip((spec.dt, spec.t_end, spec.record_every), DECLARATIONS[spec.kind].stepper)
+    dt, t_end, every = (fill if default is None else value
+                        for (value, default), fill in zip(given, (1.0, 0.0, 1)))
+    _as_config_error("stepper", StepperConfig, dt, t_end, every)
 
 
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
@@ -526,11 +532,14 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     ConfigError naming the violated one."""
     _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
     decl = DECLARATIONS[spec.kind]
-    defaults = _entries(default_spec(spec.kind))
+    read, defaults = read_entries(spec), _entries(default_spec(spec.kind))
+    # why an entry goes unread where the kind reads its neighbours
+    why = {"params": "; params.theta/gamma/omega/beta/nu require params.preset = physical"
+           if decl.preset else "", "experiment": f" with initial = {spec.table.get('initial')}"}
     for (section, name, key, value), (*_, default) in zip(_entries(spec), defaults):
         entry = f"{section}.{name}"
-        _require(decl.reads_entry(section, name) or value == default,
-                 f"{entry} is not consulted by kind={spec.kind}")
+        _require(entry in read or value == default,
+                 f"{entry} is not consulted by kind={spec.kind}{why.get(section, '')}")
         if key.rule is not None and value is not None:
             _require(key.rule[0](value), f"{entry} {key.rule[1]}, got {value!r}")
     for rule in (_shared_rules, *decl.rules):

@@ -2,9 +2,10 @@
 
 Each run_* function consumes a validated ExperimentSpec and returns an
 ExperimentResult bundling time-series records, log-log fits, and a verdict
-made of named checks.  Scaling claims are operationalized as least-squares
-slopes in log-log coordinates over at least four points with r^2 >= 0.98;
-anything less yields the verdict "inconclusive", never "pass".
+made of named checks; a blow-up ends the run with a failed completion
+check.  Scaling claims are operationalized as least-squares slopes in
+log-log coordinates over at least four points with r^2 >= 0.98; anything
+less yields the verdict "inconclusive", never "pass".
 
 Sweeps over N run their members in a thread pool, largest N first; each
 member is sequential and the results come back in ascending N, so records
@@ -228,14 +229,6 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
     raise ConfigError(f"unknown initial preset {kind_initial!r}")
 
 
-def _boundary_note(result: ExperimentResult, state: FieldState) -> None:
-    frac = state.grid.boundary_mass_fraction(state.b)
-    result.info["boundary_mass_fraction"] = frac
-    if frac > 1e-8:
-        logger.warning("initial data carries %.2e of its mass near the boundary "
-                       "(want < 1e-8); consider a larger grid length", frac)
-
-
 def _rel_drift(series: Sequence[float]) -> float:
     arr = np.asarray(series, dtype=np.float64)
     base = arr[0]
@@ -243,23 +236,20 @@ def _rel_drift(series: Sequence[float]) -> float:
     return float(np.max(np.abs(arr - base))) / scale
 
 
-def _blow_up(result: ExperimentResult, exc: BlowUpError) -> ExperimentResult:
-    """Record a blow-up as the failed completion check; returns `result`."""
-    result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
-    return result
-
-
 def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence[float]):
     """Set up a simulate/conserve/growth run: build the initial data (noting
     its boundary mass in `result`) and return (initial state, plane-wave
     Omega or None, run), where run(dt) evolves the data with step dt under
-    the invariant observer, recording at the spec's record times.  run(dt)
-    returns (final state, record), or None after a blow-up, which it adds to
-    `result` as a failed completion check."""
+    the invariant observer, recording at the spec's record times, and
+    returns (final state, record)."""
     grid = _grid_for(spec)
     coeffs = _coeffs_for(spec)
     state0, omega_freq = _initial_state(spec, grid, coeffs)
-    _boundary_note(result, state0)
+    frac = grid.boundary_mass_fraction(state0.b)
+    result.info["boundary_mass_fraction"] = frac
+    if frac > 1e-8:
+        logger.warning("initial data carries %.2e of its mass near the boundary "
+                       "(want < 1e-8); consider a larger grid length", frac)
     # the normalized preset has no physical energy: the unit parameters stand
     # in, and only Q1 and the momentum part (preset-independent) back a verdict
     params, psi_index = spec.physical_params(), spec.table["psi_index"]
@@ -267,40 +257,67 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     def observe(state: FieldState) -> dict[str, float]:
         return conserved_quantities(state, params, s_list, psi_index)
 
-    def run(dt: float) -> Optional[tuple[FieldState, RunRecord]]:
+    def run(dt: float) -> tuple[FieldState, RunRecord]:
         steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
         config = StepperConfig(dt=dt, t_end=spec.t_end, record_every=steps_per_record)
-        try:
-            return evolve(state0, coeffs, config, observers=(observe,))
-        except BlowUpError as exc:
-            _blow_up(result, exc)
-            return None
+        return evolve(state0, coeffs, config, observers=(observe,))
 
     return state0, omega_freq, run
 
 
+# -- runners and dispatch -----------------------------------------------------------
+
+_RUNNERS: dict[str, Callable[[ExperimentSpec], ExperimentResult]] = {}
+
+
+def _runner(body: Callable[[ExperimentSpec, ExperimentResult], None]):
+    """Register body(spec, result), named run_<kind>, as kind's runner and
+    return run_<kind>(spec) -> ExperimentResult.  The runner owns the run
+    contract: a fresh result for every run, and a blow-up anywhere in the
+    body becomes the failed completion check, after the checks the body
+    had added."""
+    kind = body.__name__.removeprefix("run_")
+
+    def run(spec: ExperimentSpec) -> ExperimentResult:
+        result = ExperimentResult(kind)
+        try:
+            body(spec, result)
+        except BlowUpError as exc:
+            result.add("completion", False, f"blow-up at t = {exc.time:.6g}", "finite fields")
+        return result
+
+    run.__name__ = run.__qualname__ = body.__name__
+    run.__doc__ = body.__doc__
+    _RUNNERS[kind] = run
+    return run
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    try:
+        runner = _RUNNERS[spec.kind]
+    except KeyError:
+        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
+    return runner(spec)
+
+
 # -- simulate -----------------------------------------------------------------------
 
-def run_simulate(spec: ExperimentSpec) -> ExperimentResult:
+@_runner
+def run_simulate(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Plain evolution with invariant/norm recording; verdict = completion."""
-    result = ExperimentResult("simulate")
     _, omega_freq, run = _preset_run(spec, result, spec.table["s_list"])
-    outcome = run(spec.dt)
-    if outcome is None:
-        return result
-    final, record = outcome
+    final, record = run(spec.dt)
     result.records["series"] = record
     result.add("completion", True, f"reached t = {final.time:.6g}", f"t_end = {spec.t_end}")
     if omega_freq is not None:
         result.info["plane_wave_omega"] = omega_freq
-    return result
 
 
 # -- conserve -----------------------------------------------------------------------
 
-def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
+@_runner
+def run_conserve(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Invariant-drift audit: Q1 to near round-off, Q4 to o(dt^2)."""
-    result = ExperimentResult("conserve")
     _, _, run = _preset_run(spec, result, spec.table["s_list"])
 
     # Q3/Q4 back a verdict only when the run is an actual physical-parameter
@@ -308,10 +325,7 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
     # structural Q1 check alone.
     physical_flow = spec.preset != "normalized" and spec.physical_params().global_existence
 
-    outcome = run(spec.dt)
-    if outcome is None:
-        return result
-    _, record = outcome
+    _, record = run(spec.dt)
     result.records["series"] = record
 
     q1_drift = _rel_drift(record.column("Q1"))
@@ -327,10 +341,7 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
         result.info["q2_drift"] = _rel_drift(record.column("Q2"))
         result.info["q3_drift"] = _rel_drift(record.column("Q3"))
 
-        outcome = run(0.5 * spec.dt)
-        if outcome is None:
-            return result
-        _, record_half = outcome
+        _, record_half = run(0.5 * spec.dt)
         result.records["series_half_dt"] = record_half
         half_drift = _rel_drift(record_half.column("Q4"))
         ratio = q4_drift / half_drift if half_drift > 0 else math.inf
@@ -341,7 +352,6 @@ def run_conserve(spec: ExperimentSpec) -> ExperimentResult:
     else:
         result.info["note"] = ("preset lacks a physical-parameter energy; "
                                "Q2-Q4 columns are diagnostics only")
-    return result
 
 
 # -- inflate ------------------------------------------------------------------------
@@ -397,9 +407,9 @@ def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
     }
 
 
-def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
+@_runner
+def run_inflate(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Norm-inflation sweep: ||psi(t_probe)||_{H^l} ~ t * N^(l - (2k - 1/2))."""
-    result = ExperimentResult("inflate")
     t = spec.table
     k, l, variant = t["k"], t["l"], t["variant"]
     expected = expected_inflation_slope(k, l)
@@ -418,16 +428,12 @@ def run_inflate(spec: ExperimentSpec) -> ExperimentResult:
                     n_freq, member["solver_norm"], member["oracle_norm"], member["ratio"])
         return member
 
-    try:
-        table = _run_sweep(t["n_list"], worker)
-    except BlowUpError as exc:
-        return _blow_up(result, exc)
+    table = _run_sweep(t["n_list"], worker)
     for member in table:
         ok = 0.8 <= member["ratio"] <= 1.25
         result.add(f"oracle_ratio_N{member['N']}", ok,
                    f"{member['ratio']:.4f}", "in [0.8, 1.25]")
     _sweep_slope(result, "inflation", table, "solver_norm", expected)
-    return result
 
 
 # -- c2probe ------------------------------------------------------------------------
@@ -436,7 +442,8 @@ def expected_c2_slope(l: float) -> float:
     return -l - 0.5
 
 
-def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
+@_runner
+def run_c2probe(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Second-derivative (bilinear kernel) growth probe, pure quadrature.
 
     B0 is normalized to unit H^k; the transport bump keeps its literal
@@ -444,7 +451,6 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
     recorded per member — normalizing it away would also flatten the probed
     growth).
     """
-    result = ExperimentResult("c2probe")
     t = spec.table
     k, l, t_probe, nodes = t["k"], t["l"], t["t_probe"], t["nodes"]
     expected = expected_c2_slope(l)
@@ -474,12 +480,12 @@ def run_c2probe(spec: ExperimentSpec) -> ExperimentResult:
         result.add("unbounded_growth", monotone,
                    "norm strictly increasing in N" if monotone else "norm not monotone in N",
                    "strictly increasing (contradiction engine)")
-    return result
 
 
 # -- decohere -----------------------------------------------------------------------
 
-def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
+@_runner
+def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Decoherence pair: identical data, two scale parameters, O(1) drift apart.
 
     Verdict-bearing comparisons live in the rescaled (comoving) frame, where
@@ -488,7 +494,6 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
     as such.  The resolution guard covers every run before any run steps;
     then all runs step as one batch.
     """
-    result = ExperimentResult("decohere")
     t = spec.table
     mu, m_big, c, k_reg = t["mu"], t["m"], t["c"], t["k_reg"]
     grid = _grid_for(spec)
@@ -511,10 +516,7 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
                 "devA_L2": grid.sobolev_norm_coeffs(diff, 0.0),
                 "devA_Hk": grid.sobolev_norm_coeffs(diff, k_reg)}
 
-    try:
-        outcomes = evolve_members(*zip(*members), observers=(observe,))
-    except BlowUpError as exc:
-        return _blow_up(result, exc)
+    outcomes = evolve_members(*zip(*members), observers=(observe,))
     for (pair, tag), (state, _, config), (final, record) in zip(runs, members, outcomes):
         diag = {"dt": config.dt, "steps": config.steps,
                 "q1_drift": _rel_drift(record.column("Q1")),
@@ -572,22 +574,18 @@ def run_decohere(spec: ExperimentSpec) -> ExperimentResult:
         result.add("dev_bound_stability", stability <= 3.0,
                    f"max/min of sup||B - A||_Hk / mu = {stability:.3f} over mu = {mu_list}",
                    "<= 3.0 (constant stable to +/-50%)")
-    return result
 
 
 # -- growth -------------------------------------------------------------------------
 
-def run_growth(spec: ExperimentSpec) -> ExperimentResult:
+@_runner
+def run_growth(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Long-horizon Sobolev growth audit against a priori envelopes."""
-    result = ExperimentResult("growth")
     t = spec.table
     s_list = tuple(sorted(set(float(s) for s in t["s_list"])))
     state0, _, run = _preset_run(spec, result, s_list)
     grid = state0.grid
-    outcome = run(spec.dt)
-    if outcome is None:
-        return result
-    final, record = outcome
+    final, record = run(spec.dt)
     result.records["series"] = record
     times = np.asarray(record.column("t"))
 
@@ -627,7 +625,6 @@ def run_growth(spec: ExperimentSpec) -> ExperimentResult:
                       np.asarray(record.column("Hpsi2")))
     _psi_envelope_check(result, times, hpsi, record.column("Q1")[0])
     result.info["final_time"] = final.time
-    return result
 
 
 def _psi_envelope_check(result: ExperimentResult, times: np.ndarray, hpsi: np.ndarray,
@@ -650,23 +647,3 @@ def _psi_envelope_check(result: ExperimentResult, times: np.ndarray, hpsi: np.nd
     result.add("psi_envelope", ok,
                f"C^ = {c_hat:.4f} fitted on [0, {0.5 * times[-1]:.1f}]",
                "exp envelope holds on the full horizon (5% slack)")
-
-
-# -- dispatch -----------------------------------------------------------------------
-
-_RUNNERS = {
-    "simulate": run_simulate,
-    "conserve": run_conserve,
-    "inflate": run_inflate,
-    "c2probe": run_c2probe,
-    "decohere": run_decohere,
-    "growth": run_growth,
-}
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    try:
-        runner = _RUNNERS[spec.kind]
-    except KeyError:
-        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
-    return runner(spec)

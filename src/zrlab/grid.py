@@ -147,9 +147,9 @@ class SpectralGrid:
         angle[..., -1] = 0.0
         return out
 
-    def boundary_mass_fraction(self, values: np.ndarray, margin: float = 0.05) -> float:
-        """Fraction of the field's L^2 mass within `margin*L` of the edges."""
-        cells = max(1, int(np.ceil(margin * self.n)))
+    def boundary_mass_fraction(self, values: np.ndarray) -> float:
+        """Fraction of the field's L^2 mass within 0.05 L of the edges."""
+        cells = max(1, int(np.ceil(0.05 * self.n)))
         dens = np.abs(np.asarray(values)) ** 2
         total = float(np.sum(dens))
         if total == 0.0:

@@ -72,15 +72,14 @@ def read_record_csv(path) -> RunRecord:
 
 
 def write_fit_file(path, log_x: list[float], log_y: list[float],
-                   slope: float, intercept: float, r_squared: float,
-                   x_label: str = "logN", y_label: str = "lognorm") -> str:
+                   slope: float, intercept: float, r_squared: float) -> str:
     """Fitted scaling data: per-point columns plus a regression footer;
     returns the sha256 digest of the emitted bytes.
 
     The footer is recomputable from the data columns alone (least squares on
     the first two columns), which the test suite verifies to 1e-12.
     """
-    lines = [f"{x_label},{y_label},fit"]
+    lines = ["logN,lognorm,fit"]
     for lx, ly in zip(log_x, log_y):
         lines.append(",".join(format_float(v) for v in (lx, ly, slope * lx + intercept)))
     lines.append("# slope = " + format_float(slope))

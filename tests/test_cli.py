@@ -16,6 +16,7 @@ import pytest
 
 from zrlab.cli import main
 from zrlab.config import (
+    _INITIAL_KEYS,
     _SCHEMAS,
     DECLARATIONS,
     ConfigError,
@@ -149,7 +150,9 @@ def test_apply_overrides_malformed():
         with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[experiment\]"):
             apply_overrides(default_spec(kind), ["experiment.seed=1"])
     for kind in ("simulate", "conserve"):
-        assert apply_overrides(default_spec(kind), ["experiment.seed=1"]).table["seed"] == 1
+        spec = apply_overrides(default_spec(kind), ["experiment.initial=random",
+                                                    "experiment.seed=1"])
+        assert spec.table["seed"] == 1
 
 
 # -- validation -----------------------------------------------------------------
@@ -227,6 +230,55 @@ def test_unread_entries_rejected(kind, entries, tmp_path):
         assert f"\n{entry.split('=')[0].split('.')[1]} = " not in emitted
 
 
+@pytest.mark.parametrize("kind, initial", [("simulate", name) for name in _INITIAL_KEYS]
+                         + [("conserve", "gaussian"), ("conserve", "random"),
+                            ("growth", None)])
+def test_initial_keys_match_initial_state(kind, initial):
+    """The initial-data keys config declares for each preset are the keys the
+    run's `_initial_state` looks up for it (growth has no `initial` key and
+    starts from the Gaussian).  A nonzero psi_amplitude, because the random
+    preset reads psi_width only to shape a nonzero psi."""
+    seen = set()
+
+    class Recorder(dict):
+        def __getitem__(self, key):
+            seen.add(key)
+            return super().__getitem__(key)
+
+    spec = default_spec(kind)
+    table = dict(spec.table, psi_amplitude=0.5)
+    if initial is not None:
+        table.update(initial=initial, kappa=2.0 * math.pi / 64.0)
+    spec = replace(spec, table=Recorder(table))
+    experiments._initial_state(spec, SpectralGrid(spec.grid_length, spec.grid_n),
+                               _coeffs_for(spec))
+    assert seen == set(_INITIAL_KEYS[initial or "gaussian"])
+
+
+@pytest.mark.parametrize("kind, initial, entry", [
+    ("simulate", "gaussian", "seed=3"), ("simulate", "gaussian", f"kappa={math.pi / 16.0!r}"),
+    ("simulate", "gaussian", "c2=1.0"), ("simulate", "random", "c1=1.0"),
+    ("simulate", "plateau", "width=3.0"), ("simulate", "plane_wave", "psi_amplitude=1.0"),
+    ("simulate", "plane_wave", "psi_width=3.0"), ("simulate", "plane_wave", "seed=3"),
+    ("conserve", "gaussian", "seed=3"),
+])
+def test_unread_initial_keys_rejected(kind, initial, entry):
+    """An initial-data key the chosen preset does not read is refused by name
+    and left out of the echo; a preset that reads it takes it."""
+    def chosen(name):  # the plane wave needs a kappa on the default grid
+        kappa = [f"experiment.kappa={2.0 * math.pi / 64.0!r}"] if name == "plane_wave" else []
+        return [f"experiment.initial={name}", *kappa]
+
+    key = entry.split("=")[0]
+    with pytest.raises(ConfigError, match=f"experiment.{key} is not consulted by kind={kind} "
+                                          f"with initial = {initial}"):
+        apply_overrides(default_spec(kind), [*chosen(initial), f"experiment.{entry}"])
+    assert f"\n{key} = " not in emit_config(apply_overrides(default_spec(kind), chosen(initial)))
+    reader = next(name for name, keys in _INITIAL_KEYS.items() if key in keys)
+    spec = apply_overrides(default_spec(kind), [*chosen(reader), f"experiment.{entry}"])
+    assert f"\n{entry.replace('=', ' = ')}\n" in emit_config(spec)
+
+
 @pytest.mark.parametrize("entry", ["grid.n=4096", "grid.length=100.0"])
 def test_inflate_lone_grid_entry_rejected(entry, tmp_path, capsys):
     """inflate sizes its grid per member and reads no [grid] entry, so a grid
@@ -257,8 +309,7 @@ def test_whole_steps_config_agrees_with_stepper(dt, t_end):
         StepperConfig(dt=dt, t_end=t_end)
 
 
-@pytest.mark.parametrize("kind", [k for k, d in DECLARATIONS.items()
-                                  if d.reads_entry("params", "preset")])
+@pytest.mark.parametrize("kind", [k for k, d in DECLARATIONS.items() if d.preset is not None])
 @pytest.mark.parametrize("preset", ["normalized", "unit_physical", "physical", "none"])
 def test_preset_config_agrees_with_runner(kind, preset, tmp_path):
     """Parse and run share one preset rule: a preset that parses builds the
@@ -282,21 +333,22 @@ def test_validate_spec_direct():
 
 # One violating setting per declared rule: "<kind>.<key>" for an entry's rule,
 # "<kind>.rules[i]" for a kind rule, "<section>.<key>" for the other sections'
-# entries; each with the text its ConfigError must carry.
+# entries; each with the text its ConfigError must carry (None: the entry's
+# own rule message).
 RULE_CASES = {
     "grid.n": (["grid.n=98"], r"grid\.n must be even, >= 8 and have no prime factor"),
     "grid.length": (["grid.length=0"], r"grid\.length must be positive"),
     "output.dir": (["output.dir="], r"output\.dir must be nonempty"),
     "output.prefix": (["output.prefix="], r"output\.prefix must be nonempty"),
     "params.preset": (["params.preset=unit_physical"], r"params\.preset must be one of"),
-    "simulate.seed": (["experiment.seed=-1"], None),
+    "simulate.seed": (["experiment.initial=random", "experiment.seed=-1"], None),
     "simulate.initial": (["experiment.initial=bogus"], None),
     "simulate.width": (["experiment.width=0"], None),
     "simulate.psi_width": (["experiment.psi_width=-1"], None),
     "simulate.s_list": (["experiment.s_list="], None),
     "simulate.rules[0]": (["experiment.initial=plane_wave"],
                           "kappa = 1.0 is not a grid wavenumber"),
-    "conserve.seed": (["experiment.seed=-1"], None),
+    "conserve.seed": (["experiment.initial=random", "experiment.seed=-1"], None),
     "conserve.initial": (["experiment.initial=plateau"], None),
     "conserve.width": (["experiment.width=-2"], None),
     "conserve.psi_width": (["experiment.psi_width=0"], None),
@@ -335,8 +387,9 @@ RULE_CASES = {
 @pytest.mark.parametrize("case", sorted(RULE_CASES))
 def test_every_declared_rule_can_fail(case):
     """Every declared rule rejects a value that violates it, with an error
-    that names the entry (an entry's rule) or the condition (a kind rule);
-    the table covers every rule in DECLARATIONS and the other sections."""
+    that states that rule (an entry's rule, by its own message) or the
+    condition (a kind rule); the table covers every rule in DECLARATIONS and
+    the other sections."""
     declared = {f"{section}.{key}" for section, keys in _SCHEMAS.items()
                 for key, declaration in keys.items() if declaration.rule is not None}
     for kind, decl in DECLARATIONS.items():
@@ -348,10 +401,10 @@ def test_every_declared_rule_can_fail(case):
     overrides, match = RULE_CASES[case]
     kind, _, name = case.partition(".")
     if kind not in DECLARATIONS:
-        kind, name = "simulate", case
-    elif "[" not in name:
-        name = f"experiment.{name}"
-    with pytest.raises(ConfigError, match=match or rf"{name} "):
+        kind = "simulate"
+    elif match is None:
+        match = re.escape(f"experiment.{name} {DECLARATIONS[kind].keys[name].rule[1]}, got ")
+    with pytest.raises(ConfigError, match=match):
         apply_overrides(default_spec(kind), overrides)
 
 
@@ -575,10 +628,14 @@ def test_cli_manifest_digests_every_artifact(tmp_path):
 @pytest.mark.parametrize("kind, overrides", [
     ("decohere", []),
     ("inflate", ["experiment.n_list=8,16"]),
+    ("simulate", []),
+    ("conserve", []),
+    ("growth", []),
 ])
 def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatch):
-    """A blow-up inside a sweep member, or in decohere's batch of runs, fails
-    the run with a manifest on disk that carries the failed completion check."""
+    """A blow-up in any kind that steps (inside a sweep member, in decohere's
+    batch of runs, or in a preset run) fails the run with a manifest on disk
+    whose last check is the failed completion check."""
     def blow_up(*args, **kwargs):
         raise BlowUpError(0.5)
 
@@ -592,7 +649,7 @@ def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatc
     verdict = json.loads((out / f"{kind}_manifest.json").read_text())["verdict"]
     assert verdict["status"] == "fail"
     assert {"name": "completion", "status": "fail", "observed": "blow-up at t = 0.5",
-            "expected": "finite fields"} in verdict["checks"]
+            "expected": "finite fields"} == verdict["checks"][-1]
 
 
 def test_cli_simulate_sobolev_columns_ascend(tmp_path):

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from zrlab.config import (DECLARATIONS, KINDS, ConfigError, default_spec,  # noqa: E402
-                          emit_config, parse_config, validate_spec)
+                          emit_config, parse_config, read_entries, validate_spec)
 from zrlab.experiments import _coeffs_for  # noqa: E402
 from zrlab.model import PhysicalParams  # noqa: E402
 
@@ -52,7 +52,14 @@ def specs(draw):
         spec = replace(spec, preset=draw(st.sampled_from(PRESETS)))
     if draw(st.booleans()):
         spec = replace(spec, **{name: draw(factors) * base for name, base in CONSTANTS.items()})
-    return replace(spec, table=table)
+    spec = replace(spec, table=table)
+    # half the specs keep the initial-data keys their preset does not read at
+    # the defaults, as a config that sets only what the run reads does
+    if draw(st.booleans()):
+        read, defaults = read_entries(spec), default_spec(kind).table
+        spec = replace(spec, table={name: value if f"experiment.{name}" in read else defaults[name]
+                                    for name, value in table.items()})
+    return spec
 
 
 @given(specs())
@@ -62,5 +69,5 @@ def test_emit_parse_roundtrip_generated(spec):
     except ConfigError:
         return  # e.g. inflate's l >= 2k - 1/2 when k is scaled more than l
     assert parse_config(emit_config(spec), spec.kind) == spec
-    if DECLARATIONS[spec.kind].reads_entry("params", "preset"):
+    if DECLARATIONS[spec.kind].preset is not None:
         _coeffs_for(spec)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zrlab.config import ConfigError, default_spec
+from zrlab.config import DECLARATIONS, ConfigError, default_spec
 from zrlab.experiments import (
     CheckResult,
     ExperimentResult,
@@ -310,7 +310,8 @@ def test_conserve_q4_drift_can_fail(monkeypatch):
 
 def test_run_conserve_blowup_in_half_dt_run_fails_completion(monkeypatch):
     """A blow-up in the Richardson half-dt run (the second evolve) becomes a
-    failed completion check; the first run's record and checks stay."""
+    failed completion check; the first run's record and checks stay, ahead
+    of it."""
     import zrlab.experiments as experiments
 
     real_evolve = experiments.evolve
@@ -326,8 +327,8 @@ def test_run_conserve_blowup_in_half_dt_run_fails_completion(monkeypatch):
     spec = replace(default_spec("conserve"), t_end=0.4, dt=0.004, record_every=25)
     result = run_conserve(spec)
     assert calls == [0.004, 0.002]
-    statuses = {c.name: c.status for c in result.checks}
-    assert statuses == {"q1_drift": "pass", "q4_drift": "pass", "completion": "fail"}
+    checks = [(c.name, c.status) for c in result.checks]
+    assert checks == [("q1_drift", "pass"), ("q4_drift", "pass"), ("completion", "fail")]
     assert "t = 0.125" in result.checks[-1].observed
     assert result.status == "fail"
     assert set(result.records) == {"series"}
@@ -706,3 +707,14 @@ def test_run_experiment_dispatch():
     assert run_experiment(spec).status == "pass"
     with pytest.raises(ConfigError, match="unknown experiment kind"):
         run_experiment(replace(spec, kind="bogus"))
+
+
+def test_every_kind_has_one_registered_runner():
+    """Each declared kind registers exactly one runner, the module's
+    run_<kind>, and nothing else is registered."""
+    import zrlab.experiments as experiments
+
+    assert set(experiments._RUNNERS) == set(DECLARATIONS)
+    for kind, runner in experiments._RUNNERS.items():
+        assert runner is getattr(experiments, f"run_{kind}")
+        assert runner.__name__ == f"run_{kind}" and runner.__doc__
