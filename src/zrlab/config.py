@@ -149,8 +149,9 @@ _T_PROBE = Key(_float, 0.1, _POSITIVE)
 _NODES = Key(_int, 64, (lambda v: v >= 16, "must be >= 16"))
 _WIDTH = Key(_float, 2.0, _POSITIVE)  # the Gaussian widths `width` and `psi_width`
 
-# the [experiment] keys each initial-data preset reads (`_initial_state`);
-# growth, which has no `initial` key, starts from the Gaussian
+# the [experiment] keys each initial-data preset reads (`_initial_state`),
+# psi_width only with a nonzero psi_amplitude; growth, which has no
+# `initial` key, starts from the Gaussian
 _INITIAL_KEYS = {
     "gaussian": ("amplitude", "width", "psi_amplitude", "psi_width"),
     "plane_wave": ("amplitude", "kappa", "c1", "c2"),
@@ -397,8 +398,11 @@ def read_entries(spec: ExperimentSpec) -> set[str]:
     keep its default.  These are [output], the [grid], [params] and [stepper]
     entries the kind declares a default for, theta..nu only under
     params.preset = physical, and the kind's [experiment] keys but the
-    initial-data keys the chosen `initial` preset does not read."""
+    initial-data keys the chosen `initial` preset does not read (psi_width
+    too when psi_amplitude = 0)."""
     chosen = _INITIAL_KEYS.get(spec.table.get("initial", "gaussian"), ())
+    if not spec.table.get("psi_amplitude"):  # psi_width only shapes a nonzero psi
+        chosen = tuple(key for key in chosen if key != "psi_width")
     unread = set().union(*_INITIAL_KEYS.values()).difference(chosen)  # other presets' keys
     return {f"{section}.{key}" for section, key, _, default in _entries(default_spec(spec.kind))
             if (spec.preset == "physical" if section == "params" and key != "preset"
@@ -534,12 +538,15 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     decl = DECLARATIONS[spec.kind]
     read, defaults = read_entries(spec), _entries(default_spec(spec.kind))
     # why an entry goes unread where the kind reads its neighbours
+    t = spec.table
+    initial = f" with initial = {t.get('initial', 'gaussian')}"
     why = {"params": "; params.theta/gamma/omega/beta/nu require params.preset = physical"
-           if decl.preset else "", "experiment": f" with initial = {spec.table.get('initial')}"}
+           if decl.preset else "", "experiment": initial,
+           "experiment.psi_width": f"{initial} and psi_amplitude = {t.get('psi_amplitude')}"}
     for (section, name, key, value), (*_, default) in zip(_entries(spec), defaults):
         entry = f"{section}.{name}"
-        _require(entry in read or value == default,
-                 f"{entry} is not consulted by kind={spec.kind}{why.get(section, '')}")
+        _require(entry in read or value == default, f"{entry} is not consulted by "
+                 f"kind={spec.kind}{why.get(entry, why.get(section, ''))}")
         if key.rule is not None and value is not None:
             _require(key.rule[0](value), f"{entry} {key.rule[1]}, got {value!r}")
     for rule in (_shared_rules, *decl.rules):

@@ -11,7 +11,8 @@ Sweeps over N run their members in a thread pool, largest N first; each
 member is sequential and the results come back in ascending N, so records
 are deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto;
 1 = a pool of one worker).
-Decohere's runs step together as one batch (`evolve_members`) instead.
+Decohere splits its runs into one `evolve_members` batch per worker, longest
+run first, and steps the batches through the same pool.
 """
 
 from __future__ import annotations
@@ -163,6 +164,18 @@ def _run_sweep(keys: Sequence, worker: Callable) -> list:
         return list(pool.map(worker, keys))[::-1]
 
 
+def _run_batched(tasks: Sequence, cost: Callable, step: Callable) -> list:
+    """Run step(batch) -> one outcome per task, for one batch of tasks per pool
+    worker; returns the outcomes in task order.  Longest first: each task, by
+    descending cost, joins the batch with the least total cost so far."""
+    batches: list[list[int]] = [[] for _ in range(_max_workers(len(tasks)))]
+    for i in sorted(range(len(tasks)), key=lambda i: -cost(tasks[i])):
+        min(batches, key=lambda batch: sum(cost(tasks[j]) for j in batch)).append(i)
+    parts = _run_sweep(range(len(batches)), lambda b: step([tasks[i] for i in batches[b]]))
+    by_task = {i: outcome for batch, part in zip(batches, parts) for i, outcome in zip(batch, part)}
+    return [by_task[i] for i in range(len(tasks))]
+
+
 def _sweep_slope(result: ExperimentResult, name: str, table: list[dict], column: str,
                  expected: float) -> list[float]:
     """Record a sweep's member table and check the log-log slope of `column`
@@ -217,7 +230,8 @@ def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
     if kind_initial in ("gaussian", "plateau"):
         shape = np.exp(-((x / t["width"]) ** 2)) if kind_initial == "gaussian" \
             else cf.smooth_plateau(x)
-        psi = t["psi_amplitude"] * np.exp(-((x / t["psi_width"]) ** 2))
+        psi_amp = t["psi_amplitude"]
+        psi = psi_amp * np.exp(-((x / t["psi_width"]) ** 2)) if psi_amp else np.zeros(grid.n)
         return FieldState(grid, t["amplitude"] * shape, psi, psi, 0.0), None
     if kind_initial == "random":
         rng = np.random.default_rng(t["seed"])
@@ -492,7 +506,8 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
     the two runs share initial data exactly.  The structural relations
     (L2^2 - L1^2) T = pi/2 and Theta^2 = mu/M hold exactly and are asserted
     as such.  The resolution guard covers every run before any run steps;
-    then all runs step as one batch.
+    then the runs step as one batch per pool worker, each run's result bit
+    for bit what a lone `evolve` returns, whatever batch it lands in.
     """
     t = spec.table
     mu, m_big, c, k_reg = t["mu"], t["m"], t["c"], t["k_reg"]
@@ -516,7 +531,8 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
                 "devA_L2": grid.sobolev_norm_coeffs(diff, 0.0),
                 "devA_Hk": grid.sobolev_norm_coeffs(diff, k_reg)}
 
-    outcomes = evolve_members(*zip(*members), observers=(observe,))
+    outcomes = _run_batched(members, lambda member: member[2].steps,
+                            lambda batch: evolve_members(*zip(*batch), observers=(observe,)))
     for (pair, tag), (state, _, config), (final, record) in zip(runs, members, outcomes):
         diag = {"dt": config.dt, "steps": config.steps,
                 "q1_drift": _rel_drift(record.column("Q1")),

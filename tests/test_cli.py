@@ -21,9 +21,11 @@ from zrlab.config import (
     DECLARATIONS,
     ConfigError,
     apply_overrides,
+    decohere_pairs,
     default_spec,
     emit_config,
     parse_config,
+    read_entries,
     validate_spec,
 )
 from zrlab import experiments
@@ -234,25 +236,28 @@ def test_unread_entries_rejected(kind, entries, tmp_path):
                          + [("conserve", "gaussian"), ("conserve", "random"),
                             ("growth", None)])
 def test_initial_keys_match_initial_state(kind, initial):
-    """The initial-data keys config declares for each preset are the keys the
+    """The initial-data keys a spec reads (`read_entries`) are the keys the
     run's `_initial_state` looks up for it (growth has no `initial` key and
-    starts from the Gaussian).  A nonzero psi_amplitude, because the random
-    preset reads psi_width only to shape a nonzero psi."""
-    seen = set()
-
+    starts from the Gaussian): with a nonzero psi_amplitude all the keys
+    config declares for the preset, with psi_amplitude = 0 all but
+    psi_width, which only shapes a nonzero psi."""
     class Recorder(dict):
         def __getitem__(self, key):
             seen.add(key)
             return super().__getitem__(key)
 
-    spec = default_spec(kind)
-    table = dict(spec.table, psi_amplitude=0.5)
-    if initial is not None:
-        table.update(initial=initial, kappa=2.0 * math.pi / 64.0)
-    spec = replace(spec, table=Recorder(table))
-    experiments._initial_state(spec, SpectralGrid(spec.grid_length, spec.grid_n),
-                               _coeffs_for(spec))
-    assert seen == set(_INITIAL_KEYS[initial or "gaussian"])
+    declared = set(_INITIAL_KEYS[initial or "gaussian"])
+    for psi_amplitude, psi_keys in ((0.0, declared - {"psi_width"}), (0.5, declared)):
+        seen = set()
+        spec = default_spec(kind)
+        table = dict(spec.table, psi_amplitude=psi_amplitude)
+        if initial is not None:
+            table.update(initial=initial, kappa=2.0 * math.pi / 64.0)
+        spec = replace(spec, table=Recorder(table))
+        experiments._initial_state(spec, SpectralGrid(spec.grid_length, spec.grid_n),
+                                   _coeffs_for(spec))
+        read = {entry.removeprefix("experiment.") for entry in read_entries(spec)}
+        assert seen == psi_keys == read & set().union(*_INITIAL_KEYS.values())
 
 
 @pytest.mark.parametrize("kind, initial, entry", [
@@ -260,11 +265,15 @@ def test_initial_keys_match_initial_state(kind, initial):
     ("simulate", "gaussian", "c2=1.0"), ("simulate", "random", "c1=1.0"),
     ("simulate", "plateau", "width=3.0"), ("simulate", "plane_wave", "psi_amplitude=1.0"),
     ("simulate", "plane_wave", "psi_width=3.0"), ("simulate", "plane_wave", "seed=3"),
-    ("conserve", "gaussian", "seed=3"),
+    ("conserve", "gaussian", "seed=3"), ("simulate", "gaussian", "psi_width=3.0"),
+    ("simulate", "plateau", "psi_width=3.0"), ("simulate", "random", "psi_width=3.0"),
+    ("conserve", "gaussian", "psi_width=3.0"), ("conserve", "random", "psi_width=3.0"),
 ])
 def test_unread_initial_keys_rejected(kind, initial, entry):
     """An initial-data key the chosen preset does not read is refused by name
-    and left out of the echo; a preset that reads it takes it."""
+    and left out of the echo; a preset that reads it takes it.  psi_width is
+    read only with a nonzero psi_amplitude (the default is 0), so the
+    preset takes it with psi_amplitude = 0.5."""
     def chosen(name):  # the plane wave needs a kappa on the default grid
         kappa = [f"experiment.kappa={2.0 * math.pi / 64.0!r}"] if name == "plane_wave" else []
         return [f"experiment.initial={name}", *kappa]
@@ -275,7 +284,8 @@ def test_unread_initial_keys_rejected(kind, initial, entry):
         apply_overrides(default_spec(kind), [*chosen(initial), f"experiment.{entry}"])
     assert f"\n{key} = " not in emit_config(apply_overrides(default_spec(kind), chosen(initial)))
     reader = next(name for name, keys in _INITIAL_KEYS.items() if key in keys)
-    spec = apply_overrides(default_spec(kind), [*chosen(reader), f"experiment.{entry}"])
+    psi = ["experiment.psi_amplitude=0.5"] if key == "psi_width" else []
+    spec = apply_overrides(default_spec(kind), [*chosen(reader), *psi, f"experiment.{entry}"])
     assert f"\n{entry.replace('=', ' = ')}\n" in emit_config(spec)
 
 
@@ -344,14 +354,14 @@ RULE_CASES = {
     "simulate.seed": (["experiment.initial=random", "experiment.seed=-1"], None),
     "simulate.initial": (["experiment.initial=bogus"], None),
     "simulate.width": (["experiment.width=0"], None),
-    "simulate.psi_width": (["experiment.psi_width=-1"], None),
+    "simulate.psi_width": (["experiment.psi_amplitude=0.5", "experiment.psi_width=-1"], None),
     "simulate.s_list": (["experiment.s_list="], None),
     "simulate.rules[0]": (["experiment.initial=plane_wave"],
                           "kappa = 1.0 is not a grid wavenumber"),
     "conserve.seed": (["experiment.initial=random", "experiment.seed=-1"], None),
     "conserve.initial": (["experiment.initial=plateau"], None),
     "conserve.width": (["experiment.width=-2"], None),
-    "conserve.psi_width": (["experiment.psi_width=0"], None),
+    "conserve.psi_width": (["experiment.psi_amplitude=0.5", "experiment.psi_width=0"], None),
     "conserve.q1_tol": (["experiment.q1_tol=0"], None),
     "conserve.q4_tol": (["experiment.q4_tol=-1e-6"], None),
     "conserve.rules[0]": (["params.preset=physical", "params.omega=-1"], "global-existence"),
@@ -633,23 +643,39 @@ def test_cli_manifest_digests_every_artifact(tmp_path):
     ("growth", []),
 ])
 def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatch):
-    """A blow-up in any kind that steps (inside a sweep member, in decohere's
-    batch of runs, or in a preset run) fails the run with a manifest on disk
-    whose last check is the failed completion check."""
+    """A blow-up in any kind that steps (inside a sweep member, in a batch of
+    decohere's runs, or in a preset run) fails the run with a manifest on
+    disk whose last check is the failed completion check.  Decohere's batch
+    holding the longest run blows up: with one worker the lone batch, with
+    two only that batch, while the other steps to its end."""
+    pairs = decohere_pairs(default_spec("decohere").table)[0]
+    longest = max(t for pair in pairs.values() for t in pair["t_internal"].values())
+    stepped = []
+
     def blow_up(*args, **kwargs):
         raise BlowUpError(0.5)
 
+    def blow_up_longest_batch(states, coeffs, configs, observers=()):
+        if longest in (config.t_end for config in configs):
+            raise BlowUpError(0.5)
+        stepped.append(len(configs))
+        return real_evolve_members(states, coeffs, configs, observers)
+
+    real_evolve_members = experiments.evolve_members
     monkeypatch.setattr(experiments, "evolve", blow_up)
-    monkeypatch.setattr(experiments, "evolve_members", blow_up)
-    out = tmp_path / "out"
-    args = [kind, "--set", f"output.dir={out}"]
-    for entry in overrides:
-        args += ["--set", entry]
-    assert main(args) == 1
-    verdict = json.loads((out / f"{kind}_manifest.json").read_text())["verdict"]
-    assert verdict["status"] == "fail"
-    assert {"name": "completion", "status": "fail", "observed": "blow-up at t = 0.5",
-            "expected": "finite fields"} == verdict["checks"][-1]
+    monkeypatch.setattr(experiments, "evolve_members", blow_up_longest_batch)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ZRLAB_THREADS", threads)
+        out = tmp_path / threads
+        args = [kind, "--set", f"output.dir={out}"]
+        for entry in overrides:
+            args += ["--set", entry]
+        assert main(args) == 1
+        verdict = json.loads((out / f"{kind}_manifest.json").read_text())["verdict"]
+        assert verdict["status"] == "fail"
+        assert {"name": "completion", "status": "fail", "observed": "blow-up at t = 0.5",
+                "expected": "finite fields"} == verdict["checks"][-1]
+    assert stepped == ([3] if kind == "decohere" else [])
 
 
 def test_cli_simulate_sobolev_columns_ascend(tmp_path):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zrlab.config import DECLARATIONS, ConfigError, default_spec
+from zrlab.config import DECLARATIONS, ConfigError, decohere_pairs, default_spec
 from zrlab.experiments import (
     CheckResult,
     ExperimentResult,
@@ -19,6 +19,7 @@ from zrlab.experiments import (
     _max_workers,
     _psi_envelope_check,
     _rel_drift,
+    _run_batched,
     _run_sweep,
     _slope_check,
     expected_c2_slope,
@@ -168,6 +169,29 @@ def test_run_sweep_merges_by_sorted_key(monkeypatch):
     threaded = _run_sweep(keys, worker)
     assert dispatched[1] == (3, [3, 2, 1])
     assert serial == threaded == ["r1", "r2", "r3"]
+
+
+@pytest.mark.parametrize("threads, loads", [("1", [4540]), ("2", [2251, 2289]),
+                                            ("8", [461, 600, 738, 775, 914, 1052])])
+def test_run_batched_partitions_longest_first(monkeypatch, threads, loads):
+    """One batch per pool worker: each task, by descending cost, joins the
+    batch with the least total cost so far, so decohere's default step
+    counts split 2251 / 2289 over two workers.  Every task lands in exactly
+    one batch, longest first within it, and the outcomes come back in task
+    order."""
+    tasks = [738, 461, 1052, 600, 914, 775]
+    batches = []
+
+    def step(batch):
+        batches.append(batch)
+        return [f"ran {task}" for task in batch]
+
+    monkeypatch.setenv("ZRLAB_THREADS", threads)
+    outcomes = _run_batched(tasks, lambda task: task, step)
+    assert outcomes == [f"ran {task}" for task in tasks]
+    assert sorted(task for batch in batches for task in batch) == sorted(tasks)
+    assert all(batch == sorted(batch, reverse=True) for batch in batches)
+    assert sorted(sum(batch) for batch in batches) == loads
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -543,24 +567,32 @@ def test_run_decohere_structural_relations_small(tmp_path):
 
 def test_decohere_initial_separation_can_fail(monkeypatch):
     """Negative control: the L2 run started from perturbed data trips the
-    initial_separation check, which reads the runs' t = 0 fields."""
+    initial_separation check, which reads the runs' t = 0 fields.  The L2
+    run is found by its horizon, in one batch or in a batch of its own."""
     import zrlab.experiments as experiments
 
     real_evolve_members = experiments.evolve_members
-    calls = []
+    spec = default_spec("decohere")
+    spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=()))
+    horizon = decohere_pairs(spec.table)[0][(0.2, 5.0)]["t_internal"]
+    perturbed = []
 
     def evolve_perturbing_l2(states, coeffs, configs, observers=()):
-        calls.append([config.t_end for config in configs])
-        states[1].b *= 1.5  # the pair's members are L1, then L2
+        for state, config in zip(states, configs):
+            if config.t_end == horizon["L2"]:
+                perturbed.append(config.t_end)
+                state.b *= 1.5
         return real_evolve_members(states, coeffs, configs, observers)
 
     monkeypatch.setattr(experiments, "evolve_members", evolve_perturbing_l2)
-    spec = default_spec("decohere")
-    result = run_decohere(replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=())))
-    assert len(calls) == 1 and len(calls[0]) == 2 and calls[0][0] < calls[0][1]
-    assert result.info["pair"]["separation_initial"] > 0.0
-    assert {c.name: c.status for c in result.checks}["initial_separation"] == "fail"
-    assert result.status == "fail"
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ZRLAB_THREADS", threads)
+        perturbed.clear()
+        result = run_decohere(spec)
+        assert perturbed == [horizon["L2"]] and horizon["L1"] < horizon["L2"]
+        assert result.info["pair"]["separation_initial"] > 0.0
+        assert {c.name: c.status for c in result.checks}["initial_separation"] == "fail"
+        assert result.status == "fail"
 
 
 def test_decohere_separation_and_stability_can_fail(monkeypatch):
@@ -607,8 +639,8 @@ def test_decohere_structural_checks_can_fail(monkeypatch, field, check):
 
 def test_decohere_runs_each_pair_once(monkeypatch):
     """The main (mu, M) pair is also a mu-sweep pair (M_j = max(M, ceil(1/mu_j))
-    = M), so it runs once and feeds both the verdict and the sweep row; all
-    runs step in one batch."""
+    = M), so it runs once and feeds both the verdict and the sweep row: over
+    the union of the batches, each (pair, tag) run steps exactly once."""
     import zrlab.experiments as experiments
 
     real_evolve_members = experiments.evolve_members
@@ -620,12 +652,45 @@ def test_decohere_runs_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "evolve_members", counting_evolve_members)
     spec = default_spec("decohere")
-    result = run_decohere(replace(spec, table=dict(spec.table, mu=0.2, m=5.0,
-                                                   mu_list=(0.25, 0.2))))
-    assert len(calls) == 1 and len(calls[0]) == 4  # two pairs of (L1, L2) runs
-    rows = {row["mu"]: row for row in result.info["mu_sweep"]}
-    assert sorted(rows) == [0.2, 0.25] and rows[0.2]["m"] == 5.0
-    assert rows[0.2]["separation_final"] == result.info["pair"]["separation_final"]
+    spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=(0.25, 0.2)))
+    pairs = decohere_pairs(spec.table)[0]
+    runs = sorted(t for pair in pairs.values() for t in pair["t_internal"].values())
+    assert len(pairs) == 2 and len(set(runs)) == 4  # two pairs of (L1, L2) runs
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ZRLAB_THREADS", threads)
+        calls.clear()
+        result = run_decohere(spec)
+        assert len(calls) == int(threads)
+        assert sorted(t for call in calls for t in call) == runs
+        rows = {row["mu"]: row for row in result.info["mu_sweep"]}
+        assert sorted(rows) == [0.2, 0.25] and rows[0.2]["m"] == 5.0
+        assert rows[0.2]["separation_final"] == result.info["pair"]["separation_final"]
+
+
+def test_decohere_split_matches_one_batch(monkeypatch):
+    """The default runs split over two workers (2251 and 2289 steps) give the
+    single batch's verdict bit for bit: equal info and records, every float
+    compared by ==, and the same check lines."""
+    import zrlab.experiments as experiments
+
+    real_evolve_members = experiments.evolve_members
+    loads = []
+
+    def counting_evolve_members(states, coeffs, configs, observers=()):
+        loads.append(sum(config.steps for config in configs))
+        return real_evolve_members(states, coeffs, configs, observers)
+
+    monkeypatch.setattr(experiments, "evolve_members", counting_evolve_members)
+    results = []
+    for threads, split in (("1", [4540]), ("2", [2251, 2289])):
+        monkeypatch.setenv("ZRLAB_THREADS", threads)
+        loads.clear()
+        results.append(run_decohere(default_spec("decohere")))
+        assert sorted(loads) == split
+    one, two = results
+    assert one.status == "pass"
+    assert two.info == one.info and two.records == one.records
+    assert [c.line() for c in two.checks] == [c.line() for c in one.checks]
 
 
 @pytest.mark.parametrize("n", [256, 1024])
