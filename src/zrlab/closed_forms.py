@@ -54,9 +54,47 @@ def as_grid_norm(hat_norm_value: float) -> float:
     return hat_norm_value * GRID_NORM_FACTOR
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+    return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
+
+
+@lru_cache(maxsize=None)
+def _gl_half(nodes: int):
+    """The non-negative nodes of the nodes-point Gauss-Legendre rule on
+    [-1, 1], ascending, and their weights doubled (but for an odd count's
+    centre node, which is exactly 0.0).
+
+    Newton on P_n from the guesses cos(pi (k - 1/4) / (n + 1/2)), written as
+    sines so that the centre guess is exactly 0; the weights
+    2 / ((1 - x^2) P_n'(x)^2) are scaled so the whole rule sums to 2."""
+    x = np.sin(np.pi * np.arange(1 - nodes % 2, nodes, 2) / (2 * nodes + 1))
+    for _ in range(100):
+        p, dp = _legendre(nodes, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    dp = _legendre(nodes, x)[1]
+    w = np.where(x > 0.0, 4.0, 2.0) / ((1.0 - x) * (1.0 + x) * dp * dp)
+    w *= 2.0 / np.sum(w)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def _gl(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """The nodes-point Gauss-Legendre rule on [-1, 1], ascending and mirrored
+    bit for bit: x_k = -x_{n-1-k} and w_k = w_{n-1-k}, built from _gl_half."""
+    half_x, half_w = _gl_half(nodes)
+    centre = nodes % 2  # 1 if half_x[0] is the centre node 0.0
+    outer_w = 0.5 * half_w[centre:]
+    x = np.concatenate((-half_x[centre:][::-1], half_x))
+    w = np.concatenate((outer_w[::-1], half_w[:centre], outer_w))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -179,37 +217,34 @@ def synthesize_hat_field(grid: SpectralGrid, hats: Sequence[HatDatum]) -> np.nda
 
 def resonance_phi(t: float, a) -> np.ndarray:
     """phi(t, a) = (exp(i t a) - 1) / (i a), the oscillatory time integral
-    int_0^t exp(i t' a) dt'.
+    int_0^t exp(i t' a) dt', as
 
-    For |t a| < 1e-6 the three-term series t (1 + i t a / 2 - (t a)^2 / 6)
-    is used; phi(t, 0) = t and |phi| <= |t| everywhere.
+        Re phi = sin(t a) / a,    Im phi = 2 sin(t a / 2)^2 / a,
+
+    each written with np.sinc: there is no subtraction to cancel, and
+    phi(t, 0) = t needs no branch.  |phi| <= |t| everywhere.
     """
-    a = np.asarray(a, dtype=np.float64)
-    ta = t * a
-    small = np.abs(ta) < 1e-6
-    a_safe = np.where(small, 1.0, a)
-    exact = (np.exp(1j * ta) - 1.0) / (1j * a_safe)
-    series = t * (1.0 + 0.5j * ta - ta**2 / 6.0)
-    return np.where(small, series, exact)
+    ta = t * np.asarray(a, dtype=np.float64)
+    half = np.sinc(ta / (2.0 * np.pi))
+    return t * (np.sinc(ta / np.pi) + 0.5j * ta * half * half)
 
 
 def _phi(t: float, a: np.ndarray, time_nodes: int) -> np.ndarray:
     """resonance_phi(t, a) for time_nodes = 0; otherwise the dual route, a
     brute-force time_nodes-point GL quadrature of int_0^t exp(i t' a) dt'.
 
-    The rule is folded on its node symmetry: leggauss gives x_k = -x_{n-1-k}
-    and w_k = w_{n-1-k} exactly, so with t' = (t/2)(1 + x_k) the same sum is
-    exp(i a t/2) sum_{x_k >= 0} c_k w_k cos(a t x_k / 2), where c_k = 2, or 1
-    on the centre node x_k = 0 of an odd count.  That is ceil(n/2) + 2 real
-    cosines and sines per phase value instead of 2n (numpy has no vectorised
-    complex exp)."""
+    The rule is folded on its node symmetry: _gl's rule is mirrored bit for
+    bit, so with t' = (t/2)(1 + x_k) the same sum is exp(i a t/2) times the
+    cosine sum over the non-negative half of _gl_half, whose weights are
+    doubled but for the centre node x_k = 0 of an odd count.  That is
+    ceil(n/2) + 2 real cosines and sines per phase value instead of 2n
+    (numpy has no vectorised complex exp)."""
     if not time_nodes:
         return resonance_phi(t, a)
-    x, w = _gl(time_nodes)
-    upper = slice(time_nodes // 2, None)
+    x, w = _gl_half(time_nodes)
     mid = 0.5 * t * a
-    angle = np.multiply.outer(mid, x[upper])
-    folded = np.cos(angle, out=angle) @ (np.where(x[upper] > 0.0, 2.0, 1.0) * w[upper])
+    angle = np.multiply.outer(mid, x)
+    folded = np.cos(angle, out=angle) @ w
     return 0.5 * t * (np.cos(mid) + 1j * np.sin(mid)) * folded
 
 

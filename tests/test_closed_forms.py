@@ -1,17 +1,22 @@
 """Closed-form oracles: kernels, hat data, norms, profiles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import zrlab
 from zrlab import (HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10, build_fN,
                    first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm, modulated_sinc,
                    normalize_hats, resonance_phi, small_dispersion_solution, smooth_plateau,
                    synthesize_hat_field)
-from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _phi
+from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _gl_half, _phi
 
 
 # -- resonance kernel ---------------------------------------------------------
@@ -54,6 +59,124 @@ def test_phi_vectorized():
     assert out.shape == a.shape
     assert out[0, 0] == pytest.approx(1.0)
     assert out[1, 0] == pytest.approx(2j / np.pi, rel=1e-14)
+
+
+def _pre_sinc_phi(t, a):
+    """resonance_phi as it was written before its sinc form: a complex exp
+    and a complex division, with a three-term series below |t a| = 1e-6."""
+    a = np.asarray(a, dtype=np.float64)
+    ta = t * a
+    small = np.abs(ta) < 1e-6
+    exact = (np.exp(1j * ta) - 1.0) / (1j * np.where(small, 1.0, a))
+    return np.where(small, t * (1.0 + 0.5j * ta - ta**2 / 6.0), exact)
+
+
+def _kernel_error_over_t(kernel, t, a):
+    """max |kernel(t, a) - phi(t, a)| / t against mpmath's 40-digit
+    expm1(i t a) / (i a) at the same double inputs (phi(t, 0) = t)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = [complex(mpmath.expm1(1j * mpmath.mpf(t) * mpmath.mpf(v)) / (1j * mpmath.mpf(v)))
+                if v else complex(t) for v in a]
+    return float(np.max(np.abs(kernel(t, a) - np.array(want)))) / t
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0, 2.5])
+def test_phi_has_no_cancellation(t):
+    """resonance_phi lies within 1e-15 t of phi at |t a| log-uniform on
+    [1e-12, 1e2], both signs, and at a = 0.  The pre-sinc formula fails the
+    same bound (negative control): just above its 1e-6 series switch,
+    exp(i t a) - 1 cancels, and at t a = 2e-6 it is off by about 2e-11
+    relative."""
+    rng = np.random.default_rng(7)
+    ta = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-12.0, 2.0, 400)
+    a = np.concatenate(([0.0, 2e-6 / t, -2e-6 / t], ta / t))
+    assert _kernel_error_over_t(resonance_phi, t, a) <= 1e-15
+    assert _kernel_error_over_t(_pre_sinc_phi, t, a) > 1e-12
+    assert _kernel_error_over_t(_pre_sinc_phi, t, a[1:2]) > 1e-11  # |phi| = t there
+
+
+# -- Gauss-Legendre rule -------------------------------------------------------
+
+def test_gl_rule_is_mirrored_and_exact():
+    """For every count n in [1, 128] the rule is mirrored bit for bit, an odd
+    count's centre node is 0.0, _gl_half is its non-negative half with the
+    weights of x > 0 doubled, the weights sum to 2 within 4 ulp, and the rule
+    integrates x^{2m} exactly for m < n within 2e-13 (numpy's leggauss is off
+    by 1.2e-12 at n = 128).  The weights are not compared pointwise with a
+    reference: rounding the nodes alone moves the endpoint weights by about
+    1e-12 relative."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.example(1)
+    @hypothesis.example(128)
+    @hypothesis.given(hypothesis.strategies.integers(1, 128))
+    def exact(n):
+        x, w = _gl(n)
+        assert x.shape == w.shape == (n,)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+        half_x, half_w = _gl_half(n)
+        assert np.array_equal(half_x, x[n // 2:])
+        assert np.array_equal(half_w, np.where(half_x > 0.0, 2.0, 1.0) * w[n // 2:])
+        assert abs(np.sum(w) - 2.0) <= 4 * np.spacing(2.0)
+        m = np.arange(n)[:, None]
+        assert np.max(np.abs(x ** (2 * m) @ w * (2 * m[:, 0] + 1) / 2.0 - 1.0)) <= 2e-13
+
+    exact()
+
+
+def _mpmath_gl_nodes(n):
+    """The n Gauss-Legendre nodes at 40 digits, by Newton on the Legendre
+    recurrence from the guesses cos(pi (k - 1/4) / (n + 1/2))."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes = []
+    with mpmath.workdps(40):
+        for k in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(100):
+                prev, cur = mpmath.mpf(1), x
+                for j in range(1, n):
+                    prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+                step = cur * (1 - x * x) / (n * (prev - x * cur))
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -38:
+                    break
+            nodes.append(x)
+        return sorted(nodes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 63, 64, 65, 128])
+def test_gl_nodes_match_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    x, _ = _gl(n)
+    with mpmath.workdps(40):
+        gaps = [abs(mpmath.mpf(float(u)) - v) for u, v in zip(x, _mpmath_gl_nodes(n))]
+    assert float(max(gaps)) <= 2.2e-16
+
+
+def test_c2probe_cold_path_builds_its_own_rule(tmp_path):
+    """A fresh process: importing zrlab builds no rule, and a default
+    `zrlab c2probe` run never imports numpy.polynomial."""
+    override = f"output.dir={tmp_path}"
+    code = "\n".join([
+        "import sys",
+        "from zrlab import closed_forms",
+        "from zrlab.cli import main",
+        "assert closed_forms._gl_half.cache_info().currsize == 0, 'rule built at import'",
+        "assert closed_forms._gl.cache_info().currsize == 0, 'rule built at import'",
+        f"assert main(['c2probe', '--set', {override!r}]) == 0",
+        "assert closed_forms._gl_half.cache_info().currsize > 0",
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial imported'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(zrlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "c2probe_c2.fit").exists()
 
 
 # -- hat data ------------------------------------------------------------------
