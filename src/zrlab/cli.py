@@ -1,8 +1,8 @@
 """Command-line front end: config in, verdicts and bit-exact artifacts out.
 
 Exit codes: 0 when every check passes, 2 when the verdict is inconclusive
-(e.g. a scaling fit below the r^2 bar), 1 on configuration errors, usage
-errors, or failed checks.
+(e.g. a scaling fit below the r^2 bar), 1 on usage and config errors, an
+unreadable config file or unwritable output, and failed checks.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import logging
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .config import (DECLARATIONS, ConfigError, ExperimentSpec, apply_overrides,
                      emit_config, parse_config)
@@ -51,19 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+def _fail(message: str) -> int:
+    print(f"zrlab: {message}", file=sys.stderr)
+    return 1
 
 
 def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[str]:
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, dict] = {}
     written: list[str] = []
 
@@ -85,13 +77,13 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
     manifest = {
         "kind": spec.kind,
         "config_echo": emit_config(spec),
-        "verdict": _jsonable({
+        "verdict": {
             "status": result.status,
             "checks": [{"name": c.name, "status": c.status,
                         "observed": c.observed, "expected": c.expected}
                        for c in result.checks],
             "info": result.info,
-        }),
+        },
         "wall_time_s": wall,
         "artifacts": artifacts,
         "version": __version__,
@@ -113,31 +105,32 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        if args.config is not None:
-            spec = parse_config(args.config.read_text(encoding="utf-8"), args.kind)
-        else:
-            spec = parse_config("", args.kind)
+        text = "" if args.config is None else args.config.read_text(encoding="utf-8")
+        spec = parse_config(text, args.kind)
         if args.overrides:
             spec = apply_overrides(spec, args.overrides)
-    except OSError as exc:
-        print(f"zrlab: error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, UnicodeError) as exc:
+        return _fail(f"error: cannot read config: {exc}")
     except ConfigError as exc:
-        print(f"zrlab: config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"config error: {exc}")
+    try:
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"error: cannot write output: {exc}")
 
     start = time.perf_counter()
     try:
         result = run_experiment(spec)
     except ConfigError as exc:
-        print(f"zrlab: config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"config error: {exc}")
     except (ValueError, RuntimeError) as exc:
-        print(f"zrlab: run failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"run failed: {exc}")
     wall = time.perf_counter() - start
 
-    written = _emit(spec, result, wall)
+    try:
+        written = _emit(spec, result, wall)
+    except OSError as exc:
+        return _fail(f"error: cannot write output: {exc}")
     for check in result.checks:
         print(check.line())
     for path in written:

@@ -41,6 +41,8 @@ __all__ = [
     "l_hat",
     "l_hat_norm",
     "first_order_psi1",
+    "expected_c2_slope",
+    "expected_inflation_slope",
     "small_dispersion_solution",
     "smooth_plateau",
     "modulated_sinc",
@@ -295,6 +297,11 @@ def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
         breaks, k, lambda xi: np.abs(l_hat(xi, t, b0, psi10, nodes, time_nodes)) ** 2, nodes))
 
 
+def expected_c2_slope(l: float) -> float:
+    """Growth rate in N of the probe's ||L||; the probe needs it >= 0, l <= -1/2."""
+    return -l - 0.5
+
+
 # -- first-order transport response ---------------------------------------------
 
 def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
@@ -330,6 +337,12 @@ def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
     # the pair overlaps kink where xi is a difference of two hat edges
     breaks = [u - v for p in hats for q in hats for u in (p.lo, p.hi) for v in (q.lo, q.hi)]
     return math.sqrt(_panel_integral(breaks, l, psi1_hat_sq, nodes))
+
+
+def expected_inflation_slope(k: float, l: float) -> float:
+    """Inflation rate in N of the H^l response to unit H^k data; inflation
+    needs it >= 0, the paper's sharpness line l >= 2k - 1/2."""
+    return l - (2.0 * k - 0.5)
 
 
 # -- small-dispersion closed form -----------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closed_forms import modulated_sinc
+from .closed_forms import expected_c2_slope, expected_inflation_slope, modulated_sinc
 from .evolution import StepperConfig
 from .grid import GRID_SIZE_RULE, SpectralGrid, dealiased_band, is_grid_size
 from .model import PhysicalParams, check_plane_wave
@@ -47,7 +47,6 @@ __all__ = [
     "decohere_pairs",
     "check_decohere_band",
     "DECLARATIONS",
-    "KINDS",
 ]
 
 _SECTIONS = ("grid", "params", "stepper", "experiment", "output")
@@ -77,10 +76,6 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}")
-
-
-def _str(text: str) -> str:
-    return text.strip()
 
 
 def _list_of(item: Callable) -> Callable:
@@ -129,10 +124,10 @@ def _one_of(*choices: str) -> tuple[Callable[[object], bool], str]:
 _SCHEMAS: dict[str, dict[str, Key]] = {
     "grid": {"n": Key(_int, rule=(is_grid_size, GRID_SIZE_RULE)),
              "length": Key(_float, rule=_POSITIVE)},
-    "params": {"preset": Key(_str, rule=_one_of("normalized", "physical")),
+    "params": {"preset": Key(str, rule=_one_of("normalized", "physical")),
                **{name: Key(_float) for name in ("theta", "gamma", "omega", "beta", "nu")}},
     "stepper": {"dt": Key(_float), "t_end": Key(_float), "record_every": Key(_int)},
-    "output": {"dir": Key(_str, rule=_NONEMPTY), "prefix": Key(_str, rule=_NONEMPTY)},
+    "output": {"dir": Key(str, rule=_NONEMPTY), "prefix": Key(str, rule=_NONEMPTY)},
 }
 # the ExperimentSpec field behind each of those entries
 _SPEC_FIELD = {("grid", "n"): "grid_n", ("grid", "length"): "grid_length",
@@ -247,7 +242,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         preset="normalized", grid=(512, 64.0), stepper=(1e-3, 1.0, 10),
         keys={
             "seed": Key(_int, 0, _NONNEGATIVE),
-            "initial": Key(_str, "gaussian", _one_of(*_INITIAL_KEYS)),
+            "initial": Key(str, "gaussian", _one_of(*_INITIAL_KEYS)),
             "amplitude": Key(_float, 1.0),
             "width": _WIDTH,
             "kappa": Key(_float, 1.0),
@@ -256,7 +251,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "psi_amplitude": Key(_float, 0.0),
             "psi_width": _WIDTH,
             "s_list": Key(_list_of(_float), (1.0,), _NONEMPTY),
-            "psi_index": Key(_float, -0.5),
         },
         rules=(lambda s: s.table["initial"] != "plane_wave" or _as_config_error(
             "experiment", check_plane_wave, s.table["kappa"], s.grid_n, s.grid_length),)),
@@ -265,13 +259,12 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         preset="physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
         keys={
             "seed": Key(_int, 0, _NONNEGATIVE),
-            "initial": Key(_str, "gaussian", _one_of("gaussian", "random")),
+            "initial": Key(str, "gaussian", _one_of("gaussian", "random")),
             "amplitude": Key(_float, 0.5),
             "width": replace(_WIDTH, default=4.0),
             "psi_amplitude": Key(_float, 0.0),
             "psi_width": replace(_WIDTH, default=4.0),
             "s_list": Key(_list_of(_float), (1.0,)),
-            "psi_index": Key(_float, -0.5),
             "q1_tol": Key(_float, 1e-10, _POSITIVE),
             "q4_tol": Key(_float, 1e-6, _POSITIVE),
         },
@@ -286,12 +279,12 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "l": Key(_float, 0.25),
             "n_list": replace(_N_LIST, default=(32, 64, 128, 256)),
             "t_probe": _T_PROBE,
-            "variant": Key(_str, "f", _one_of("f", "g")),
+            "variant": Key(str, "f", _one_of("f", "g")),
             "modes_per_hat": Key(_int, 4, (lambda v: v >= 1, "must be >= 1")),
             "nodes": _NODES,
         },
         rules=(lambda s: _require(
-                   s.table["l"] >= 2.0 * s.table["k"] - 0.5,
+                   expected_inflation_slope(s.table["k"], s.table["l"]) >= 0,
                    f"inflation hypothesis l >= 2k - 1/2 violated (k={s.table['k']} -> "
                    f"need l >= {2.0 * s.table['k'] - 0.5}, got l={s.table['l']})"),
                lambda s: _as_config_error("stepper", StepperConfig.spanning,
@@ -302,7 +295,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         preset=None, grid=(None, None), stepper=(None, None, None),
         keys={
             "k": Key(_float, 0.0),
-            "l": Key(_float, -1.0, (lambda l: l <= -0.5, "must be <= -1/2: the "
+            "l": Key(_float, -1.0, (lambda l: expected_c2_slope(l) >= 0, "must be <= -1/2: the "
                                     "second-derivative probe requires l <= -1/2")),
             "n_list": replace(_N_LIST, default=(16, 32, 64, 128, 256)),
             "t_probe": replace(_T_PROBE, default=0.01),
@@ -341,14 +334,10 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "s_list": Key(_list_of(_float), (1.0, 3.0),
                           (lambda v: len(v) > 0 and all(1.0 <= s <= 8.0 for s in v),
                            "must lie within [1, 8] and be nonempty")),
-            "psi_index": Key(_float, -0.5),
             "c_one": Key(_float, 10.0, _POSITIVE),
         },
         rules=(_global_existence,)),
 }
-
-KINDS = tuple(DECLARATIONS)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -378,7 +367,8 @@ class ExperimentSpec:
 def default_spec(kind: str) -> ExperimentSpec:
     """The fully resolved spec for `kind` with every default applied."""
     if kind not in DECLARATIONS:
-        raise ConfigError(f"unknown experiment kind {kind!r} (expected one of {', '.join(KINDS)})")
+        raise ConfigError(f"unknown experiment kind {kind!r} "
+                          f"(expected one of {', '.join(DECLARATIONS)})")
     decl = DECLARATIONS[kind]
     return ExperimentSpec(kind, *decl.grid, decl.preset, *astuple(PhysicalParams()),
                           *decl.stepper, out_dir="runs", prefix=kind,
@@ -464,8 +454,8 @@ def _build_spec(base: ExperimentSpec, sections: dict[str, dict[str, tuple[str, i
                 value = _convert(section, key, raw, where, _SCHEMAS[section])
                 updates[_SPEC_FIELD[section, key]] = value
             elif key == "kind":
-                if raw.strip() != kind:
-                    raise ConfigError(f"experiment.kind = {raw.strip()!r} does not match "
+                if raw != kind:
+                    raise ConfigError(f"experiment.kind = {raw!r} does not match "
                                       f"the requested kind {kind!r}", where)
             else:
                 table[key] = _convert(section, key, raw, where, DECLARATIONS[kind].keys)
@@ -481,9 +471,9 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentSpec:
     sections = _split_sections(text)
     if "kind" in sections.get("experiment", {}):
         raw, lineno = sections["experiment"]["kind"]
-        if raw.strip() not in KINDS:
-            raise ConfigError(f"unknown experiment kind {raw.strip()!r}", f"line {lineno}")
-        kind = raw.strip() if kind is None else kind
+        if raw not in DECLARATIONS:
+            raise ConfigError(f"unknown experiment kind {raw!r}", f"line {lineno}")
+        kind = raw if kind is None else kind
     if kind is None:
         raise ConfigError("experiment.kind missing (no subcommand context and no config entry)")
     return validate_spec(_build_spec(default_spec(kind), sections))
@@ -534,7 +524,7 @@ def _shared_rules(spec: ExperimentSpec) -> None:
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Check every declared entry and rule and return `spec`; raise
     ConfigError naming the violated one."""
-    _require(spec.kind in KINDS, f"unknown kind {spec.kind!r}")
+    _require(spec.kind in DECLARATIONS, f"unknown kind {spec.kind!r}")
     decl = DECLARATIONS[spec.kind]
     read, defaults = read_entries(spec), _entries(default_spec(spec.kind))
     # why an entry goes unread where the kind reads its neighbours

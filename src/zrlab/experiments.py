@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import closed_forms as cf
+from .closed_forms import expected_c2_slope, expected_inflation_slope
 from .config import ConfigError, ExperimentSpec, check_decohere_band, decohere_pairs
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_fast_len
@@ -40,8 +41,6 @@ __all__ = [
     "CheckResult",
     "ExperimentResult",
     "fit_loglog",
-    "expected_inflation_slope",
-    "expected_c2_slope",
     "inflation_grid",
     "inflate_member",
     "run_simulate",
@@ -266,10 +265,10 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
                        "(want < 1e-8); consider a larger grid length", frac)
     # the normalized preset has no physical energy: the unit parameters stand
     # in, and only Q1 and the momentum part (preset-independent) back a verdict
-    params, psi_index = spec.physical_params(), spec.table["psi_index"]
+    params = spec.physical_params()
 
     def observe(state: FieldState) -> dict[str, float]:
-        return conserved_quantities(state, params, s_list, psi_index)
+        return conserved_quantities(state, params, s_list)
 
     def run(dt: float) -> tuple[FieldState, RunRecord]:
         steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
@@ -370,10 +369,6 @@ def run_conserve(spec: ExperimentSpec, result: ExperimentResult) -> None:
 
 # -- inflate ------------------------------------------------------------------------
 
-def expected_inflation_slope(k: float, l: float) -> float:
-    return l - (2.0 * k - 0.5)
-
-
 def inflation_grid(n_freq: int, modes_per_hat: int) -> SpectralGrid:
     """Grid whose frequency lattice contains the hat edges exactly and whose
     dealiased band covers the doubled data support |xi| <= 2N + 2 + 2/N."""
@@ -451,10 +446,6 @@ def run_inflate(spec: ExperimentSpec, result: ExperimentResult) -> None:
 
 
 # -- c2probe ------------------------------------------------------------------------
-
-def expected_c2_slope(l: float) -> float:
-    return -l - 0.5
-
 
 @_runner
 def run_c2probe(spec: ExperimentSpec, result: ExperimentResult) -> None:

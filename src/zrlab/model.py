@@ -31,7 +31,7 @@ normalization, and the small-dispersion modified system are instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,10 +101,9 @@ class GeneralCoefficients:
     source_minus: float
 
     def __post_init__(self) -> None:
-        for name in ("dispersion", "potential_plus", "potential_minus", "cubic",
-                     "speed_plus", "speed_minus", "source_plus", "source_minus"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coefficient {name} must be finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"coefficient {f.name} must be finite")
 
 
 def coefficients_from_params(p: PhysicalParams) -> GeneralCoefficients:
@@ -144,7 +143,7 @@ def normalized_coefficients() -> GeneralCoefficients:
 
 def unit_physical_params() -> PhysicalParams:
     """theta = gamma = omega = beta = 1, nu = 0; q collapses to 1."""
-    return PhysicalParams(theta=1.0, gamma=1.0, omega=1.0, beta=1.0, nu=0.0)
+    return PhysicalParams()
 
 
 def modified_system_coefficients(mu: float, big_l: float, c: float,

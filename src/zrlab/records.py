@@ -106,7 +106,7 @@ def read_fit_file(path) -> dict:
 
 def write_manifest(manifest: dict, path) -> None:
     """Write a run manifest as JSON, adding the sha256 `config_digest` of its
-    `config_echo`."""
+    `config_echo`; a numpy scalar is written as the Python value it holds."""
     digest = hashlib.sha256(manifest["config_echo"].encode()).hexdigest()
-    Path(path).write_text(json.dumps({**manifest, "config_digest": digest},
-                                     indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps({**manifest, "config_digest": digest}, indent=2,
+                                     sort_keys=True, default=lambda v: v.item()) + "\n")

@@ -151,6 +151,10 @@ def test_apply_overrides_malformed():
     for kind in ("inflate", "c2probe", "decohere", "growth"):
         with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[experiment\]"):
             apply_overrides(default_spec(kind), ["experiment.seed=1"])
+    # the Hpsi columns' Sobolev index is fixed at -1/2, not an entry
+    for kind in ("simulate", "conserve", "growth"):
+        with pytest.raises(ConfigError, match=r"unknown key 'psi_index' in \[experiment\]"):
+            apply_overrides(default_spec(kind), ["experiment.psi_index=-0.5"])
     for kind in ("simulate", "conserve"):
         spec = apply_overrides(default_spec(kind), ["experiment.initial=random",
                                                     "experiment.seed=1"])
@@ -172,6 +176,25 @@ def test_validate_named_constraints():
         parse_config("[stepper]\ndt = 0.003\nt_end = 1.0\n[experiment]\nkind = conserve\n")
     with pytest.raises(ConfigError, match="strictly ascending"):
         parse_config("[experiment]\nkind = inflate\nn_list = 64,32\n")
+
+
+def test_sharpness_boundaries_are_inclusive():
+    """Inflate parses on its line l = 2k - 1/2 and is refused one ulp below
+    it, for k drawn in (0, 1); c2probe parses at l = -1/2 and is refused one
+    ulp above."""
+    for k in np.random.default_rng(25).uniform(0.0, 1.0, 50).tolist():
+        l = 2.0 * k - 0.5
+        spec = apply_overrides(default_spec("inflate"), [f"experiment.k={k!r}",
+                                                         f"experiment.l={l!r}"])
+        assert (spec.table["k"], spec.table["l"]) == (k, l)
+        below = math.nextafter(l, -math.inf)
+        with pytest.raises(ConfigError, match="inflation hypothesis l >= 2k - 1/2"):
+            apply_overrides(default_spec("inflate"), [f"experiment.k={k!r}",
+                                                      f"experiment.l={below!r}"])
+    assert apply_overrides(default_spec("c2probe"), ["experiment.l=-0.5"]).table["l"] == -0.5
+    with pytest.raises(ConfigError, match="requires l <= -1/2"):
+        apply_overrides(default_spec("c2probe"),
+                        [f"experiment.l={math.nextafter(-0.5, math.inf)!r}"])
 
 
 @pytest.mark.parametrize("n, valid", [(4, False), (14, False), (49, False), (75, False),
@@ -573,13 +596,21 @@ def test_fit_file_footer_recomputable(tmp_path):
 # -- records: manifest -----------------------------------------------------------------
 
 def test_manifest_digest_matches_echo(tmp_path):
-    manifest = {"kind": "conserve", "config_echo": "[stepper]\ndt = 0.001\n",
-                "resolved": {}, "verdict": {"status": "pass"},
+    """The manifest carries the digest of its echo, and numpy scalars and
+    tuples in it are written as the plain Python values they hold."""
+    def manifest(info):
+        return {"kind": "conserve", "config_echo": "[stepper]\ndt = 0.001\n",
+                "resolved": {}, "verdict": {"status": "pass", "info": info},
                 "wall_time_s": 1.0, "artifacts": {}, "version": "0.1.0"}
-    path = tmp_path / "manifest.json"
-    write_manifest(manifest, path)
+
+    plain = manifest({"x": 0.1, "n": 3, "ok": True, "pair": [1.5, 2]})
+    path, numpy_path = tmp_path / "manifest.json", tmp_path / "numpy_manifest.json"
+    write_manifest(plain, path)
+    write_manifest(manifest({"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True),
+                             "pair": (np.float64(1.5), 2)}), numpy_path)
+    assert numpy_path.read_bytes() == path.read_bytes()
     d = json.loads(path.read_text())
-    assert d == {**manifest, "config_digest": d["config_digest"]}
+    assert d == {**plain, "config_digest": d["config_digest"]}
     assert d["config_digest"] == hashlib.sha256(d["config_echo"].encode()).hexdigest()
 
 
@@ -615,6 +646,38 @@ def test_cli_help_and_usage_errors(capsys):
 def test_cli_missing_config_file(capsys):
     assert main(["conserve", "--config", "/nonexistent/zrlab.cfg"]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_undecodable_config_file(tmp_path, capsys):
+    """A config file that is not UTF-8 is reported in one line, exit 1."""
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[experiment]\n# caf\xe9\nkind = c2probe\n".encode("latin-1"))
+    assert main(["c2probe", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrlab: error: cannot read config: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["dir under a file", "write fails"])
+def test_cli_unwritable_output(case, tmp_path, capsys, monkeypatch):
+    """An output directory that cannot be made is reported before the run,
+    and a write that fails after it, each in one line with exit 1."""
+    import zrlab.cli as cli
+
+    (tmp_path / "file").write_text("")
+    runs = []
+    run_experiment = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: runs.append(spec) or run_experiment(spec))
+    if case == "write fails":
+        def refuse(*args):
+            raise PermissionError("refused")
+        monkeypatch.setattr(cli, "write_fit_file", refuse)
+    out_dir = tmp_path / "file" / "out" if case == "dir under a file" else tmp_path / "out"
+    assert main(["c2probe", "--set", f"output.dir={out_dir}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zrlab: error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert len(runs) == (case == "write fails")
 
 
 def test_cli_config_error_exits_one(capsys):

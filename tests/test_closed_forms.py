@@ -38,21 +38,6 @@ def test_phi_magnitude_bound():
         assert np.all(np.abs(resonance_phi(t, a)) <= t * (1 + 1e-12))
 
 
-def test_phi_series_switchover_is_seamless():
-    # the series kicks in below |ta| = 1e-6; both branches must agree there
-    t = 1.0
-    for a in (0.999e-6, 1.001e-6, -0.999e-6, -1.001e-6):
-        exact = (np.exp(1j * t * a) - 1.0) / (1j * a)
-        assert resonance_phi(t, a) == pytest.approx(exact, rel=1e-9)
-    # and the series itself is accurate where it is used; the reference is a
-    # longer series (the direct formula loses ~5 digits to cancellation here)
-    a = 5e-7
-    series = resonance_phi(t, a)
-    theta = 1j * t * a
-    exact = t * (1.0 + theta / 2.0 + theta**2 / 6.0 + theta**3 / 24.0 + theta**4 / 120.0)
-    assert series == pytest.approx(exact, rel=1e-13)
-
-
 def test_phi_vectorized():
     a = np.array([[0.0, 1.0], [np.pi, -np.pi]])
     out = resonance_phi(1.0, a)
@@ -84,13 +69,15 @@ def _kernel_error_over_t(kernel, t, a):
 @pytest.mark.parametrize("t", [0.01, 1.0, 2.5])
 def test_phi_has_no_cancellation(t):
     """resonance_phi lies within 1e-15 t of phi at |t a| log-uniform on
-    [1e-12, 1e2], both signs, and at a = 0.  The pre-sinc formula fails the
-    same bound (negative control): just above its 1e-6 series switch,
-    exp(i t a) - 1 cancels, and at t a = 2e-6 it is off by about 2e-11
-    relative."""
+    [1e-12, 1e2], both signs, at a = 0, and at |t a| = 5e-7, 0.999e-6 and
+    1.001e-6, either side of where the pre-sinc formula switched to its
+    series.  The pre-sinc formula fails the same bound (negative control):
+    just above its 1e-6 series switch, exp(i t a) - 1 cancels, and at
+    t a = 2e-6 it is off by about 2e-11 relative."""
     rng = np.random.default_rng(7)
     ta = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-12.0, 2.0, 400)
-    a = np.concatenate(([0.0, 2e-6 / t, -2e-6 / t], ta / t))
+    near_switch = [sign * v for v in (5e-7, 0.999e-6, 1.001e-6) for sign in (1.0, -1.0)]
+    a = np.concatenate(([0.0, 2e-6, -2e-6], near_switch, ta)) / t
     assert _kernel_error_over_t(resonance_phi, t, a) <= 1e-15
     assert _kernel_error_over_t(_pre_sinc_phi, t, a) > 1e-12
     assert _kernel_error_over_t(_pre_sinc_phi, t, a[1:2]) > 1e-11  # |phi| = t there

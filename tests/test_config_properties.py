@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from zrlab.config import (DECLARATIONS, KINDS, ConfigError, default_spec,  # noqa: E402
+from zrlab.config import (DECLARATIONS, ConfigError, default_spec,  # noqa: E402
                           emit_config, parse_config, read_entries, validate_spec)
 from zrlab.experiments import _coeffs_for  # noqa: E402
 from zrlab.model import PhysicalParams  # noqa: E402
@@ -40,7 +40,7 @@ def _value(name: str, default, factors):
 
 @st.composite
 def specs(draw):
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(tuple(DECLARATIONS)))
     spec = default_spec(kind)
     # half the specs scale by factors in [-2, 2], zero and sign flips
     # included, and half by factors in [1, 2], which most kinds accept

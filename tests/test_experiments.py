@@ -753,7 +753,7 @@ def test_growth_exponent_can_fail(monkeypatch):
 
     row = experiments.conserved_quantities
 
-    def fabricated(state, params, s_list, psi_index):
+    def fabricated(state, params, s_list, psi_index=-0.5):
         return dict(row(state, params, s_list, psi_index), HsB_3=(1.0 + state.time) ** 3)
 
     monkeypatch.setattr(experiments, "conserved_quantities", fabricated)

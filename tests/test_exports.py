@@ -1,6 +1,7 @@
 """Every name a module lists in __all__ exists, so `from zrlab.<module> import *`
-cannot break on a deleted function whose entry was left behind; and the
-benchmark harness's names and calls into zrlab still resolve and run."""
+cannot break on a deleted function whose entry was left behind; the
+benchmark harness's names and calls into zrlab still resolve and run; and
+src/ stays within its line budget."""
 
 import importlib
 import math
@@ -57,3 +58,11 @@ def test_bench_kernel_pass_runs(monkeypatch):
     metrics = importlib.import_module("kernels").kernel_pass((64,))
     assert len(metrics) == 9
     assert all(math.isfinite(v) and v > 0 for v in metrics.values())
+
+
+def test_src_within_line_budget():
+    """src/zrlab/*.py holds at most 2700 lines, counted as `wc -l` counts them
+    (newline characters)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "zrlab"
+    count = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    assert count <= 2700, f"src/zrlab/*.py has {count} lines, over the 2700 budget"
