@@ -265,8 +265,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "psi_amplitude": Key(_float, 0.0),
             "psi_width": replace(_WIDTH, default=4.0),
             "s_list": Key(_list_of(_float), (1.0,)),
-            "q1_tol": Key(_float, 1e-10, _POSITIVE),
-            "q4_tol": Key(_float, 1e-6, _POSITIVE),
         },
         rules=(_global_existence,)),
     "inflate": KindDeclaration(
@@ -311,8 +309,8 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "c": Key(_float, 0.5, _UNIT_INTERVAL),
             "k_reg": Key(_float, 1.0, _NONNEGATIVE),
             "mu_list": Key(_list_of(_float), (0.1, 0.05, 0.025),
-                           (lambda v: all(0.0 < mu < 1.0 for mu in v),
-                            "entries must lie in (0, 1)")),
+                           (lambda v: len(set(v)) >= 2 and all(0.0 < mu < 1.0 for mu in v),
+                            "must hold at least two distinct entries, each in (0, 1)")),
         },
         rules=(lambda s: _require(s.table["m"] >= max(1.0, 1.0 / s.table["mu"]),
                                   f"experiment.m must satisfy m >= 1/mu = "
@@ -334,7 +332,6 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "s_list": Key(_list_of(_float), (1.0, 3.0),
                           (lambda v: len(v) > 0 and all(1.0 <= s <= 8.0 for s in v),
                            "must lie within [1, 8] and be nonempty")),
-            "c_one": Key(_float, 10.0, _POSITIVE),
         },
         rules=(_global_existence,)),
 }

@@ -195,7 +195,7 @@ class _Plan:
         if k > 1:  # a member's row of V's half spectrum pairs with its two psi rows
             self.potential, self.vhat_rows = self.potential[:, None], self.vhat[:, None]
 
-    def nonlinear(self, b: np.ndarray, psi: np.ndarray, start, step: int = 0) -> None:
+    def nonlinear(self, b: np.ndarray, psi: np.ndarray, start, step: int) -> None:
         """The nonlinear sub-flow over dt, on B's grid values and the stacked
         half spectra of psi1, psi2; updates `b` and `psi` in place.  The phase
         guard max |V| dt < pi is also B's finite test (a NaN or inf on the
@@ -231,36 +231,29 @@ class _Plan:
             raise BlowUpError(float(time[np.argmax(np.ravel(failed))]))
 
 
-def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float,
-                    plan: Optional[_Plan] = None) -> FieldState:
-    """Advance the linear sub-flows by tau (exact; any sign of tau); `plan`,
-    if given, must have been built for dt = 2 tau."""
-    g = state.grid
-    p = plan if plan is not None else _Plan(g, [coeffs], [2.0 * tau])
+def linear_halfstep(state: FieldState, coeffs: GeneralCoefficients, tau: float) -> FieldState:
+    """Advance the linear sub-flows by tau (exact; any sign of tau)."""
+    g, p = state.grid, _Plan(state.grid, [coeffs], [2.0 * tau])
     state.b = g.inverse(g.forward(state.b) * p.mult_b)
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2])) * p.mult_psi
     state.psi1, state.psi2 = np.fft.irfft(psi, g.n)
     return state
 
 
-def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float,
-                   plan: Optional[_Plan] = None) -> FieldState:
+def nonlinear_step(state: FieldState, coeffs: GeneralCoefficients, dt: float) -> FieldState:
     """Advance the potential/source sub-flow by dt (symmetric, reversible;
-    state.b is updated in place).  `plan`, if given, must have been built for
-    this dt."""
-    p = plan if plan is not None else _Plan(state.grid, [coeffs], [dt])
+    state.b is updated in place)."""
     psi = np.fft.rfft(np.stack([state.psi1, state.psi2]))
-    p.nonlinear(state.b, psi, state.time)
+    _Plan(state.grid, [coeffs], [dt]).nonlinear(state.b, psi, state.time, 0)
     state.psi1, state.psi2 = np.fft.irfft(psi, state.grid.n)
     return state
 
 
 def strang_step(state: FieldState, coeffs: GeneralCoefficients, dt: float) -> FieldState:
     """One full Strang step; advances state.time by dt."""
-    plan = _Plan(state.grid, [coeffs], [dt])
-    linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
-    nonlinear_step(state, coeffs, dt, plan=plan)
-    linear_halfstep(state, coeffs, 0.5 * dt, plan=plan)
+    linear_halfstep(state, coeffs, 0.5 * dt)
+    nonlinear_step(state, coeffs, dt)
+    linear_halfstep(state, coeffs, 0.5 * dt)
     state.time += dt
     return state
 
@@ -285,19 +278,19 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
     plan: each member's (final state, record), bit for bit what `evolve`
     returns for it alone.
 
-    The members share a grid and `record_every`; coefficients, start time,
-    dt and step count may differ.  Observers see one member's state at a
+    The members share a grid; coefficients, start time, dt, step count and
+    `record_every` may differ.  Observers see one member's state at a
     time.  A blow-up raises `BlowUpError` at the failing member's step-start
     time.
     """
-    g, every = states[0].grid, configs[0].record_every
-    if not len(states) == len(coeffs) == len(configs) or any(st.grid != g for st in states) \
-            or any(c.record_every != every for c in configs):
+    g = states[0].grid
+    if not len(states) == len(coeffs) == len(configs) or any(st.grid != g for st in states):
         raise ValueError("members need a state, coefficients and a stepper config each, "
-                         "and must share a grid and record_every")
+                         "and must share a grid")
     order = sorted(range(len(states)), key=lambda k: -configs[k].steps)  # longest first
     members = [states[k].copy() for k in order]
     steps = [configs[k].steps for k in order]
+    every = [configs[k].record_every for k in order]
     plan = _Plan(g, [coeffs[k] for k in order], [configs[k].dt for k in order])
     full, t0 = plan.full, np.array([st.time for st in members])
     records = [RunRecord() for _ in members]
@@ -332,7 +325,7 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
             active, b, psi, start = views(i)
         plan.nonlinear(b, psi, start, i - 1)
         for j in range(active):
-            if i % every == 0 or steps[j] == i:
+            if i % every[j] == 0 or steps[j] == i:
                 snapshot(j, i)
         bhat = np.multiply(fft(b, 1.0, out=(plan.phase,)), plan.step_b, out=plan.phase)
         ifft(bhat, plan.inv_n, out=(b,))

@@ -342,14 +342,12 @@ def run_conserve(spec: ExperimentSpec, result: ExperimentResult) -> None:
     result.records["series"] = record
 
     q1_drift = _rel_drift(record.column("Q1"))
-    q1_tol = spec.table["q1_tol"]
-    result.add("q1_drift", q1_drift < q1_tol, f"{q1_drift:.3e}", f"< {q1_tol:g}")
+    result.add("q1_drift", q1_drift < 1e-10, f"{q1_drift:.3e}", "< 1e-10")
     result.info["q1_drift"] = q1_drift
 
     if physical_flow:
         q4_drift = _rel_drift(record.column("Q4"))
-        q4_tol = spec.table["q4_tol"]
-        result.add("q4_drift", q4_drift < q4_tol, f"{q4_drift:.3e}", f"< {q4_tol:g}")
+        result.add("q4_drift", q4_drift < 1e-6, f"{q4_drift:.3e}", "< 1e-06")
         result.info["q4_drift"] = q4_drift
         result.info["q2_drift"] = _rel_drift(record.column("Q2"))
         result.info["q3_drift"] = _rel_drift(record.column("Q3"))
@@ -570,17 +568,16 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
         "T_le_log": pair["T"] <= abs(math.log(mu)),
     }
 
-    if mu_list:
-        columns = ("mu", "m", "dev_over_mu_Hk", "dev_over_mu_L2", "separation_final",
-                   "analytic_target")
-        table = [{name: pairs[key][name] for name in columns} for key in sweep_keys]
-        result.info["mu_sweep"] = table
-        cs = [row["dev_over_mu_Hk"] for row in table]
-        stability = max(cs) / min(cs) if min(cs) > 0 else math.inf
-        result.info["dev_constant_stability"] = stability
-        result.add("dev_bound_stability", stability <= 3.0,
-                   f"max/min of sup||B - A||_Hk / mu = {stability:.3f} over mu = {mu_list}",
-                   "<= 3.0 (constant stable to +/-50%)")
+    columns = ("mu", "m", "dev_over_mu_Hk", "dev_over_mu_L2", "separation_final",
+               "analytic_target")
+    table = [{name: pairs[key][name] for name in columns} for key in sweep_keys]
+    result.info["mu_sweep"] = table
+    cs = [row["dev_over_mu_Hk"] for row in table]
+    stability = max(cs) / min(cs) if min(cs) > 0 else math.inf
+    result.info["dev_constant_stability"] = stability
+    result.add("dev_bound_stability", stability <= 3.0,
+               f"max/min of sup||B - A||_Hk / mu = {stability:.3f} over mu = {mu_list}",
+               "<= 3.0 (constant stable to +/-50%)")
 
 
 # -- growth -------------------------------------------------------------------------
@@ -588,33 +585,30 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
 @_runner
 def run_growth(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Long-horizon Sobolev growth audit against a priori envelopes."""
-    t = spec.table
-    s_list = tuple(sorted(set(float(s) for s in t["s_list"])))
+    # H^1 is always audited; s_list's entries lie in [1, 8]
+    s_list = tuple(sorted({1.0, *map(float, spec.table["s_list"])}))
     state0, _, run = _preset_run(spec, result, s_list)
     grid = state0.grid
     final, record = run(spec.dt)
     result.records["series"] = record
     times = np.asarray(record.column("t"))
 
-    # s = 1: a priori energy envelope (global-existence regime)
-    if 1.0 in s_list:
-        h1 = np.asarray(record.column("HsB_1"))
-        q1_0 = record.column("Q1")[0]
-        data_sq = (h1[0] ** 2
-                   + grid.sobolev_norm(state0.psi1, 0.0) ** 2
-                   + grid.sobolev_norm(state0.psi2, 0.0) ** 2)
-        envelope = t["c_one"] * (data_sq + q1_0**3)
-        sup_h1 = float(np.max(h1))
-        result.info["h1_envelope"] = envelope
-        result.info["h1_sup"] = sup_h1
-        result.add("h1_apriori", sup_h1 <= envelope,
-                   f"sup ||B||_H1 = {sup_h1:.4f}",
-                   f"<= C1 (||data||^2 + Q1^3) = {envelope:.4f}")
+    # s = 1: a priori energy envelope (global-existence regime), C1 = 10
+    h1 = np.asarray(record.column("HsB_1"))
+    q1_0 = record.column("Q1")[0]
+    data_sq = (h1[0] ** 2
+               + grid.sobolev_norm(state0.psi1, 0.0) ** 2
+               + grid.sobolev_norm(state0.psi2, 0.0) ** 2)
+    envelope = 10.0 * (data_sq + q1_0**3)
+    sup_h1 = float(np.max(h1))
+    result.info["h1_envelope"] = envelope
+    result.info["h1_sup"] = sup_h1
+    result.add("h1_apriori", sup_h1 <= envelope,
+               f"sup ||B||_H1 = {sup_h1:.4f}",
+               f"<= C1 (||data||^2 + Q1^3) = {envelope:.4f}")
 
     # s > 1: polynomial-in-time envelope exponent of the running maximum
-    for s in s_list:
-        if s <= 1.0:
-            continue
+    for s in s_list[1:]:
         series = np.asarray(record.column(f"HsB_{s:g}"))
         env = np.maximum.accumulate(series)
         if not np.all(env > 0):  # an underflowed norm has no logarithm to fit

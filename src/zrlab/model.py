@@ -204,7 +204,7 @@ class FieldState:
                 raise ValueError("field contains non-finite entries")
 
     def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.b.copy(), self.psi1.copy(), self.psi2.copy(), self.time)
+        return FieldState(self.grid, self.b, self.psi1, self.psi2, self.time)
 
 
 def conserved_quantities(state: FieldState, params: PhysicalParams,

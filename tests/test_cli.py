@@ -63,7 +63,7 @@ def test_parse_minimal_conserve_config():
     assert spec.dt == 0.002 and spec.t_end == 0.4
     # untouched entries keep their per-kind defaults
     assert spec.grid_n == 512 and spec.preset == "physical"
-    assert spec.table["q1_tol"] == 1e-10
+    assert spec.table["width"] == 4.0
 
 
 def test_parse_errors_carry_line_numbers():
@@ -132,9 +132,9 @@ def test_emit_parse_roundtrip_physical_params():
 
 def test_apply_overrides():
     spec = default_spec("conserve")
-    out = apply_overrides(spec, ["stepper.dt=0.002", "experiment.q1_tol=1e-9",
+    out = apply_overrides(spec, ["stepper.dt=0.002", "experiment.width=3.0",
                                  "grid.n=256"])
-    assert out.dt == 0.002 and out.table["q1_tol"] == 1e-9 and out.grid_n == 256
+    assert out.dt == 0.002 and out.table["width"] == 3.0 and out.grid_n == 256
     # untouched fields survive
     assert out.t_end == spec.t_end and out.table["amplitude"] == spec.table["amplitude"]
 
@@ -155,6 +155,10 @@ def test_apply_overrides_malformed():
     for kind in ("simulate", "conserve", "growth"):
         with pytest.raises(ConfigError, match=r"unknown key 'psi_index' in \[experiment\]"):
             apply_overrides(default_spec(kind), ["experiment.psi_index=-0.5"])
+    # a check's bound is fixed in the program, so no entry can loosen it
+    for kind, key in (("conserve", "q1_tol"), ("conserve", "q4_tol"), ("growth", "c_one")):
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[experiment\]"):
+            apply_overrides(default_spec(kind), [f"experiment.{key}=1e9"])
     for kind in ("simulate", "conserve"):
         spec = apply_overrides(default_spec(kind), ["experiment.initial=random",
                                                     "experiment.seed=1"])
@@ -170,6 +174,10 @@ def test_validate_named_constraints():
         parse_config("[experiment]\nkind = c2probe\nl = 0\n")
     with pytest.raises(ConfigError, match=r"m must satisfy m >= 1/mu"):
         parse_config("[experiment]\nkind = decohere\nmu = 0.1\nm = 2\n")
+    # fewer than two distinct mu would make dev_bound_stability read 1, or drop it
+    for mu_list in ("0.05", "0.1,0.1", ""):
+        with pytest.raises(ConfigError, match="mu_list must hold at least two distinct entries"):
+            parse_config(f"[experiment]\nkind = decohere\nmu_list = {mu_list}\n")
     with pytest.raises(ConfigError, match="no prime factor but 2, 3 and 5"):
         parse_config("[grid]\nn = 98\n[experiment]\nkind = conserve\n")
     with pytest.raises(ConfigError, match="not an integer multiple of dt"):
@@ -385,8 +393,6 @@ RULE_CASES = {
     "conserve.initial": (["experiment.initial=plateau"], None),
     "conserve.width": (["experiment.width=-2"], None),
     "conserve.psi_width": (["experiment.psi_amplitude=0.5", "experiment.psi_width=0"], None),
-    "conserve.q1_tol": (["experiment.q1_tol=0"], None),
-    "conserve.q4_tol": (["experiment.q4_tol=-1e-6"], None),
     "conserve.rules[0]": (["params.preset=physical", "params.omega=-1"], "global-existence"),
     "inflate.k": (["experiment.k=1.0", "experiment.l=2.0"], None),
     "inflate.n_list": (["experiment.n_list=64,32"], None),
@@ -412,7 +418,6 @@ RULE_CASES = {
     "growth.width": (["experiment.width=0"], None),
     "growth.psi_width": (["experiment.psi_width=-2"], None),
     "growth.s_list": (["experiment.s_list=0.5"], None),
-    "growth.c_one": (["experiment.c_one=0"], None),
     "growth.rules[0]": (["params.preset=physical", "params.nu=1.5"], "global-existence"),
 }
 
@@ -474,7 +479,7 @@ def test_decohere_chirp_guard_at_parse_time(entry, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("entry", ["experiment.m=1e200", "experiment.mu_list=1e-161"])
+@pytest.mark.parametrize("entry", ["experiment.m=1e200", "experiment.mu_list=1e-161,0.1"])
 def test_decohere_scale_overflow_is_a_config_error(entry):
     """A scale M whose square, or a sweep mu_j whose ceil(1/mu_j)^2, leaves
     the float range stops decohere's geometry with a ConfigError, not an
@@ -684,6 +689,30 @@ def test_cli_config_error_exits_one(capsys):
     assert main(["c2probe", "--set", "experiment.l=0"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "l <= -1/2" in err
+
+
+def test_cli_run_time_config_error_is_one_line(tmp_path, capsys, monkeypatch):
+    """A config error the run itself raises (the sweep pool reads
+    ZRLAB_THREADS) is reported like a parse-time one: one line, exit 1,
+    nothing written."""
+    monkeypatch.setenv("ZRLAB_THREADS", "abc")
+    assert main(["c2probe", "--set", f"output.dir={tmp_path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "zrlab: config error: ZRLAB_THREADS must be an integer, got 'abc'\n"
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
+def test_cli_growth_always_audits_h1(tmp_path, capsys):
+    """s_list = 3 still records HsB_1 and reports h1_apriori: the a priori H^1
+    bound is checked whatever the Sobolev list."""
+    assert main(["growth", "--set", "experiment.s_list=3", "--set", "grid.n=256",
+                 "--set", "stepper.t_end=0.5", "--set", "stepper.dt=0.002",
+                 "--set", "stepper.record_every=25", "--set", f"output.dir={tmp_path}"]) == 0
+    checks = [line.split("]")[1].split(":")[0].strip()
+              for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert checks == ["h1_apriori", "growth_exponent_s3", "psi_envelope"]
+    header = (tmp_path / "growth_series.csv").read_text().splitlines()[0]
+    assert header == "t,Q1,Q2,Q3,Q4,HsB_1,HsB_3,Hpsi1,Hpsi2"
 
 
 def test_cli_manifest_digests_every_artifact(tmp_path):

@@ -386,26 +386,32 @@ def test_evolve_members_phase_warning_fires_for_one_member():
         evolve_members([calm, loud], [coeffs, coeffs], [config, config])
 
 
-def _mismatched_members(what):
-    grid = SpectralGrid(2.0 * np.pi, 64)
-    coeffs = normalized_coefficients()
-    state = FieldState(grid, np.ones(grid.n, dtype=complex), np.zeros(grid.n),
-                       np.zeros(grid.n), 0.0)
-    config = StepperConfig(dt=0.01, t_end=0.1, record_every=2)
-    other_state, other_config = state, config
-    if what == "grid":
-        other_grid = SpectralGrid(2.0 * np.pi, 32)
-        other_state = FieldState(other_grid, np.ones(32, dtype=complex), np.zeros(32),
-                                 np.zeros(32), 0.0)
-    elif what == "record_every":
-        other_config = StepperConfig(dt=0.01, t_end=0.1, record_every=3)
-    return [state, other_state], [coeffs, coeffs], [config, other_config]
-
-
-@pytest.mark.parametrize("what", ["grid", "record_every"])
+@pytest.mark.parametrize("what", ["grid"])  # the one thing the members must share
 def test_evolve_members_rejects_mismatched_members(what):
-    with pytest.raises(ValueError):
-        evolve_members(*_mismatched_members(what))
+    coeffs = normalized_coefficients()
+    states = [FieldState(g, np.ones(g.n, dtype=complex), np.zeros(g.n), np.zeros(g.n), 0.0)
+              for g in (SpectralGrid(2.0 * np.pi, 64), SpectralGrid(2.0 * np.pi, 32))]
+    config = StepperConfig(dt=0.01, t_end=0.1, record_every=2)
+    with pytest.raises(ValueError, match="must share a grid"):
+        evolve_members(states, [coeffs, coeffs], [config, config])
+
+
+def test_evolve_members_honors_each_record_every(setup):
+    """Members with their own record_every (7, 10, 3), dt and t_end each
+    return, bit for bit, the state and record of a lone `evolve`."""
+    grid, coeffs, state = setup
+    observers = (lambda st: {"m": grid.sobolev_norm(st.b), "p": float(np.sum(st.psi1))},)
+    configs = [StepperConfig(dt=0.01, t_end=0.5, record_every=7),
+               StepperConfig(dt=0.02, t_end=0.4, record_every=10),
+               StepperConfig(dt=0.005, t_end=0.2, record_every=3)]
+    batch = evolve_members([state] * 3, [coeffs] * 3, configs, observers)
+    for config, (final, record) in zip(configs, batch):
+        alone, alone_record = evolve(state, coeffs, config, observers)
+        for name in ("b", "psi1", "psi2"):
+            assert getattr(final, name).tobytes() == getattr(alone, name).tobytes()
+        assert final.time == alone.time
+        assert record.columns == alone_record.columns and record.meta == alone_record.meta
+    assert [len(record.column("t")) for _, record in batch] == [9, 3, 15]
 
 
 def test_evolve_members_zero_step_member(setup):
@@ -461,7 +467,7 @@ def test_slow_path_passes_a_finite_psi_whose_sum_overflows(monkeypatch):
     b = 0.1 * np.exp(1j * grid.x)
     psi = np.full((2, grid.n // 2 + 1), 1e308 + 0j)
     with np.errstate(over="ignore"):
-        plan.nonlinear(b, psi, 0.0)
+        plan.nonlinear(b, psi, 0.0, 0)
     assert len(calls) == 1 and np.isfinite(psi).all() and np.isfinite(b).all()
 
 

@@ -263,7 +263,7 @@ def test_q1_drift_can_fail(monkeypatch, kind):
 
     spec = default_spec(kind)
     spec = (replace(spec, t_end=0.4, dt=0.004, record_every=25) if kind == "conserve" else
-            replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=())))
+            replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=(0.25, 0.2))))
     run = run_conserve if kind == "conserve" else run_decohere
     assert {c.name: c.status for c in run(spec).checks}["q1_drift"] == "pass"
     kernel = evolution._Plan.nonlinear
@@ -312,7 +312,7 @@ def test_conserve_q4_order2_can_fail(monkeypatch):
 
 def test_conserve_q4_drift_can_fail(monkeypatch):
     """Negative control: a plan whose psi kick is 0.1 % too strong breaks the
-    energy balance, so Q4 drifts past q4_tol, no longer at second order in
+    energy balance, so Q4 drifts past 1e-6, no longer at second order in
     dt, while Q1 stays exact; the same config passes unpatched."""
     from zrlab import evolution
 
@@ -548,7 +548,7 @@ def test_c2_slope_can_fail(monkeypatch):
 
 def test_run_decohere_structural_relations_small(tmp_path):
     spec = default_spec("decohere")
-    spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=()))
+    spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=(0.25, 0.2)))
     result = run_decohere(spec)
     write_record_csv(result.records["series_L1"], tmp_path / "series.csv")
     assert (tmp_path / "series.csv").read_text().splitlines()[0] == "t,Q1,devA_L2,devA_Hk"
@@ -556,7 +556,8 @@ def test_run_decohere_structural_relations_small(tmp_path):
     assert names["phase_gap"].status == "pass"
     assert names["theta_relation"].status == "pass"
     assert names["q1_drift"].status == "pass"
-    assert "dev_bound_stability" not in names  # no mu sweep requested
+    assert names["dev_bound_stability"].status == "pass"
+    assert [row["mu"] for row in result.info["mu_sweep"]] == [0.2, 0.25]
     pair = result.info["pair"]
     assert (pair["L2"] ** 2 - pair["L1"] ** 2) * pair["T"] == pytest.approx(
         0.5 * math.pi, abs=1e-13)
@@ -573,7 +574,7 @@ def test_decohere_initial_separation_can_fail(monkeypatch):
 
     real_evolve_members = experiments.evolve_members
     spec = default_spec("decohere")
-    spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=()))
+    spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=(0.25, 0.2)))
     horizon = decohere_pairs(spec.table)[0][(0.2, 5.0)]["t_internal"]
     perturbed = []
 
@@ -739,11 +740,30 @@ def test_run_growth_short_horizon_passes_envelopes():
     assert "growth_s3" in result.fits
     assert result.info["c_hat"] >= 0.0
     assert result.info["h1_sup"] <= result.info["h1_envelope"]
-    # negative control: a small C1 puts the envelope under sup ||B||_H1
-    tight = run_growth(replace(spec, table=dict(spec.table, c_one=1e-3)))
-    assert {c.name: c.status for c in tight.checks}["h1_apriori"] == "fail"
-    assert tight.info["h1_sup"] == result.info["h1_sup"]
-    assert tight.status == "fail"
+
+
+def test_h1_apriori_can_fail(monkeypatch):
+    """Negative control: a fabricated HsB_1 series that gains 1e4 t over its
+    true value leaves its t = 0 value, and so the envelope, as it was, but
+    its supremum (about 5000 at t = 0.5) exceeds the envelope and fails
+    h1_apriori; the other checks still pass."""
+    import zrlab.experiments as experiments
+
+    row = experiments.conserved_quantities
+    spec = replace(default_spec("growth"), grid_n=256, t_end=0.5, dt=0.002, record_every=25)
+    honest = run_growth(spec)
+
+    def fabricated(state, params, s_list, psi_index=-0.5):
+        values = row(state, params, s_list, psi_index)
+        return dict(values, HsB_1=values["HsB_1"] + 1e4 * state.time)
+
+    monkeypatch.setattr(experiments, "conserved_quantities", fabricated)
+    result = run_growth(spec)
+    statuses = {c.name: c.status for c in result.checks}
+    assert statuses["h1_apriori"] == "fail"
+    assert result.info["h1_envelope"] == honest.info["h1_envelope"]
+    assert result.info["h1_sup"] > result.info["h1_envelope"]
+    assert statuses["growth_exponent_s3"] == statuses["psi_envelope"] == "pass"
 
 
 def test_growth_exponent_can_fail(monkeypatch):
