@@ -57,13 +57,11 @@ def _fail(message: str) -> int:
 def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[str]:
     out_dir = Path(spec.out_dir)
     artifacts: dict[str, dict] = {}
-    written: list[str] = []
 
     for name in sorted(result.records):
         path = out_dir / f"{spec.prefix}_{name}.csv"
         digest = write_record_csv(result.records[name], path)
         artifacts[name] = {"path": str(path), "sha256": digest, "format": "csv"}
-        written.append(str(path))
 
     for name in sorted(result.fits):
         fit = result.fits[name]
@@ -71,7 +69,6 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
         digest = write_fit_file(path, list(fit.log_x), list(fit.log_y),
                                 fit.slope, fit.intercept, fit.r_squared)
         artifacts[name] = {"path": str(path), "sha256": digest, "format": "fit"}
-        written.append(str(path))
 
     from . import __version__
     manifest = {
@@ -90,8 +87,7 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
     }
     manifest_path = out_dir / f"{spec.prefix}_manifest.json"
     write_manifest(manifest, manifest_path)
-    written.append(str(manifest_path))
-    return written
+    return [a["path"] for a in artifacts.values()] + [str(manifest_path)]
 
 
 def main(argv=None) -> int:

@@ -347,29 +347,25 @@ def expected_inflation_slope(k: float, l: float) -> float:
 
 # -- small-dispersion closed form -----------------------------------------------
 
-def small_dispersion_solution(b0: np.ndarray, psi_plus0: np.ndarray,
-                              psi_minus0: np.ndarray, t: float) -> np.ndarray:
-    """Zero-dispersion phase solution
+def small_dispersion_solution(b0: np.ndarray, psi_plus0: np.ndarray, t: float) -> np.ndarray:
+    """Zero-dispersion phase solution from data with psi_minus0 = 0
 
-        A(x, t) = exp(-i t (psi_plus0(x) + psi_minus0(x))) * B0(x),
+        A(x, t) = exp(-i t psi_plus0(x)) * B0(x),
 
     the limit profile the modified small-dispersion system tracks to O(mu),
     on the grid values of B0.  |A| = |B0| pointwise, so every L^2-type norm
     of the modulus is preserved.
     """
-    return np.exp(-1j * t * (np.asarray(psi_plus0) + np.asarray(psi_minus0))) * b0
+    return np.exp(-1j * t * np.asarray(psi_plus0)) * b0
 
 
 # -- reference profiles -----------------------------------------------------------
 
-def smooth_plateau(x: np.ndarray, inner: float = 1.0, outer: float = 2.0) -> np.ndarray:
-    """C-infinity plateau: 1 on |x| <= inner, 0 on |x| >= outer, with the
+def smooth_plateau(x: np.ndarray) -> np.ndarray:
+    """C-infinity plateau: 1 on |x| <= 1, 0 on |x| >= 2, with the
     standard exp(-1/s) partition-of-unity transition in between."""
-    if not 0 < inner < outer:
-        raise ValueError("need 0 < inner < outer")
     x = np.asarray(x, dtype=np.float64)
-    y = (np.abs(x) - inner) / (outer - inner)  # transition coordinate in [0, 1]
-    y = np.clip(y, 0.0, 1.0)
+    y = np.clip(np.abs(x) - 1.0, 0.0, 1.0)  # transition coordinate in [0, 1]
 
     def f(s):
         with np.errstate(divide="ignore", over="ignore"):

@@ -330,8 +330,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "psi_amplitude": Key(_float, 0.5),
             "psi_width": _WIDTH,
             "s_list": Key(_list_of(_float), (1.0, 3.0),
-                          (lambda v: len(v) > 0 and all(1.0 <= s <= 8.0 for s in v),
-                           "must lie within [1, 8] and be nonempty")),
+                          (lambda v: all(1.0 <= s <= 8.0 for s in v), "must lie within [1, 8]")),
         },
         rules=(_global_existence,)),
 }
@@ -398,8 +397,9 @@ def read_entries(spec: ExperimentSpec) -> set[str]:
 
 # -- raw text -> sections ---------------------------------------------------------
 
-def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _split_sections(text: str) -> dict[str, dict[str, tuple[str, str]]]:
+    """Each section's entries as key -> (raw value, location)."""
+    sections: dict[str, dict[str, tuple[str, str]]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -425,7 +425,7 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError("empty key", where)
         if key in sections[current]:
             raise ConfigError(f"duplicate key '{key}' in [{current}]", where)
-        sections[current][key] = (value, lineno)
+        sections[current][key] = (value, where)
     return sections
 
 
@@ -438,15 +438,14 @@ def _convert(section: str, key: str, raw: str, where: str, schema: dict[str, Key
         raise ConfigError(f"[{section}] {key}: {exc}", where)
 
 
-def _build_spec(base: ExperimentSpec, sections: dict[str, dict[str, tuple[str, int]]],
-                provenance: str = "line") -> ExperimentSpec:
+def _build_spec(base: ExperimentSpec,
+                sections: dict[str, dict[str, tuple[str, str]]]) -> ExperimentSpec:
     """`base` with the raw `sections` entries converted and applied."""
     kind = base.kind
     updates: dict[str, object] = {}
     table = dict(base.table)
     for section, entries in sections.items():
-        for key, (raw, lineno) in entries.items():
-            where = f"{provenance} {lineno}" if provenance == "line" else provenance
+        for key, (raw, where) in entries.items():
             if section != "experiment":
                 value = _convert(section, key, raw, where, _SCHEMAS[section])
                 updates[_SPEC_FIELD[section, key]] = value
@@ -467,9 +466,9 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentSpec:
     """
     sections = _split_sections(text)
     if "kind" in sections.get("experiment", {}):
-        raw, lineno = sections["experiment"]["kind"]
+        raw, where = sections["experiment"]["kind"]
         if raw not in DECLARATIONS:
-            raise ConfigError(f"unknown experiment kind {raw!r}", f"line {lineno}")
+            raise ConfigError(f"unknown experiment kind {raw!r}", where)
         kind = raw if kind is None else kind
     if kind is None:
         raise ConfigError("experiment.kind missing (no subcommand context and no config entry)")
@@ -478,7 +477,7 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentSpec:
 
 def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpec:
     """Apply `section.key=value` strings (from --set) on top of a spec."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    sections: dict[str, dict[str, tuple[str, str]]] = {}
     for item in overrides:
         where = f"--set {item!r}"
         if "=" not in item:
@@ -489,8 +488,11 @@ def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpe
         section, key = (part.strip() for part in path.split(".", 1))
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section '{section}'", where)
-        sections.setdefault(section, {})[key] = (value.strip(), 0)
-    return validate_spec(_build_spec(spec, sections, provenance="--set"))
+        entries = sections.setdefault(section, {})
+        if key in entries:
+            raise ConfigError(f"duplicate key '{key}' in [{section}]", where)
+        entries[key] = (value.strip(), where)
+    return validate_spec(_build_spec(spec, sections))
 
 
 def emit_config(spec: ExperimentSpec) -> str:

@@ -334,6 +334,5 @@ def evolve_members(states: Sequence[FieldState], coeffs: Sequence[GeneralCoeffic
             logger.debug("evolve: step %d/%d", i, steps[0])
     out: list = [None] * len(members)
     for j, k in enumerate(order):
-        records[j].meta.update(steps=steps[j], dt=configs[k].dt)
         out[k] = (members[j], records[j])
     return out

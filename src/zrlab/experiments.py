@@ -211,10 +211,7 @@ def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
     values = grid.inverse(coeffs * grid.dealias_mask)
     if real:
         values = values.real
-    norm = grid.sobolev_norm(values, 0.0)
-    if norm == 0.0:
-        return np.zeros(grid.n, dtype=np.float64 if real else np.complex128)
-    return values * (amplitude / norm)
+    return values * (amplitude / grid.sobolev_norm(values, 0.0))
 
 
 def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
@@ -378,7 +375,7 @@ def inflation_grid(n_freq: int, modes_per_hat: int) -> SpectralGrid:
 
 def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
                    variant: str, modes_per_hat: int, nodes: int,
-                   coeffs: Optional[GeneralCoefficients] = None) -> dict:
+                   coeffs: GeneralCoefficients) -> dict:
     """One N of the inflation sweep: solver norm, oracle norm, ratio.
 
     The envelope data is the two-bump hat family normalized to unit H^k
@@ -386,7 +383,6 @@ def inflate_member(n_freq: int, k: float, l: float, t_probe: float, dt: float,
     the measured field is psi1 for variant 'f' (resonant with the speed +1
     transport flow) or psi2 for variant 'g' (speed -1).
     """
-    coeffs = coeffs if coeffs is not None else normalized_coefficients()
     hats = cf.normalize_hats(cf.build_fN(n_freq, k, f"inflation_{variant}"), k, nodes)
     grid = inflation_grid(n_freq, modes_per_hat)
     b0 = cf.synthesize_hat_field(grid, hats)
@@ -512,10 +508,8 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
                 StepperConfig.spanning(pair["t_internal"][tag], spec.dt, spec.record_every))
                for pair, tag in runs]
 
-    psi_minus0 = np.zeros(grid.n)
-
     def observe(st: FieldState) -> dict[str, float]:  # Q1 as conserved_quantities forms it
-        diff = grid.forward(st.b - cf.small_dispersion_solution(b0, psi_plus0, psi_minus0, st.time))
+        diff = grid.forward(st.b - cf.small_dispersion_solution(b0, psi_plus0, st.time))
         return {"Q1": grid.dx * float(np.sum(np.abs(st.b) ** 2)),
                 "devA_L2": grid.sobolev_norm_coeffs(diff, 0.0),
                 "devA_Hk": grid.sobolev_norm_coeffs(diff, k_reg)}

@@ -30,10 +30,9 @@ def format_float(x: float) -> str:
 
 @dataclass
 class RunRecord:
-    """Column-oriented time series plus free-form metadata."""
+    """Column-oriented time series."""
 
     columns: dict[str, list[float]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def append(self, row: dict[str, float]) -> None:
         if not self.columns:

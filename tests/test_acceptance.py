@@ -210,7 +210,8 @@ def test_criterion_8_oracle_cross_validation(acceptance_report):
     ratios = {}
     for t_probe in (0.005, 0.01, 0.02):
         member = inflate_member(64, 0.25, 0.25, t_probe=t_probe, dt=2.5e-3,
-                                variant="f", modes_per_hat=4, nodes=64)
+                                variant="f", modes_per_hat=4, nodes=64,
+                                coeffs=normalized_coefficients())
         ratios[t_probe] = member["ratio"]
     wall = time.perf_counter() - start
 

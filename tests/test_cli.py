@@ -305,11 +305,13 @@ def test_unread_initial_keys_rejected(kind, initial, entry):
     and left out of the echo; a preset that reads it takes it.  psi_width is
     read only with a nonzero psi_amplitude (the default is 0), so the
     preset takes it with psi_amplitude = 0.5."""
-    def chosen(name):  # the plane wave needs a kappa on the default grid
-        kappa = [f"experiment.kappa={2.0 * math.pi / 64.0!r}"] if name == "plane_wave" else []
+    key = entry.split("=")[0]
+
+    def chosen(name):  # the plane wave needs a kappa on the default grid, set once
+        needs_kappa = name == "plane_wave" and key != "kappa"
+        kappa = [f"experiment.kappa={2.0 * math.pi / 64.0!r}"] if needs_kappa else []
         return [f"experiment.initial={name}", *kappa]
 
-    key = entry.split("=")[0]
     with pytest.raises(ConfigError, match=f"experiment.{key} is not consulted by kind={kind} "
                                           f"with initial = {initial}"):
         apply_overrides(default_spec(kind), [*chosen(initial), f"experiment.{entry}"])
@@ -703,16 +705,47 @@ def test_cli_run_time_config_error_is_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_growth_always_audits_h1(tmp_path, capsys):
-    """s_list = 3 still records HsB_1 and reports h1_apriori: the a priori H^1
-    bound is checked whatever the Sobolev list."""
-    assert main(["growth", "--set", "experiment.s_list=3", "--set", "grid.n=256",
-                 "--set", "stepper.t_end=0.5", "--set", "stepper.dt=0.002",
-                 "--set", "stepper.record_every=25", "--set", f"output.dir={tmp_path}"]) == 0
-    checks = [line.split("]")[1].split(":")[0].strip()
-              for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
-    assert checks == ["h1_apriori", "growth_exponent_s3", "psi_envelope"]
-    header = (tmp_path / "growth_series.csv").read_text().splitlines()[0]
-    assert header == "t,Q1,Q2,Q3,Q4,HsB_1,HsB_3,Hpsi1,Hpsi2"
+    """s_list = 3 and an empty s_list still record HsB_1 and report
+    h1_apriori: the a priori H^1 bound is checked whatever the Sobolev list."""
+    for s_list, exponents, columns in (("3", ["growth_exponent_s3"], "HsB_1,HsB_3"),
+                                       ("", [], "HsB_1")):
+        out = tmp_path / f"s_list{s_list}"
+        assert main(["growth", "--set", f"experiment.s_list={s_list}", "--set", "grid.n=256",
+                     "--set", "stepper.t_end=0.5", "--set", "stepper.dt=0.002",
+                     "--set", "stepper.record_every=25", "--set", f"output.dir={out}"]) == 0
+        checks = [line.split("]")[1].split(":")[0].strip()
+                  for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert checks == ["h1_apriori", *exponents, "psi_envelope"]
+        header = (out / "growth_series.csv").read_text().splitlines()[0]
+        assert header == f"t,Q1,Q2,Q3,Q4,{columns},Hpsi1,Hpsi2"
+
+
+@pytest.mark.parametrize("items, error", [
+    (["grid.n=512", "experiment.q=1"], "--set 'experiment.q=1': unknown key 'q' in [experiment]"),
+    (["experiment.width=3", "experiment.width=5"],
+     "--set 'experiment.width=5': duplicate key 'width' in [experiment]"),
+], ids=["unknown key", "repeated key"])
+def test_cli_set_error_names_the_item(items, error, tmp_path, capsys):
+    """A failing --set entry is named in the one-line error, and a repeated
+    --set key is refused at its second item, as a repeated config line is."""
+    args = [arg for item in items for arg in ("--set", item)]
+    assert main(["conserve", *args, "--set", f"output.dir={tmp_path}"]) == 1
+    assert capsys.readouterr().err == f"zrlab: config error: {error}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    """A run that raises ValueError or RuntimeError exits 1 with one stderr
+    line, no traceback, and writes no manifest."""
+    import zrlab.cli as cli
+
+    def fail(spec):
+        raise ValueError("x")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert main(["c2probe", "--set", f"output.dir={tmp_path}"]) == 1
+    assert capsys.readouterr().err == "zrlab: run failed: x\n"
+    assert not any(tmp_path.glob("*_manifest.json"))
 
 
 def test_cli_manifest_digests_every_artifact(tmp_path):

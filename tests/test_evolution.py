@@ -172,7 +172,7 @@ def test_evolve_records_and_preserves_input(setup):
     assert_allclose(state.b, before.b)  # input untouched
     assert record.column("t") == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
     assert "m" in record.columns and len(record) == 5
-    assert record.meta["steps"] == 10
+    assert config.steps == 10 and record.column("t")[-1] == config.steps * config.dt
     assert final.time == pytest.approx(0.1)
 
 
@@ -410,7 +410,8 @@ def test_evolve_members_honors_each_record_every(setup):
         for name in ("b", "psi1", "psi2"):
             assert getattr(final, name).tobytes() == getattr(alone, name).tobytes()
         assert final.time == alone.time
-        assert record.columns == alone_record.columns and record.meta == alone_record.meta
+        assert record.columns == alone_record.columns
+        assert record.column("t")[-1] == config.steps * config.dt
     assert [len(record.column("t")) for _, record in batch] == [9, 3, 15]
 
 
@@ -422,7 +423,7 @@ def test_evolve_members_zero_step_member(setup):
     configs = [StepperConfig(dt=0.01, t_end=0.0), StepperConfig(dt=0.01, t_end=0.05)]
     (still, still_record), (moved, record) = evolve_members([state, state], [coeffs, coeffs],
                                                             configs, observers)
-    assert still_record.column("t") == [0.0] and still_record.meta["steps"] == 0
+    assert configs[0].steps == 0 and still_record.column("t") == [0.0]
     assert np.array_equal(still.b, state.b) and still.b is not state.b
     alone, alone_record = evolve(state, coeffs, configs[1], observers)
     assert moved.b.tobytes() == alone.b.tobytes() and record.columns == alone_record.columns

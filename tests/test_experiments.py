@@ -37,6 +37,7 @@ from zrlab.experiments import (
 )
 from zrlab.evolution import BlowUpError
 from zrlab.grid import dealiased_band
+from zrlab.model import normalized_coefficients
 from zrlab.records import write_record_csv
 
 
@@ -370,14 +371,15 @@ def test_run_conserve_normalized_preset_q1_only():
 # -- inflate ----------------------------------------------------------------------
 
 def test_inflate_member_tracks_oracle_at_small_n():
+    coeffs = normalized_coefficients()
     member = inflate_member(8, 0.25, 0.25, t_probe=0.02, dt=2.5e-3,
-                            variant="f", modes_per_hat=4, nodes=64)
+                            variant="f", modes_per_hat=4, nodes=64, coeffs=coeffs)
     assert member["N"] == 8
     assert member["data_norm_hk"] == pytest.approx(1.0, rel=1e-9)
     assert 0.9 <= member["ratio"] <= 1.1
     # the mirrored variant rides the opposite transport speed
     member_g = inflate_member(8, 0.25, 0.25, t_probe=0.02, dt=2.5e-3,
-                              variant="g", modes_per_hat=4, nodes=64)
+                              variant="g", modes_per_hat=4, nodes=64, coeffs=coeffs)
     assert 0.9 <= member_g["ratio"] <= 1.1
 
 
@@ -448,6 +450,20 @@ def test_inflation_slope_can_fail(monkeypatch):
     assert statuses["inflation_slope"] == "fail"
     ratios = [v for name, v in statuses.items() if name.startswith("oracle_ratio")]
     assert len(ratios) == 4 and set(ratios) == {"pass"}
+
+
+def test_inflate_regime_note(monkeypatch):
+    """l - (2k - 1/2) > 1/2 (k = 0.25, l = 1) flags the extrapolated rate in
+    the run's info; the defaults do not.  The members are stubbed, so nothing
+    steps."""
+    import zrlab.experiments as experiments
+
+    monkeypatch.setattr(experiments, "inflate_member", lambda n_freq, *args, **kwargs: {
+        "N": n_freq, "solver_norm": float(n_freq), "oracle_norm": float(n_freq), "ratio": 1.0})
+    spec = default_spec("inflate")
+    assert "regime_note" not in run_inflate(spec).info
+    note = run_inflate(replace(spec, table=dict(spec.table, l=1.0))).info["regime_note"]
+    assert note.startswith("l - (2k - 1/2) > 1/2")
 
 
 # -- c2probe -----------------------------------------------------------------------
