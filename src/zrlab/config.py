@@ -33,7 +33,7 @@ import numpy as np
 from .closed_forms import expected_c2_slope, expected_inflation_slope, modulated_sinc
 from .evolution import StepperConfig
 from .grid import GRID_SIZE_RULE, SpectralGrid, dealiased_band, is_grid_size
-from .model import PhysicalParams, check_plane_wave
+from .model import PhysicalParams, check_plane_wave, hs_columns
 
 __all__ = [
     "ConfigError",
@@ -221,7 +221,7 @@ def check_decohere_band(grid_n: int, grid_length: float, pairs: dict) -> None:
     phase gradient grows at most like t * max|psi'| over an internal horizon t."""
     band = dealiased_band(grid_n, grid_length)
     grid = SpectralGrid(grid_length, grid_n)
-    slope = float(np.max(np.abs(grid.derivative(modulated_sinc(grid.x), 1))))
+    slope = float(np.max(np.abs(grid.derivative(modulated_sinc(grid.x)))))
     horizon = max(t for pair in pairs.values() for t in pair["t_internal"].values())
     need = 8.0 + horizon * slope
     _require(band >= need, f"under-resolved small-dispersion run: grid (n = {grid_n}, length = "
@@ -512,12 +512,15 @@ def emit_config(spec: ExperimentSpec) -> str:
 def _shared_rules(spec: ExperimentSpec) -> None:
     """The rules every kind shares: [params] and [stepper] are checked by
     constructing what they configure, a stepper entry the kind never reads
-    held at a value that passes."""
+    held at a value that passes, and distinct s values need distinct columns."""
     _as_config_error("params", spec.physical_params)
     given = zip((spec.dt, spec.t_end, spec.record_every), DECLARATIONS[spec.kind].stepper)
     dt, t_end, every = (fill if default is None else value
                         for (value, default), fill in zip(given, (1.0, 0.0, 1)))
     _as_config_error("stepper", StepperConfig, dt, t_end, every)
+    s_list = set(spec.table.get("s_list", ())) | ({1.0} if spec.kind == "growth" else set())
+    _require(len(hs_columns(s_list)) == len(s_list), f"experiment.s_list values "
+             f"{sorted(s_list)} share a HsB_<s:g> column (growth adds its audited 1)")
 
 
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:

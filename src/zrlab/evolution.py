@@ -50,7 +50,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,6 +93,7 @@ class StepperConfig:
     dt: float
     t_end: float
     record_every: int = 1
+    steps: int = field(init=False)  # the number of steps spanning [0, t_end]
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.dt) or self.dt <= 0:
@@ -101,8 +102,10 @@ class StepperConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.steps is None:
+        steps = round(_quotient(self.t_end, self.dt))
+        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def spanning(cls, t_end: float, dt: float,
@@ -111,13 +114,6 @@ class StepperConfig:
         least one, spanning [0, t_end]; recording at both ends only by default."""
         steps = max(1, math.ceil(_quotient(t_end, dt) - 1e-9))
         return cls(t_end / steps, t_end, steps if record_every is None else record_every)
-
-    @property
-    def steps(self) -> Optional[int]:
-        """Number of steps spanning [0, t_end]; None (only while validating)
-        when t_end is not a whole multiple of dt to within roundoff."""
-        steps = round(_quotient(self.t_end, self.dt)) if self.t_end > 0 else 0
-        return steps if abs(steps * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end) else None
 
 
 def _quotient(t_end: float, dt: float) -> float:
@@ -172,7 +168,7 @@ class _Plan:
         def per_member(*names: str) -> np.ndarray:
             return np.array([[getattr(c, name) for name in names] for c in coeffs])
 
-        ddx = grid.derivative_coeffs(grid.dealias_mask, 1)[:h]
+        ddx = grid.derivative_coeffs(grid.dealias_mask)[:h]
         mult_b = np.exp(-1j * per_member("dispersion") * grid.wavenumbers**2 * tau)
         mult_psi = grid.translation((per_member("speed_plus", "speed_minus") * tau)[..., None])
         self.full = {

@@ -12,7 +12,7 @@ Conventions (fixed once, used everywhere):
                    (H^0 equals the L^2(dx) norm of the grid function)
 * dealiasing       2/3 rule: keep |j| <= n/3, i.e. |xi_j| <= dealiased_band(n, L)
 * Nyquist          the unpaired j = -n/2 mode (no conjugate partner) is zeroed
-                   by odd-order derivatives; translation keeps its cosine part
+                   by the derivative; translation keeps its cosine part
 
 Because the nodes start at -L/2 rather than 0, the numpy FFT is corrected by
 the alternating phase exp(-i xi_j * (-L/2)) = (-1)^j.
@@ -113,17 +113,14 @@ class SpectralGrid:
 
     # -- Fourier-side operations --------------------------------------------
 
-    def derivative_coeffs(self, coeffs: np.ndarray, order: int = 1) -> np.ndarray:
-        """Multiply by (i xi)^order; odd orders zero the Nyquist mode."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        out = coeffs * (1j * self.wavenumbers) ** order
-        if order % 2 == 1:
-            out[self.modes == -self.n // 2] = 0.0
+    def derivative_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Multiply by i xi; the Nyquist mode goes to zero."""
+        out = coeffs * (1j * self.wavenumbers)
+        out[self.modes == -self.n // 2] = 0.0
         return out
 
-    def derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        return self.inverse(self.derivative_coeffs(self.forward(values), order))
+    def derivative(self, values: np.ndarray) -> np.ndarray:
+        return self.inverse(self.derivative_coeffs(self.forward(values)))
 
     def sobolev_norm_coeffs(self, coeffs: np.ndarray, s: float) -> float:
         weights = (1.0 + np.abs(self.wavenumbers)) ** (2.0 * s)

@@ -45,6 +45,7 @@ __all__ = [
     "unit_physical_params",
     "modified_system_coefficients",
     "FieldState",
+    "hs_columns",
     "conserved_quantities",
     "check_plane_wave",
     "plane_wave_state",
@@ -207,6 +208,11 @@ class FieldState:
         return FieldState(self.grid, self.b, self.psi1, self.psi2, self.time)
 
 
+def hs_columns(s_list) -> dict[str, float]:
+    """Each distinct s of s_list, ascending, by its column HsB_<s:g> (||B||_{H^s})."""
+    return {f"HsB_{s:g}": s for s in sorted(set(map(float, s_list)))}
+
+
 def conserved_quantities(state: FieldState, params: PhysicalParams,
                          s_list: tuple[float, ...] = (1.0,),
                          psi_index: float = -0.5) -> dict[str, float]:
@@ -231,7 +237,7 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
     rho, u = state.psi1 + state.psi2, math.sqrt(params.beta) * (state.psi1 - state.psi2)
     b = state.b
     b_hat = g.forward(b)
-    bx = g.inverse(g.derivative_coeffs(b_hat, 1))
+    bx = g.inverse(g.derivative_coeffs(b_hat))
     absb2 = np.abs(b) ** 2
 
     q1 = dx * float(np.sum(absb2))
@@ -246,8 +252,7 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
     q2 = q4 - 0.5 * params.nu / params.theta * q3
 
     return {"Q1": q1, "Q2": q2, "Q3": q3, "Q4": q4,
-            **{f"HsB_{float(s):g}": g.sobolev_norm_coeffs(b_hat, s)
-               for s in sorted(s_list)},
+            **{name: g.sobolev_norm_coeffs(b_hat, s) for name, s in hs_columns(s_list).items()},
             "Hpsi1": g.sobolev_norm(state.psi1, psi_index),
             "Hpsi2": g.sobolev_norm(state.psi2, psi_index)}
 

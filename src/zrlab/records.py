@@ -1,8 +1,9 @@
 """Run records and their on-disk formats (CSV series, JSON manifest, fit files).
 
-All floating-point output uses 17 significant digits so that re-parsing a
-file reproduces every value bit-for-bit.  A CSV's columns keep the order of
-the record's rows, so the observer that builds a row owns its column order.
+All floating-point output uses 17 significant digits, unquoted, so splitting
+each line on its commas and `float`-ing each cell gives back every value
+bit-for-bit (a fit file's footer lines read `# key = value`).  A CSV keeps
+the column order of the record's rows, which the observer building a row sets.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ __all__ = [
     "RunRecord",
     "format_float",
     "write_record_csv",
-    "read_record_csv",
     "write_fit_file",
-    "read_fit_file",
     "write_manifest",
 ]
 
@@ -61,15 +60,6 @@ def write_record_csv(record: RunRecord, path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def read_record_csv(path) -> RunRecord:
-    lines = Path(path).read_text().splitlines()  # no strip: names keep their spaces
-    header = lines[0].split(",")
-    rec = RunRecord()
-    for line in lines[1:]:
-        rec.append(dict(zip(header, (float(v) for v in line.split(",")))))
-    return rec
-
-
 def write_fit_file(path, log_x: list[float], log_y: list[float],
                    slope: float, intercept: float, r_squared: float) -> str:
     """Fitted scaling data: per-point columns plus a regression footer;
@@ -87,20 +77,6 @@ def write_fit_file(path, log_x: list[float], log_y: list[float],
     text = "\n".join(lines) + "\n"
     Path(path).write_text(text)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def read_fit_file(path) -> dict:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    points = []
-    footer = {}
-    for line in lines[1:]:
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            footer[key.strip()] = float(value)
-        else:
-            points.append(tuple(float(v) for v in line.split(",")))
-    return {"header": header, "points": points, **footer}
 
 
 def write_manifest(manifest: dict, path) -> None:

@@ -35,8 +35,6 @@ from zrlab.grid import GRID_SIZE_RULE, SpectralGrid
 from zrlab.records import (
     RunRecord,
     format_float,
-    read_fit_file,
-    read_record_csv,
     write_fit_file,
     write_manifest,
     write_record_csv,
@@ -514,6 +512,35 @@ def test_growth_underflowed_norm_is_inconclusive_with_manifest(tmp_path):
     assert verdict["status"] == "inconclusive" and checks["growth_exponent_s3"] == "inconclusive"
 
 
+@pytest.mark.parametrize("t_end, rows", [("0.05", 2), ("0.1", 3)])
+def test_growth_short_record_is_inconclusive_with_manifest(t_end, rows, tmp_path):
+    """A record too short to fit reads inconclusive (exit 2) and leaves its
+    manifest: 2 or 3 rows are fewer than the 4 samples an exponent verdict
+    needs, and 2 rows leave no record time in (0, t_end/2] to fit C^ on."""
+    args = ["growth", "--set", f"stepper.t_end={t_end}", "--set", "stepper.record_every=50",
+            "--set", f"output.dir={tmp_path}"]
+    assert main(args) == 2
+    assert len((tmp_path / "growth_series.csv").read_text().splitlines()) == 1 + rows
+    verdict = json.loads((tmp_path / "growth_manifest.json").read_text())["verdict"]
+    checks = {c["name"]: c["status"] for c in verdict["checks"]}
+    assert checks["h1_apriori"] == "pass" and checks["growth_exponent_s3"] == "inconclusive"
+    assert checks["psi_envelope"] == ("inconclusive" if rows == 2 else "pass")
+
+
+@pytest.mark.parametrize("kind, s_list", [("simulate", "2,2.0000001"), ("conserve", "1,1.0000001"),
+                                          ("growth", "3,3.0000001"), ("growth", "1.0000001")])
+def test_s_list_values_sharing_a_column_fail_at_parse_time(kind, s_list, tmp_path, capsys):
+    """Distinct s values must get distinct HsB_<s:g> columns, growth's
+    always-audited 1 included: a shared column would hold one norm under
+    another's label.  Equal values name one column and parse."""
+    assert main([kind, "--set", f"experiment.s_list={s_list}",
+                 "--set", f"output.dir={tmp_path}"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "share a HsB_<s:g> column" in err
+    assert not any(tmp_path.iterdir())
+    assert apply_overrides(default_spec(kind), ["experiment.s_list=3,3"]).table["s_list"] == (3, 3)
+
+
 def test_growth_zero_amplitude_fails_at_parse_time(tmp_path):
     """growth's exponent fit needs ||B||_{H^s} > 0: zero amplitude fails at
     parse time instead of after 50 000 steps."""
@@ -558,10 +585,11 @@ def test_record_csv_bit_roundtrip(tmp_path):
         digest = write_record_csv(rec, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert path.read_text().splitlines()[0] == ",".join(columns)
-        back = read_record_csv(path)
-        assert list(back.columns) == columns
-        for name in columns:  # bit for bit: == would let -0.0 stand for 0.0
-            assert [v.hex() for v in back.column(name)] == [v.hex() for v in rec.column(name)]
+        # parsed as the writer joined it: no csv module, whose quoting a leading " trips
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == columns
+        for j, name in enumerate(columns):  # bit for bit: == would let -0.0 stand for 0.0
+            assert [float(row[j]).hex() for row in rows] == [v.hex() for v in rec.column(name)]
 
     roundtrip()
 
@@ -578,7 +606,7 @@ def test_record_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_record_csv(rec, path)
     assert path.read_text() == "t,Q1\n"
-    assert len(read_record_csv(path)) == 0
+    assert path.read_text().splitlines()[1:] == []  # no data rows
 
 
 # -- records: fit files ---------------------------------------------------------------
@@ -589,9 +617,12 @@ def test_fit_file_footer_recomputable(tmp_path):
     digest = write_fit_file(path, list(fit.log_x), list(fit.log_y),
                             fit.slope, fit.intercept, fit.r_squared)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    data = read_fit_file(path)
-    assert data["header"] == ["logN", "lognorm", "fit"]
-    pts = np.asarray(data["points"])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "logN,lognorm,fit"
+    pts = np.loadtxt(path, delimiter=",", skiprows=1)  # the footer's "#" lines are comments
+    data = {key.strip(): float(value) for key, _, value in
+            (line[1:].partition("=") for line in lines if line.startswith("#"))}
+    assert set(data) == {"slope", "intercept", "r_squared"}
     slope, intercept = np.polyfit(pts[:, 0], pts[:, 1], 1)
     assert abs(slope - data["slope"]) < 1e-12
     assert abs(intercept - data["intercept"]) < 1e-12
@@ -828,7 +859,7 @@ def test_cli_simulate_pass_and_artifacts(tmp_path, capsys):
     manifest_path = tmp_path / "out" / "demo_manifest.json"
     assert csv_path.exists() and manifest_path.exists()
     assert csv_path.read_text().splitlines()[0] == "t,Q1,Q2,Q3,Q4,HsB_1,Hpsi1,Hpsi2"
-    assert len(read_record_csv(csv_path)) == 3  # t = 0, 0.025, 0.05
+    assert len(csv_path.read_text().splitlines()) == 1 + 3  # header; t = 0, 0.025, 0.05
 
     manifest = json.loads(manifest_path.read_text())
     assert manifest["kind"] == "simulate"

@@ -744,6 +744,15 @@ def test_psi_envelope_can_fail():
     assert outcome["slow"][1] == pytest.approx(0.01) and outcome["fast"][1] == outcome["slow"][1]
 
 
+def test_psi_envelope_without_a_fit_window_is_inconclusive():
+    """No record time in (0, t_end/2], or Q1(0) = 0, leaves nothing to fit C^
+    on: the check reads inconclusive instead of passing on C^ = 0."""
+    for times, q1_0 in ((np.array([0.0, 1.0]), 1.0), (np.linspace(0.0, 50.0, 11), 0.0)):
+        result = ExperimentResult("growth")
+        _psi_envelope_check(result, times, np.ones_like(times), q1_0)
+        assert [c.status for c in result.checks] == ["inconclusive"]
+
+
 def test_run_growth_short_horizon_passes_envelopes():
     spec = default_spec("growth")
     spec = replace(spec, grid_n=256, t_end=0.5, dt=0.002, record_every=25)

@@ -50,7 +50,7 @@ def test_coefficient_mapping_reproduces_physical_rhs():
     psi2 = np.sin(2.0 * g.x)
     rb = np.sqrt(p.beta)
 
-    dx = lambda f: g.derivative(f, 1).real
+    dx = lambda f: g.derivative(f).real
     absb2 = np.abs(b) ** 2
 
     # transport rows of the first-order system
