@@ -64,10 +64,8 @@ def _emit(spec: ExperimentSpec, result: ExperimentResult, wall: float) -> list[s
         artifacts[name] = {"path": str(path), "sha256": digest, "format": "csv"}
 
     for name in sorted(result.fits):
-        fit = result.fits[name]
         path = out_dir / f"{spec.prefix}_{name}.fit"
-        digest = write_fit_file(path, list(fit.log_x), list(fit.log_y),
-                                fit.slope, fit.intercept, fit.r_squared)
+        digest = write_fit_file(path, result.fits[name])
         artifacts[name] = {"path": str(path), "sha256": digest, "format": "fit"}
 
     from . import __version__

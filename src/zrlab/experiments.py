@@ -4,8 +4,8 @@ Each run_* function consumes a validated ExperimentSpec and returns an
 ExperimentResult bundling time-series records, log-log fits, and a verdict
 made of named checks; a blow-up ends the run with a failed completion
 check.  A scaling claim is a least-squares log-log slope; its verdict needs
-four or more positive samples, and a rate check (a sweep against its
-predicted slope) also r^2 >= 0.98, or it reads "inconclusive", never "pass".
+four or more samples, all positive and finite, and a rate check (a sweep
+against its predicted slope) r^2 >= 0.98 too, else it reads "inconclusive".
 Growth's exponent caps a running maximum instead: a bounded, flat envelope
 leaves a line little to explain (r^2 = 0.408 at defaults), so no r^2 gate.
 
@@ -131,17 +131,22 @@ class ExperimentResult:
         self.checks.append(CheckResult(name, status, observed, expected))
 
 
-def _slope_check(result: ExperimentResult, name: str, fit: Optional[FitResult],
-                 expected: float, tol: float) -> None:
-    if fit is None or len(fit.log_x) < 4:
-        result.add(name, None, "fewer than 4 sample points", ">= 4 points for a verdict")
-        return
-    if fit.r_squared < 0.98:
+def _slope_check(result: ExperimentResult, name: str, x: Sequence[float],
+                 y: Sequence[float], expected: float, tol: float) -> Optional[FitResult]:
+    """Check the log-log slope of y against x; returns the fit, made when
+    three or more samples are all positive and finite."""
+    usable = sum(0.0 < v < math.inf for v in y)
+    fit = fit_loglog(x, y) if usable == len(y) >= 3 else None
+    if fit is None or usable < 4:
+        result.add(name, None, f"{usable} of {len(y)} samples positive and finite",
+                   ">= 4 samples, all positive and finite, for a verdict")
+    elif fit.r_squared < 0.98:
         result.add(name, None, f"r^2 = {fit.r_squared:.4f}", "r^2 >= 0.98 for a verdict")
-        return
-    ok = abs(fit.slope - expected) <= tol
-    result.add(name, ok, f"slope = {fit.slope:.4f} (r^2 = {fit.r_squared:.4f})",
-               f"{expected:+.4f} +/- {tol}")
+    else:
+        result.add(name, abs(fit.slope - expected) <= tol,
+                   f"slope = {fit.slope:.4f} (r^2 = {fit.r_squared:.4f})",
+                   f"{expected:+.4f} +/- {tol}")
+    return fit
 
 
 # -- sweep parallelism -------------------------------------------------------------
@@ -184,20 +189,13 @@ def _sweep_slope(result: ExperimentResult, name: str, table: list[dict], column:
     result.info["members"] = table
     result.info["expected_slope"] = expected
     values = [m[column] for m in table]
-    fit = None
-    if len(table) >= 3 and all(v > 0 for v in values):
-        fit = fit_loglog([m["N"] for m in table], values)
+    fit = _slope_check(result, f"{name}_slope", [m["N"] for m in table], values, expected, 0.1)
+    if fit is not None:
         result.fits[name] = fit
-    _slope_check(result, f"{name}_slope", fit, expected, 0.1)
     return values
 
 
 # -- shared data builders ------------------------------------------------------------
-
-def _grid_for(spec: ExperimentSpec) -> SpectralGrid:
-    assert spec.grid_n is not None and spec.grid_length is not None
-    return SpectralGrid(spec.grid_length, spec.grid_n)
-
 
 def _coeffs_for(spec: ExperimentSpec) -> GeneralCoefficients:
     if spec.preset == "normalized":
@@ -254,7 +252,7 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     Omega or None, run), where run(dt) evolves the data with step dt under
     the invariant observer, recording at the spec's record times, and
     returns (final state, record)."""
-    grid = _grid_for(spec)
+    grid = SpectralGrid(spec.grid_length, spec.grid_n)
     coeffs = _coeffs_for(spec)
     state0, omega_freq = _initial_state(spec, grid, coeffs)
     frac = grid.boundary_mass_fraction(state0.b)
@@ -354,10 +352,11 @@ def run_conserve(spec: ExperimentSpec, result: ExperimentResult) -> None:
         _, record_half = run(0.5 * spec.dt)
         result.records["series_half_dt"] = record_half
         half_drift = _rel_drift(record_half.column("Q4"))
-        ratio = q4_drift / half_drift if half_drift > 0 else math.inf
+        ratio = q4_drift / half_drift if half_drift > 0 else None  # no drift, no order
         result.info["q4_drift_half_dt"] = half_drift
         result.info["richardson_ratio"] = ratio
-        result.add("q4_order2", 3.5 <= ratio <= 4.5, f"ratio = {ratio:.3f}",
+        result.add("q4_order2", None if ratio is None else 3.5 <= ratio <= 4.5,
+                   "Q4 drift 0 at dt/2" if ratio is None else f"ratio = {ratio:.3f}",
                    "in [3.5, 4.5] (second-order drift)")
     else:
         result.info["note"] = ("preset lacks a physical-parameter energy; "
@@ -434,8 +433,8 @@ def run_inflate(spec: ExperimentSpec, result: ExperimentResult) -> None:
         return member
 
     table = _run_sweep(t["n_list"], worker)
-    for member in table:
-        ok = 0.8 <= member["ratio"] <= 1.25
+    for member in table:  # a zero or overflowed oracle norm leaves no ratio to judge
+        ok = 0.8 <= member["ratio"] <= 1.25 if member["ratio"] < math.inf else None
         result.add(f"oracle_ratio_N{member['N']}", ok,
                    f"{member['ratio']:.4f}", "in [0.8, 1.25]")
     _sweep_slope(result, "inflation", table, "solver_norm", expected)
@@ -471,14 +470,16 @@ def run_c2probe(spec: ExperimentSpec, result: ExperimentResult) -> None:
         }
 
     table = _run_sweep(t["n_list"], worker)
+    sound = all(0.0 < m["norm"] < math.inf for m in table)  # else no diff or order to judge
     worst_dual = max(m["dual_rel_diff"] for m in table)
-    result.add("dual_route", worst_dual <= 1e-6, f"max rel diff {worst_dual:.3e}", "<= 1e-6")
+    result.add("dual_route", worst_dual <= 1e-6 if sound else None,
+               f"max rel diff {worst_dual:.3e}", "<= 1e-6")
     result.info["dual_route_max_rel_diff"] = worst_dual
     values = _sweep_slope(result, "c2", table, "norm", expected)
 
     if expected > 0.05 and len(values) >= 2:
         monotone = all(a < b for a, b in zip(values, values[1:]))
-        result.add("unbounded_growth", monotone,
+        result.add("unbounded_growth", monotone if sound else None,
                    "norm strictly increasing in N" if monotone else "norm not monotone in N",
                    "strictly increasing (contradiction engine)")
 
@@ -498,7 +499,7 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """
     t = spec.table
     mu, m_big, c, k_reg = t["mu"], t["m"], t["c"], t["k_reg"]
-    grid = _grid_for(spec)
+    grid = SpectralGrid(spec.grid_length, spec.grid_n)
     b0, psi_plus0 = cf.smooth_plateau(grid.x), cf.modulated_sinc(grid.x)
 
     pairs, sweep_keys = decohere_pairs(t)

@@ -142,9 +142,7 @@ def normalized_coefficients() -> GeneralCoefficients:
     )
 
 
-def unit_physical_params() -> PhysicalParams:
-    """theta = gamma = omega = beta = 1, nu = 0; q collapses to 1."""
-    return PhysicalParams()
+unit_physical_params = PhysicalParams  # theta = gamma = omega = beta = 1, nu = 0; q = 1
 
 
 def modified_system_coefficients(mu: float, big_l: float, c: float,

@@ -2,8 +2,9 @@
 
 All floating-point output uses 17 significant digits, unquoted, so splitting
 each line on its commas and `float`-ing each cell gives back every value
-bit-for-bit (a fit file's footer lines read `# key = value`).  A CSV keeps
-the column order of the record's rows, which the observer building a row sets.
+bit-for-bit.  A CSV keeps the column order of the record's rows, which the
+observer building a row sets.  A `.fit` file is such a CSV, written by the
+same writer, plus footer lines that read `# key = value`.
 """
 
 from __future__ import annotations
@@ -42,41 +43,37 @@ class RunRecord:
         for name, value in row.items():
             self.columns[name].append(float(value))
 
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
-
     def column(self, name: str) -> list[float]:
         return self.columns[name]
+
+
+def _write_rows(path, columns: dict[str, list[float]], footer=()) -> str:
+    """Write the column names, one row per index and the footer lines;
+    returns the sha256 digest of the emitted bytes."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(format_float, row)) for row in zip(*columns.values())]
+    text = "\n".join([*lines, *footer]) + "\n"
+    Path(path).write_text(text)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_record_csv(record: RunRecord, path) -> str:
     """Write the series, columns in the order of the observer's row (the
     record's key order); returns the sha256 digest of the emitted bytes."""
-    lines = [",".join(record.columns)]
-    for i in range(len(record)):
-        lines.append(",".join(format_float(col[i]) for col in record.columns.values()))
-    text = "\n".join(lines) + "\n"
-    Path(path).write_text(text)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _write_rows(path, record.columns)
 
 
-def write_fit_file(path, log_x: list[float], log_y: list[float],
-                   slope: float, intercept: float, r_squared: float) -> str:
-    """Fitted scaling data: per-point columns plus a regression footer;
+def write_fit_file(path, fit) -> str:
+    """A fit's points and line (`logN,lognorm,fit`) plus a regression footer;
     returns the sha256 digest of the emitted bytes.
 
     The footer is recomputable from the data columns alone (least squares on
     the first two columns), which the test suite verifies to 1e-12.
     """
-    lines = ["logN,lognorm,fit"]
-    for lx, ly in zip(log_x, log_y):
-        lines.append(",".join(format_float(v) for v in (lx, ly, slope * lx + intercept)))
-    lines.append("# slope = " + format_float(slope))
-    lines.append("# intercept = " + format_float(intercept))
-    lines.append("# r_squared = " + format_float(r_squared))
-    text = "\n".join(lines) + "\n"
-    Path(path).write_text(text)
-    return hashlib.sha256(text.encode()).hexdigest()
+    fitted = [fit.slope * lx + fit.intercept for lx in fit.log_x]
+    footer = [f"# {key} = {format_float(getattr(fit, key))}"
+              for key in ("slope", "intercept", "r_squared")]
+    return _write_rows(path, {"logN": fit.log_x, "lognorm": fit.log_y, "fit": fitted}, footer)
 
 
 def write_manifest(manifest: dict, path) -> None:

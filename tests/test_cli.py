@@ -512,6 +512,33 @@ def test_growth_underflowed_norm_is_inconclusive_with_manifest(tmp_path):
     assert verdict["status"] == "inconclusive" and checks["growth_exponent_s3"] == "inconclusive"
 
 
+@pytest.mark.parametrize("entry", ["experiment.amplitude=0", "stepper.t_end=0"])
+def test_conserve_without_drift_is_inconclusive_with_manifest(entry, tmp_path):
+    """A run whose Q4 cannot drift gives no Richardson ratio: q4_order2 reads
+    inconclusive (exit 2), and the manifest holds a null ratio, not Infinity."""
+    assert main(["conserve", "--set", entry, "--set", f"output.dir={tmp_path}"]) == 2
+    text = (tmp_path / "conserve_manifest.json").read_text()
+    verdict = json.loads(text)["verdict"]
+    checks = {c["name"]: (c["status"], c["observed"]) for c in verdict["checks"]}
+    assert checks["q4_order2"] == ("inconclusive", "Q4 drift 0 at dt/2")
+    assert verdict["info"]["richardson_ratio"] is None and "Infinity" not in text
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("t_probe", ["1e-300", "1e300"])
+def test_c2probe_zero_or_overflowed_norms_are_inconclusive_with_manifest(t_probe, tmp_path):
+    """Kernel norms that underflow to zero or overflow to inf support no
+    verdict: every check reads inconclusive (exit 2), none passes on zero
+    norms, and the run leaves its manifest instead of a failed fit."""
+    args = ["c2probe", "--set", f"experiment.t_probe={t_probe}", "--set", f"output.dir={tmp_path}"]
+    assert main(args) == 2
+    verdict = json.loads((tmp_path / "c2probe_manifest.json").read_text())["verdict"]
+    checks = {c["name"]: (c["status"], c["observed"]) for c in verdict["checks"]}
+    assert {status for status, _ in checks.values()} == {"inconclusive"}
+    assert set(checks) == {"dual_route", "c2_slope", "unbounded_growth"}
+    assert checks["c2_slope"][1] == "0 of 5 samples positive and finite"
+
+
 @pytest.mark.parametrize("t_end, rows", [("0.05", 2), ("0.1", 3)])
 def test_growth_short_record_is_inconclusive_with_manifest(t_end, rows, tmp_path):
     """A record too short to fit reads inconclusive (exit 2) and leaves its
@@ -614,8 +641,7 @@ def test_record_csv_header_only(tmp_path):
 def test_fit_file_footer_recomputable(tmp_path):
     fit = fit_loglog([1, 2, 4, 8, 16], [2.0, 3.9, 8.3, 15.8, 33.0])
     path = tmp_path / "scaling.fit"
-    digest = write_fit_file(path, list(fit.log_x), list(fit.log_y),
-                            fit.slope, fit.intercept, fit.r_squared)
+    digest = write_fit_file(path, fit)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     lines = path.read_text().splitlines()
     assert lines[0] == "logN,lognorm,fit"

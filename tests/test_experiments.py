@@ -97,19 +97,31 @@ def test_experiment_result_status_precedence():
 def test_slope_check_gatekeeping():
     result = ExperimentResult("demo")
     # three points: no verdict regardless of fit quality
-    _slope_check(result, "few", fit_loglog([1, 2, 4], [1, 2, 4]), 1.0, 0.1)
+    _slope_check(result, "few", [1, 2, 4], [1, 2, 4], 1.0, 0.1)
     assert result.checks[-1].status == "inconclusive"
     # scattered points: r^2 below 0.98 withholds the verdict
     noisy = fit_loglog([1, 2, 4, 8], [1.0, 10.0, 2.0, 30.0])
     assert noisy.r_squared < 0.98
-    _slope_check(result, "noisy", noisy, 1.0, 0.5)
+    _slope_check(result, "noisy", [1, 2, 4, 8], [1.0, 10.0, 2.0, 30.0], 1.0, 0.5)
     assert result.checks[-1].status == "inconclusive"
     # clean power law: verdict follows the tolerance window
-    clean = fit_loglog([1, 2, 4, 8], [1, 4, 16, 64])
-    _slope_check(result, "hit", clean, 2.0, 0.1)
+    clean = ([1, 2, 4, 8], [1, 4, 16, 64])
+    _slope_check(result, "hit", *clean, 2.0, 0.1)
     assert result.checks[-1].status == "pass"
-    _slope_check(result, "miss", clean, 1.0, 0.1)
+    _slope_check(result, "miss", *clean, 1.0, 0.1)
     assert result.checks[-1].status == "fail"
+
+
+@pytest.mark.parametrize("samples, usable", [([0.0] * 5, 0), ([1.0, 2.0, math.inf, 4.0, 8.0], 4),
+                                             ([1.0, 2.0, math.nan, 4.0, 8.0], 4)])
+def test_slope_check_needs_every_sample_positive_and_finite(samples, usable):
+    """A zero, overflowed or NaN sample has no logarithm: the check fits
+    nothing, reads inconclusive and reports how many samples it could use."""
+    result = ExperimentResult("demo")
+    assert _slope_check(result, "edge", [1, 2, 4, 8, 16], samples, 1.0, 0.1) is None
+    check = result.checks[-1]
+    assert check.status == "inconclusive"
+    assert check.observed == f"{usable} of 5 samples positive and finite"
 
 
 def test_rel_drift_uses_absolute_scale_near_zero():
@@ -406,6 +418,17 @@ def test_run_inflate_few_points_is_inconclusive(monkeypatch):
     assert len(ratio_checks) == 2 and all(c.status == "pass" for c in ratio_checks)
     # sweep output is keyed and ordered by N regardless of thread scheduling
     assert [m["N"] for m in result.info["members"]] == [8, 16]
+
+
+def test_inflate_underflowed_norms_are_inconclusive():
+    """At t_probe = 1e-300 the solver and oracle norms underflow to zero: no
+    ratio and no slope to judge, so every check reads inconclusive, not fail."""
+    spec = default_spec("inflate")
+    spec = replace(spec, table=dict(spec.table, n_list=(8, 16), t_probe=1e-300))
+    result = run_inflate(spec)
+    assert [m["oracle_norm"] for m in result.info["members"]] == [0.0, 0.0]
+    assert {c.status for c in result.checks} == {"inconclusive"}
+    assert result.checks[-1].observed == "0 of 2 samples positive and finite"
 
 
 def test_oracle_ratio_can_fail(monkeypatch):

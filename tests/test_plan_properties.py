@@ -130,7 +130,7 @@ def fused_and_unfused(members, record_every):
             if i % record_every == 0 or i == steps:
                 expected.append(ref.copy())
         got = seen[id(final)]
-        assert len(got) == len(expected) == len(record)
+        assert len(got) == len(expected) == len(record.column("t"))
         mass = [st.grid.sobolev_norm(st.b) ** 2 for st in expected]
         assert_allclose(record.column("mass"), mass, rtol=1e-12)
         pairs.append((got + [final], expected + [ref]))
