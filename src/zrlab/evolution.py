@@ -143,7 +143,7 @@ class _Plan:
     `translation(speed*dt)`: the Nyquist cosine rule does not compose), the
     psi half-kick multipliers (d/dx of |B|^2, always under the 2/3 mask), the
     potential row, cubic coefficient and dt, and the work arrays every step
-    writes into: |B|^2 (then |V| dt), the psi kicks, V, a half spectrum
+    writes into: |B|^2 (then |V| dt / 2), the psi kicks, V, a half spectrum
     (|B|^2's, then V's) and a complex grid array (the phase factor, then B's
     spectrum).  `gufuncs`, numpy's pocketfft gufuncs, are imported here:
     numpy.fft loads lazily, and a run that builds no plan never needs it.
@@ -204,11 +204,16 @@ class _Plan:
         np.matmul(self.potential, psi, out=self.vhat_rows)
         v = self.gufuncs.irfft(self.vhat, self.inv_n, out=(self.v,))
         v += np.multiply(self.cubic, absb2, out=absb2)
-        angle = np.multiply(v, -self.dt, out=v)  # exp(-i dt V) as cos, sin: no complex exp
-        calm = np.abs(angle, out=absb2).max() < np.pi  # max |V| dt over the members
-        np.cos(angle, out=self.phase.real)
-        np.sin(angle, out=self.phase.imag)
-        b *= self.phase
+        half = np.multiply(v, -0.5 * self.dt, out=v)  # halving is exact, so this is
+        calm = np.abs(half, out=absb2).max() < 0.5 * np.pi  # max |V| dt < pi, bit for bit
+        # exp(-i dt V) = (1 + i u) / (1 - i u), u = tan(-dt V / 2): numpy runs float64
+        # tan in a vectorised loop, but cos and sin (and complex exp) one value at a time
+        phase = self.phase
+        phase.real = 1.0
+        u = np.tan(half, out=phase.imag)
+        b *= phase
+        np.negative(u, out=u)
+        b /= phase
         psi += kick
         if not (calm and math.isfinite(abs(psi.sum()))):
             self.diagnose(b, psi, start, step)
@@ -217,7 +222,7 @@ class _Plan:
         """`nonlinear`'s slow path: warn per member whose phase advanced pi or
         more, then raise `BlowUpError` if a field is not finite, at the first
         such member's step-start time start + step dt, formed only then."""
-        for rad in np.ravel(self.absb2.max(axis=-1)):
+        for rad in np.ravel(2.0 * self.absb2.max(axis=-1)):
             if rad >= np.pi:
                 warnings.warn(f"potential phase advanced {rad:.3g} rad (>= pi) in one "
                               "step; decrease dt", RuntimeWarning)

@@ -9,9 +9,10 @@ against its predicted slope) r^2 >= 0.98 too, else it reads "inconclusive".
 Growth's exponent caps a running maximum instead: a bounded, flat envelope
 leaves a line little to explain (r^2 = 0.408 at defaults), so no r^2 gate.
 
-Sweeps over N run their members in a thread pool, largest N first; each
-member is sequential and the results come back in ascending N, so records
-are deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto;
+Sweeps over N run their members in a thread pool, largest N first (c2probe
+runs one task per route and N, dual-route tasks first); each task is
+sequential and the results come back in ascending order, so records are
+deterministic for a fixed spec.  ZRLAB_THREADS caps the pool (0 = auto;
 1 = a pool of one worker).
 Decohere splits its runs into one `evolve_members` batch per worker, longest
 run first, and steps the batches through the same pool.
@@ -455,33 +456,36 @@ def run_c2probe(spec: ExperimentSpec, result: ExperimentResult) -> None:
     k, l, t_probe, nodes = t["k"], t["l"], t["t_probe"], t["nodes"]
     expected = expected_c2_slope(l)
 
-    def worker(n_freq: int) -> dict:
-        b0 = cf.normalize_hats(cf.build_fN(n_freq, k, "c2_B0"), k, nodes)[0]
-        psi10 = cf.build_c2_psi10(n_freq, l)[0]
-        value = cf.l_hat_norm(t_probe, b0, psi10, k, nodes)
-        dual = cf.l_hat_norm(t_probe, b0, psi10, k, nodes, time_nodes=64)
-        return {
-            "N": n_freq,
-            "norm": value,
-            "dual_route": dual,
-            "dual_rel_diff": abs(value - dual) / value if value > 0 else 0.0,
-            "psi10_norm_hl": cf.hat_sobolev_norm([psi10], l, nodes),
-            "b0_norm_hk": cf.hat_sobolev_norm([b0], k, nodes),
-        }
-
-    table = _run_sweep(t["n_list"], worker)
-    sound = all(0.0 < m["norm"] < math.inf for m in table)  # else no diff or order to judge
-    worst_dual = max(m["dual_rel_diff"] for m in table)
-    result.add("dual_route", worst_dual <= 1e-6 if sound else None,
-               f"max rel diff {worst_dual:.3e}", "<= 1e-6")
+    # the hat data, and with it the cached GL rule, built once here, not per worker;
+    # one task per (time nodes, N): the costlier dual-route tasks start first
+    data = {n: (cf.normalize_hats(cf.build_fN(n, k, "c2_B0"), k, nodes)[0],
+                cf.build_c2_psi10(n, l)[0]) for n in t["n_list"]}
+    keys = [(time_nodes, n) for time_nodes in (0, 64) for n in data]
+    norms = dict(zip(sorted(keys), _run_sweep(keys, lambda key: cf.l_hat_norm(
+        t_probe, *data[key[1]], k, nodes, key[0]))))
+    table = [{
+        "N": n,
+        "norm": norms[0, n],
+        "dual_route": norms[64, n],
+        "dual_rel_diff": abs(norms[0, n] - norms[64, n]) / norms[0, n] if norms[0, n] > 0 else None,
+        "psi10_norm_hl": cf.hat_sobolev_norm([psi10], l, nodes),
+        "b0_norm_hk": cf.hat_sobolev_norm([b0], k, nodes),
+    } for n, (b0, psi10) in data.items()]
+    unsound = sum(not 0.0 < m["norm"] < math.inf for m in table)  # no diff or order to judge
+    missing = f"{unsound} of {len(table)} norms zero or not finite"
+    worst_dual = None if unsound else max(m["dual_rel_diff"] for m in table)
+    if unsound:
+        result.add("dual_route", None, missing, "<= 1e-6")
+    else:
+        result.add("dual_route", worst_dual <= 1e-6, f"max rel diff {worst_dual:.3e}", "<= 1e-6")
     result.info["dual_route_max_rel_diff"] = worst_dual
     values = _sweep_slope(result, "c2", table, "norm", expected)
 
     if expected > 0.05 and len(values) >= 2:
         monotone = all(a < b for a, b in zip(values, values[1:]))
-        result.add("unbounded_growth", monotone if sound else None,
-                   "norm strictly increasing in N" if monotone else "norm not monotone in N",
-                   "strictly increasing (contradiction engine)")
+        observed = "norm strictly increasing in N" if monotone else "norm not monotone in N"
+        result.add("unbounded_growth", None if unsound else monotone,
+                   missing if unsound else observed, "strictly increasing (contradiction engine)")
 
 
 # -- decohere -----------------------------------------------------------------------

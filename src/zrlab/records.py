@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,9 +78,30 @@ def write_fit_file(path, fit) -> str:
     return _write_rows(path, {"logN": fit.log_x, "lognorm": fit.log_y, "fit": fitted}, footer)
 
 
+def _finite(value, pointer: str, nonfinite: dict):
+    """`value` with each non-finite float replaced by None, whose JSON pointer
+    (RFC 6901) maps to 'inf', '-inf' or 'nan' in `nonfinite`."""
+    if isinstance(value, dict):
+        return {key: _finite(item, f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}",
+                             nonfinite) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item, f"{pointer}/{i}", nonfinite) for i, item in enumerate(value)]
+    if isinstance(value, numbers.Real) and not math.isfinite(value):
+        nonfinite[pointer] = repr(float(value))
+        return None
+    return value
+
+
 def write_manifest(manifest: dict, path) -> None:
-    """Write a run manifest as JSON, adding the sha256 `config_digest` of its
-    `config_echo`; a numpy scalar is written as the Python value it holds."""
+    """Write a run manifest as strict JSON, adding the sha256 `config_digest`
+    of its `config_echo`; a numpy scalar is written as the Python value it
+    holds.  A non-finite float is written as null, and a top-level
+    `nonfinite` object, present only then, maps its JSON pointer to 'inf',
+    '-inf' or 'nan'."""
     digest = hashlib.sha256(manifest["config_echo"].encode()).hexdigest()
-    Path(path).write_text(json.dumps({**manifest, "config_digest": digest}, indent=2,
-                                     sort_keys=True, default=lambda v: v.item()) + "\n")
+    nonfinite: dict[str, str] = {}
+    out = _finite({**manifest, "config_digest": digest}, "", nonfinite)
+    if nonfinite:
+        out["nonfinite"] = nonfinite
+    Path(path).write_text(json.dumps(out, indent=2, sort_keys=True, allow_nan=False,
+                                     default=lambda v: v.item()) + "\n")

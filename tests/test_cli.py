@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -524,19 +525,66 @@ def test_conserve_without_drift_is_inconclusive_with_manifest(entry, tmp_path):
     assert verdict["info"]["richardson_ratio"] is None and "Infinity" not in text
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("t_probe", ["1e-300", "1e300"])
 def test_c2probe_zero_or_overflowed_norms_are_inconclusive_with_manifest(t_probe, tmp_path):
     """Kernel norms that underflow to zero or overflow to inf support no
-    verdict: every check reads inconclusive (exit 2), none passes on zero
-    norms, and the run leaves its manifest instead of a failed fit."""
+    verdict: every check reads inconclusive (exit 2) and says why, none passes
+    on zero norms, a zero norm leaves no relative difference, no quadrature
+    warning reaches stderr (from either sweep thread), and the run leaves its
+    manifest instead of a failed fit."""
     args = ["c2probe", "--set", f"experiment.t_probe={t_probe}", "--set", f"output.dir={tmp_path}"]
-    assert main(args) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
     verdict = json.loads((tmp_path / "c2probe_manifest.json").read_text())["verdict"]
     checks = {c["name"]: (c["status"], c["observed"]) for c in verdict["checks"]}
-    assert {status for status, _ in checks.values()} == {"inconclusive"}
-    assert set(checks) == {"dual_route", "c2_slope", "unbounded_growth"}
-    assert checks["c2_slope"][1] == "0 of 5 samples positive and finite"
+    assert checks == {"dual_route": ("inconclusive", "5 of 5 norms zero or not finite"),
+                      "c2_slope": ("inconclusive", "0 of 5 samples positive and finite"),
+                      "unbounded_growth": ("inconclusive", "5 of 5 norms zero or not finite")}
+    assert verdict["info"]["dual_route_max_rel_diff"] is None
+    if t_probe == "1e-300":
+        assert [m["dual_rel_diff"] for m in verdict["info"]["members"]] == [None] * 5
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("kind, overrides, nonfinite", [
+    ("c2probe", ["experiment.t_probe=1e300"], 15),
+    ("c2probe", ["experiment.t_probe=1e-300"], 0),
+    ("inflate", ["experiment.t_probe=1e-300", "experiment.n_list=8,16"], 2),
+])
+def test_edge_run_manifests_are_strict_json(kind, overrides, nonfinite, tmp_path, monkeypatch):
+    """The manifests of runs whose norms underflow or overflow parse under a
+    strict JSON reader: each non-finite float is written as null, and the
+    top-level `nonfinite` object maps its JSON pointer to 'inf', '-inf' or
+    'nan' (absent when there is none).  Negative control: the same manifest
+    dumped as the writer did before (json.dumps passing NaN and Infinity
+    through) fails the strict parse whenever it holds a non-finite value."""
+    import zrlab.cli as cli
+
+    handed = []
+    monkeypatch.setattr(cli, "write_manifest",
+                        lambda manifest, path: (handed.append(manifest), write_manifest(manifest, path)))
+    args = [kind, *(a for o in overrides for a in ("--set", o)), "--set", f"output.dir={tmp_path}"]
+    assert main(args) == 2
+    manifest = _strict_json((tmp_path / f"{kind}_manifest.json").read_text())
+    marks = manifest.get("nonfinite", {})
+    assert len(marks) == nonfinite and set(marks.values()) <= {"inf", "-inf", "nan"}
+    for pointer in marks:
+        node = manifest
+        for part in pointer.split("/")[1:]:
+            node = node[int(part) if isinstance(node, list) else part]
+        assert node is None
+    parent_text = json.dumps(handed[0], indent=2, sort_keys=True, default=lambda v: v.item())
+    if nonfinite:
+        with pytest.raises(ValueError, match="non-standard JSON token"):
+            _strict_json(parent_text)
 
 
 @pytest.mark.parametrize("t_end, rows", [("0.05", 2), ("0.1", 3)])

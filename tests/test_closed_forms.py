@@ -403,14 +403,6 @@ def test_l_hat_norm_linear_in_small_time():
 
 # -- first-order transport response ----------------------------------------------
 
-def test_first_order_psi1_dual_routes():
-    hats = normalize_hats(build_fN(8, 0.25), 0.25)
-    a = first_order_psi1(0.1, hats, 0.25)
-    b = first_order_psi1(0.1, hats, 0.25, time_nodes=64)
-    assert a > 0
-    assert abs(a - b) / a < 1e-8
-
-
 def test_first_order_psi1_linear_in_time():
     hats = normalize_hats(build_fN(8, 0.25), 0.25)
     v1 = first_order_psi1(0.02, hats, 0.25)

@@ -386,6 +386,33 @@ def test_evolve_members_phase_warning_fires_for_one_member():
         evolve_members([calm, loud], [coeffs, coeffs], [config, config])
 
 
+def _phase_warnings(*phases: float) -> list[str]:
+    """The warnings of one nonlinear step of a batch whose member k has the
+    constant potential V = phases[k] (|B| = 1, no coupling) and dt = 1."""
+    grid = SpectralGrid(2.0 * np.pi, 16)
+    plan = evolution._Plan(grid, [GeneralCoefficients(1.0, 0.0, 0.0, v, 1.0, -1.0, 0.0, 0.0)
+                                  for v in phases], [1.0] * len(phases))
+    shape = (len(phases),) if len(phases) > 1 else ()
+    b = np.ones((*shape, grid.n), dtype=complex)
+    psi = np.zeros((*shape, 2, grid.n // 2 + 1), dtype=complex)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plan.nonlinear(b, psi, 0.0, 0)
+    return [str(w.message) for w in caught]
+
+
+def test_phase_guard_edge_is_pi():
+    """The guard max |V| dt < pi, compared on the half angle as
+    max |dt V / 2| < pi/2, keeps its edge bit for bit: a member whose |V| dt
+    is the last float below pi steps silently, and one at pi, above it or at
+    -pi warns once with its own phase."""
+    below = np.nextafter(np.pi, 0.0)
+    assert _phase_warnings(below) == _phase_warnings(-below) == _phase_warnings(below, below) == []
+    loud = "potential phase advanced 3.14 rad (>= pi) in one step; decrease dt"
+    for phases in ((np.pi,), (-np.pi,), (np.nextafter(np.pi, 4.0),), (below, np.pi)):
+        assert _phase_warnings(*phases) == [loud]
+
+
 @pytest.mark.parametrize("what", ["grid"])  # the one thing the members must share
 def test_evolve_members_rejects_mismatched_members(what):
     coeffs = normalized_coefficients()

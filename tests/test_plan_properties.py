@@ -4,14 +4,15 @@ ones, translation keeps the Nyquist cosine rule, a Strang step conserves mass, i
 reversible and keeps psi1, psi2 real, the fused loop in `evolve` matches a
 loop of the unfused `strang_step` for one member or several, and a batch of
 members gives bit for bit what `evolve` gives each member alone, whenever
-its observers look."""
+its observers look, and the kernel's half-angle phase is exp(-i dt V) to
+1e-15."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from zrlab import (FieldState, GeneralCoefficients, SpectralGrid,  # noqa: E402
                    StepperConfig, coefficients_from_params, evolve, strang_step,
@@ -248,3 +249,25 @@ def test_fused_whole_step_multiplier_negative_control(monkeypatch):
     with pytest.raises(AssertionError):
         (mismatched,) = fused_and_unfused([(with_nyquist(state, 0.05), coeffs, 8, 1e-3)], 3)
         assert_states_match(*mismatched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(), coefficient_records(), st.floats(-3.0, 0.5))
+def test_nonlinear_phase_is_the_complex_exponential(case, coeffs, log_dt):
+    """One `_Plan.nonlinear` phase, formed from half-angle tangents, rotates
+    B by exp(-i dt V) to 1e-15 relative and keeps sum |B|^2 to 1e-15, for
+    drawn records, data and dt with max |V| dt < pi.  V is formed here as
+    the kernel forms it, from |B|^2 and the psi kicked by half a step."""
+    grid, rng = case
+    dt = 10.0 ** log_dt
+    state = random_state(grid, rng)
+    plan = evolution._Plan(grid, [coeffs], [dt])
+    b, psi = state.b.copy(), np.fft.rfft(np.stack([state.psi1, state.psi2]))
+    absb2 = np.abs(b) ** 2
+    kicked = psi + np.fft.rfft(absb2) * plan.kick
+    v = np.fft.irfft(plan.potential @ kicked, grid.n) + coeffs.cubic * absb2
+    assume(np.max(np.abs(v)) * dt < np.pi)
+    want, mass = b * np.exp(-1j * dt * v), np.sum(absb2)
+    plan.nonlinear(b, psi, 0.0, 0)
+    assert np.all(np.abs(b - want) <= 1e-15 * np.abs(want))
+    assert abs(np.sum(np.abs(b) ** 2) - mass) <= 1e-15 * mass
