@@ -18,7 +18,7 @@ from .config import (DECLARATIONS, ConfigError, ExperimentSpec, apply_overrides,
 from .experiments import ExperimentResult, run_experiment
 from .records import write_fit_file, write_manifest, write_record_csv
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "parse_config", "apply_overrides"]
 
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
 
@@ -33,19 +33,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="zrlab",
-                     description="spectral laboratory for a coupled "
-                                 "Schrodinger-transport system")
+    commands = "\n".join(f"  {kind:<10}{decl.help}" for kind, decl in DECLARATIONS.items())
+    parser = _Parser(prog="zrlab", description="spectral laboratory for a coupled "
+                     "Schrodinger-transport system", epilog=f"commands:\n{commands}",
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("kind", choices=DECLARATIONS, metavar="command",
+                        help="the experiment kind to run (see below)")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="increase log verbosity (-v info, -vv debug)")
-    sub = parser.add_subparsers(dest="kind", metavar="command", parser_class=_Parser)
-    sub.required = True
-    for kind, decl in DECLARATIONS.items():
-        p = sub.add_parser(kind, help=decl.help)
-        p.add_argument("--config", type=Path, default=None,
-                       help="sectioned key=value config file (defaults used if omitted)")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="section.key=value", help="override a config entry")
+    parser.add_argument("--config", type=Path, metavar="FILE",
+                        help="sectioned key=value config file (defaults used if omitted)")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="section.key=value", help="override a config entry")
     return parser
 
 
@@ -99,10 +98,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        text = "" if args.config is None else args.config.read_text(encoding="utf-8")
-        spec = parse_config(text, args.kind)
-        if args.overrides:
-            spec = apply_overrides(spec, args.overrides)
+        text = "" if args.config is None else args.config.read_text(encoding="utf-8-sig")
+        spec = parse_config(text, args.kind, args.overrides)
     except (OSError, UnicodeError) as exc:
         return _fail(f"error: cannot read config: {exc}")
     except ConfigError as exc:

@@ -17,16 +17,16 @@ exact hypothesis ranges, so silent typos and no-op settings are not an
 option.  Each entry's rule is declared next to it (`Key`), and each
 kind's rules that span several entries next to its keys
 (`KindDeclaration.rules`); `validate_spec` runs them all.  `read_entries`
-alone says which entries a spec reads.  `parse_config` resolves per-kind
-defaults and validates; `emit_config` writes the read entries of a spec
-back out such that parse_config(emit_config(spec)) == spec.
+alone says which entries a spec reads.  `parse_config` applies the file and
+then the --set items to the kind's defaults and validates once; `emit_config`
+writes a spec's read entries so that parse_config(emit_config(spec)) == spec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -395,38 +395,43 @@ def read_entries(spec: ExperimentSpec) -> set[str]:
                 else key not in unread if section == "experiment" else default is not None)}
 
 
-# -- raw text -> sections ---------------------------------------------------------
+# -- config lines and --set items -> entries ----------------------------------------
 
-def _split_sections(text: str) -> dict[str, dict[str, tuple[str, str]]]:
-    """Each section's entries as key -> (raw value, location)."""
-    sections: dict[str, dict[str, tuple[str, str]]] = {}
-    current: Optional[str] = None
+def _section(name: str, where: str) -> str:
+    if name not in _SECTIONS:
+        raise ConfigError(f"unknown section '{name}' (expected one of {', '.join(_SECTIONS)})",
+                          where)
+    return name
+
+
+def _file_entries(text: str) -> Iterator[tuple[str, str, str, str]]:
+    """The file's entries as (section, key, raw value, location), in order."""
+    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         where = f"line {lineno}"
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigError("malformed section header", where)
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(
-                    f"unknown section [{name}] (expected one of {', '.join(_SECTIONS)})", where)
-            current = name
-            sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", where)
-        if current is None:
-            raise ConfigError("key outside any [section]", where)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError("empty key", where)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key '{key}' in [{current}]", where)
-        sections[current][key] = (value, where)
-    return sections
+            current = _section(line[1:-1].strip(), where)
+        elif line:
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {line!r}", where)
+            if current is None:
+                raise ConfigError("key outside any [section]", where)
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield current, key, value, where
+
+
+def _set_entries(items: Iterable[str]) -> Iterator[tuple[str, str, str, str]]:
+    """The `section.key=value` items (from --set) as entries like the file's."""
+    for item in items:
+        where = f"--set {item!r}"
+        path, eq, value = item.partition("=")
+        section, dot, key = path.partition(".")
+        if not (eq and dot):
+            raise ConfigError("expected section.key=value", where)
+        yield _section(section.strip(), where), key.strip(), value.strip(), where
 
 
 def _convert(section: str, key: str, raw: str, where: str, schema: dict[str, Key]):
@@ -438,61 +443,51 @@ def _convert(section: str, key: str, raw: str, where: str, schema: dict[str, Key
         raise ConfigError(f"[{section}] {key}: {exc}", where)
 
 
-def _build_spec(base: ExperimentSpec,
-                sections: dict[str, dict[str, tuple[str, str]]]) -> ExperimentSpec:
-    """`base` with the raw `sections` entries converted and applied."""
-    kind = base.kind
-    updates: dict[str, object] = {}
-    table = dict(base.table)
-    for section, entries in sections.items():
-        for key, (raw, where) in entries.items():
+def _build_spec(base: ExperimentSpec, *sources: Iterable) -> ExperimentSpec:
+    """`base` with each source's entries converted and applied in turn, so a
+    later source overrides an earlier one; a key repeated within one source
+    is refused."""
+    updates, table = {}, dict(base.table)
+    for entries in sources:
+        seen = set()
+        for section, key, raw, where in entries:
+            if (section, key) in seen:
+                raise ConfigError(f"duplicate key '{key}' in [{section}]", where)
+            seen.add((section, key))
             if section != "experiment":
                 value = _convert(section, key, raw, where, _SCHEMAS[section])
                 updates[_SPEC_FIELD[section, key]] = value
             elif key == "kind":
-                if raw != kind:
+                if raw != base.kind:
                     raise ConfigError(f"experiment.kind = {raw!r} does not match "
-                                      f"the requested kind {kind!r}", where)
+                                      f"the requested kind {base.kind!r}", where)
             else:
-                table[key] = _convert(section, key, raw, where, DECLARATIONS[kind].keys)
+                table[key] = _convert(section, key, raw, where, DECLARATIONS[base.kind].keys)
     return replace(base, table=table, **updates)
 
 
-def parse_config(text: str, kind: Optional[str] = None) -> ExperimentSpec:
-    """Parse sectioned key=value text into a validated ExperimentSpec.
+def parse_config(text: str, kind: Optional[str] = None,
+                 overrides: Iterable[str] = ()) -> ExperimentSpec:
+    """Parse sectioned key=value text, with the `section.key=value`
+    `overrides` (from --set) on top, into a validated ExperimentSpec.
 
-    `kind` (from the CLI subcommand) and experiment.kind in the file must
+    `kind` (from the CLI command) and experiment.kind in the file must
     agree; at least one must be present.
     """
-    sections = _split_sections(text)
-    if "kind" in sections.get("experiment", {}):
-        raw, where = sections["experiment"]["kind"]
-        if raw not in DECLARATIONS:
-            raise ConfigError(f"unknown experiment kind {raw!r}", where)
-        kind = raw if kind is None else kind
+    entries = list(_file_entries(text))
+    for section, key, raw, where in entries:
+        if (section, key) == ("experiment", "kind"):
+            if raw not in DECLARATIONS:
+                raise ConfigError(f"unknown experiment kind {raw!r}", where)
+            kind = raw if kind is None else kind
     if kind is None:
-        raise ConfigError("experiment.kind missing (no subcommand context and no config entry)")
-    return validate_spec(_build_spec(default_spec(kind), sections))
+        raise ConfigError("experiment.kind missing (no command context and no config entry)")
+    return validate_spec(_build_spec(default_spec(kind), entries, _set_entries(overrides)))
 
 
-def apply_overrides(spec: ExperimentSpec, overrides: list[str]) -> ExperimentSpec:
+def apply_overrides(spec: ExperimentSpec, overrides: Iterable[str]) -> ExperimentSpec:
     """Apply `section.key=value` strings (from --set) on top of a spec."""
-    sections: dict[str, dict[str, tuple[str, str]]] = {}
-    for item in overrides:
-        where = f"--set {item!r}"
-        if "=" not in item:
-            raise ConfigError("expected section.key=value", where)
-        path, value = item.split("=", 1)
-        if "." not in path:
-            raise ConfigError("expected section.key=value", where)
-        section, key = (part.strip() for part in path.split(".", 1))
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section '{section}'", where)
-        entries = sections.setdefault(section, {})
-        if key in entries:
-            raise ConfigError(f"duplicate key '{key}' in [{section}]", where)
-        entries[key] = (value.strip(), where)
-    return validate_spec(_build_spec(spec, sections))
+    return validate_spec(_build_spec(spec, _set_entries(overrides)))
 
 
 def emit_config(spec: ExperimentSpec) -> str:

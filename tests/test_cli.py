@@ -745,11 +745,17 @@ def test_manifest_holds_one_spec_record(tmp_path):
 
 # -- CLI end to end ---------------------------------------------------------------------
 
-def test_cli_help_and_usage_errors(capsys):
+def test_cli_help_and_usage_errors(tmp_path, capsys):
+    """`zrlab --help` lists every kind with its help line, options (-v
+    among them) may follow the command, and a missing or unknown command
+    is a usage error."""
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    for kind, decl in DECLARATIONS.items():
+        assert f"  {kind:<10}{decl.help}\n" in out
     assert main(["simulate", "--help"]) == 0
     capsys.readouterr()
+    assert main(["c2probe", "-v", "--set", f"output.dir={tmp_path}"]) == 0
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     capsys.readouterr()
@@ -837,6 +843,60 @@ def test_cli_set_error_names_the_item(items, error, tmp_path, capsys):
     assert main(["conserve", *args, "--set", f"output.dir={tmp_path}"]) == 1
     assert capsys.readouterr().err == f"zrlab: config error: {error}\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_set_applies_on_top_of_the_file(tmp_path, capsys):
+    """The file and the --set items are validated once, merged: a file entry
+    only the --set items make read, or a file value they replace, is not
+    judged alone."""
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[experiment]\nseed = 3\n")
+    short = ["--set", "stepper.t_end=0.01", "--set", f"output.dir={tmp_path}"]
+    assert main(["simulate", "--config", str(cfg), "--set", "experiment.initial=random",
+                 *short]) == 0
+    manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+    assert "seed = 3" in manifest["config_echo"].splitlines()
+    cfg.write_text("[grid]\nn = 98\n")
+    assert main(["simulate", "--config", str(cfg), "--set", "grid.n=512", *short]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), *short]) == 1
+    assert capsys.readouterr().err == f"zrlab: config error: grid.n {GRID_SIZE_RULE}, got 98\n"
+
+
+def test_cli_validates_once(tmp_path, monkeypatch):
+    """One CLI run validates its spec once, on the merged spec that runs."""
+    import zrlab.config as config
+
+    calls = []
+    validate = config.validate_spec
+    monkeypatch.setattr(config, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
+    cfg = tmp_path / "c2probe.cfg"
+    cfg.write_text("[experiment]\nnodes = 32\n")
+    assert main(["c2probe", "--config", str(cfg), "--set", f"output.dir={tmp_path}"]) == 0
+    assert len(calls) == 1 and calls[0].table["nodes"] == 32
+
+
+def test_repeated_keys_within_a_source(tmp_path, capsys):
+    """A key repeated within the file is refused at its line, one repeated
+    within the --set items at its item; a file key set once more by --set
+    takes the --set value."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("[experiment]\nwidth = 3\nwidth = 4\n")
+    assert main(["conserve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "zrlab: config error: line 3: duplicate key 'width' in [experiment]\n")
+    text = "[experiment]\nwidth = 3\n"
+    with pytest.raises(ConfigError, match=r"^--set 'experiment.width=6': duplicate key"):
+        parse_config(text, "conserve", ["experiment.width=5", "experiment.width=6"])
+    assert parse_config(text, "conserve", ["experiment.width=5"]).table["width"] == 5.0
+    assert parse_config(text, "conserve").table["width"] == 3.0
+
+
+def test_cli_config_file_with_byte_order_mark(tmp_path):
+    """A UTF-8 config file saved with a byte-order mark runs."""
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf[experiment]\nkind = c2probe\n")
+    assert main(["c2probe", "--config", str(cfg), "--set", f"output.dir={tmp_path}"]) == 0
 
 
 def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):

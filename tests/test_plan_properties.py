@@ -4,8 +4,11 @@ ones, translation keeps the Nyquist cosine rule, a Strang step conserves mass, i
 reversible and keeps psi1, psi2 real, the fused loop in `evolve` matches a
 loop of the unfused `strang_step` for one member or several, and a batch of
 members gives bit for bit what `evolve` gives each member alone, whenever
-its observers look, and the kernel's half-angle phase is exp(-i dt V) to
-1e-15."""
+its observers look, the kernel's half-angle phase is exp(-i dt V) to
+1e-15, and a Galilean boost and the reflection x -> -x map one run to
+another to round-off."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from numpy.testing import assert_allclose
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from zrlab import (FieldState, GeneralCoefficients, SpectralGrid,  # noqa: E402
-                   StepperConfig, coefficients_from_params, evolve, strang_step,
+from zrlab import (FieldState, GeneralCoefficients, PhysicalParams,  # noqa: E402
+                   SpectralGrid, StepperConfig, coefficients_from_params, evolve, strang_step,
                    unit_physical_params)
 from zrlab import evolution  # noqa: E402
 from zrlab.evolution import evolve_members  # noqa: E402
@@ -271,3 +274,118 @@ def test_nonlinear_phase_is_the_complex_exponential(case, coeffs, log_dt):
     plan.nonlinear(b, psi, 0.0, 0)
     assert np.all(np.abs(b - want) <= 1e-15 * np.abs(want))
     assert abs(np.sum(np.abs(b) ** 2) - mass) <= 1e-15 * mass
+
+
+# -- symmetries: a Galilean boost and a reflection map one run to another ----------------
+
+SMOOTH_GRID = SpectralGrid(64.0, 256)
+
+
+@st.composite
+def smooth_states(draw):
+    """B a Gaussian with a phase ramp, psi1 and psi2 Gaussian bumps, each of
+    width >= 3 on SMOOTH_GRID (n = 256, L = 64): every spectrum is below
+    1e-15 of its peak beyond |xi| = 4, so the data lie well inside the 2/3
+    band |xi| <= 8.4, with room for a boost by |kappa| <= 1 and for the
+    broadening of a short run.  Under-resolved data would add the aliasing of
+    a pointwise step under a shift that is not a whole number of cells."""
+    x = SMOOTH_GRID.x
+
+    def bump():
+        amplitude, center, width = (draw(st.floats(*r)) for r in ((0.2, 1.0), (-8.0, 8.0),
+                                                                  (3.0, 5.0)))
+        return amplitude * np.exp(-((x - center) / width) ** 2)
+
+    ramp = draw(st.floats(-1.0, 1.0))
+    return FieldState(SMOOTH_GRID, bump() * np.exp(1j * ramp * x), bump(), bump(), 0.0)
+
+
+def finals(states, records, config, batch):
+    """Each member's final state, from one `evolve_members` batch or from `evolve`."""
+    if batch:
+        return [final for final, _ in evolve_members(states, records, [config] * len(states))]
+    return [evolve(state, c, config)[0] for state, c in zip(states, records)]
+
+
+def mismatch(got, want):
+    """The largest relative L2 difference over B, psi1 and psi2."""
+    return max(np.linalg.norm(getattr(got, name) - getattr(want, name))
+               / np.linalg.norm(getattr(want, name)) for name in ("b", "psi1", "psi2"))
+
+
+def boost_mismatch(coeffs, state, j, config, batch, plus=-1.0, scale=1.0):
+    """Galilean boost by the grid wavenumber kappa = 2 pi j / L: a run from
+    exp(i kappa x) B(0), psi(0) under `coeffs` against the boost
+    exp(i (kappa x - dispersion kappa^2 t)) B~(x - v t), psi~(x - v t) of the
+    run B~, psi~ from B(0), psi(0) under `coeffs` with speeds
+    (c+ + plus v) scale and (c- - v) scale, v = 2 dispersion kappa: the
+    symmetry's record at the defaults."""
+    grid = state.grid
+    kappa = 2.0 * np.pi * j / grid.length
+    v = 2.0 * coeffs.dispersion * kappa
+    shifted = replace(coeffs, speed_plus=(coeffs.speed_plus + plus * v) * scale,
+                      speed_minus=(coeffs.speed_minus - v) * scale)
+    boosted = state.copy()
+    boosted.b = np.exp(1j * kappa * grid.x) * state.b
+    moving, still = finals([boosted, state], [coeffs, shifted], config, batch)
+    t = still.time
+    want = still.copy()
+    want.b = np.exp(1j * (kappa * grid.x - coeffs.dispersion * kappa**2 * t)) * grid.inverse(
+        grid.forward(still.b) * np.exp(-1j * grid.wavenumbers * v * t))
+    psi = np.fft.rfft(np.stack([still.psi1, still.psi2])) * grid.translation(v * t)
+    want.psi1, want.psi2 = np.fft.irfft(psi, grid.n)
+    return mismatch(moving, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(smooth_states(), coefficient_records(), st.integers(-8, 8), st.floats(1e-3, 1e-2),
+       st.integers(5, 30))
+def test_galilean_boost_maps_runs(state, coeffs, j, dt, steps):
+    """A Strang run of boosted data equals the boosted run with the speeds
+    shifted by -v, to round-off, through `evolve` and `evolve_members`: the
+    linear multipliers factor into the unboosted ones times a translation and
+    a phase, and the nonlinear step sees only |B|^2 and psi."""
+    config = StepperConfig(dt=dt, t_end=steps * dt, record_every=steps)
+    for batch in (False, True):
+        assert boost_mismatch(coeffs, state, j, config, batch) < 1e-11
+
+
+@pytest.mark.parametrize("plus, scale", [(1.0, 1.0), (-1.0, 1.0 + 1e-3)],
+                         ids=["c+ shifted by +v", "shifted speeds scaled by 1 + 1e-3"])
+def test_galilean_boost_negative_controls(plus, scale):
+    """The boost test can fail: with c+ shifted the wrong way, or both shifted
+    speeds off by 1e-3, a boost by mode j = 3 misses by far more than its
+    1e-11 bound (9.3e-2 and 1.6e-4 at t = 0.3 on this data), where the exact
+    record meets it."""
+    coeffs = coefficients_from_params(PhysicalParams(1.3, 0.9, 0.8, 2.2, 0.7))
+    x = SMOOTH_GRID.x
+    state = FieldState(SMOOTH_GRID, 0.8 * np.exp(-(x / 3) ** 2 + 0.5j * x),
+                       0.5 * np.exp(-((x - 4) / 3) ** 2), 0.4 * np.exp(-((x + 5) / 4) ** 2), 0.0)
+    config = StepperConfig(dt=1e-2, t_end=0.3, record_every=30)
+    for batch in (False, True):
+        assert boost_mismatch(coeffs, state, 3, config, batch) < 1e-11
+        assert boost_mismatch(coeffs, state, 3, config, batch, plus, scale) > 1e-5
+
+
+def reflect(f):
+    """x -> -x on the grid: index m -> (n - m) mod n."""
+    return np.roll(f[::-1], 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(smooth_states(), coefficient_records(), st.floats(1e-3, 1e-2), st.integers(5, 30))
+def test_reflection_maps_runs(state, coeffs, dt, steps):
+    """The reflection of a Strang run equals the run of the reflected data
+    with speeds and sources negated, to round-off, through `evolve` and
+    `evolve_members`."""
+    mirrored = replace(coeffs, speed_plus=-coeffs.speed_plus, speed_minus=-coeffs.speed_minus,
+                       source_plus=-coeffs.source_plus, source_minus=-coeffs.source_minus)
+    flipped = FieldState(state.grid, reflect(state.b), reflect(state.psi1),
+                         reflect(state.psi2), 0.0)
+    config = StepperConfig(dt=dt, t_end=steps * dt, record_every=steps)
+    for batch in (False, True):
+        run, mirror = finals([state, flipped], [coeffs, mirrored], config, batch)
+        want = mirror.copy()
+        want.b, want.psi1, want.psi2 = (reflect(getattr(run, name))
+                                        for name in ("b", "psi1", "psi2"))
+        assert mismatch(mirror, want) < 1e-11

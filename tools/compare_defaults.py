@@ -4,15 +4,18 @@
 
 Each argument is a directory holding the `zrlab` package (a checkout's
 `src/`).  Every kind runs at its defaults from each tree, in a fresh process
-and its own working directory, with `output.dir=runs`.  The script compares,
-kind by kind:
+and its own working directory, as `zrlab KIND --config FILE --set
+output.dir=runs`, where FILE sets `[output] prefix = KIND`, the default: so
+the config file, the `--set` items and their merge all run.  The script
+compares, kind by kind:
 
 - the exit code;
 - every written CSV and `.fit` file, byte for byte (and the set of files);
 - the printed lines, with the wall time cut from the `verdict:` line;
 - the manifest, with `wall_time_s` removed.
 
-It prints one line per kind and exits 1 naming every drift, 0 when none.
+It prints one line per kind and each tree's `zrlab/*.py` line count, and
+exits 1 naming every drift, 0 when none.
 Inflate's default sweep takes about 10 s per tree.
 """
 
@@ -34,7 +37,9 @@ def run_kind(src: Path, kind: str, cwd: Path) -> dict:
     """Run `zrlab <kind>` at defaults from `src` in `cwd`; return its exit code,
     printed lines, artifact bytes and manifest."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    proc = subprocess.run([sys.executable, "-m", "zrlab.cli", kind, "--set", "output.dir=runs"],
+    (cwd / "defaults.cfg").write_text(f"[output]\nprefix = {kind}\n")
+    proc = subprocess.run([sys.executable, "-m", "zrlab.cli", kind, "--config", "defaults.cfg",
+                           "--set", "output.dir=runs"],
                           cwd=cwd, env=env, capture_output=True, text=True)
     lines = [re.sub(r"^verdict: (\w+) \(.*\)$", r"verdict: \1", line)
              for line in proc.stdout.splitlines()]
@@ -94,6 +99,9 @@ def main(argv: list[str]) -> int:
             drift += found
     for line in drift:
         print(f"DRIFT {line}")
+    counts = [sum(len(p.read_text().splitlines()) for p in (tree / "zrlab").glob("*.py"))
+              for tree in trees]
+    print(f"zrlab/*.py lines: {counts[0]} -> {counts[1]} ({counts[1] - counts[0]:+d})")
     print("no drift" if not drift else f"{len(drift)} drift(s)")
     return 1 if drift else 0
 
