@@ -94,8 +94,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("zrlab").setLevel(logging.WARNING - 10 * min(args.verbose, 2))
 
     try:
         text = "" if args.config is None else args.config.read_text(encoding="utf-8-sig")

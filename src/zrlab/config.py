@@ -33,7 +33,8 @@ import numpy as np
 from .closed_forms import expected_c2_slope, expected_inflation_slope, modulated_sinc
 from .evolution import StepperConfig
 from .grid import GRID_SIZE_RULE, SpectralGrid, dealiased_band, is_grid_size
-from .model import PhysicalParams, check_plane_wave, hs_columns
+from .model import (GeneralCoefficients, PhysicalParams, check_plane_wave,
+                    coefficients_from_params, hs_columns, normalized_coefficients)
 
 __all__ = [
     "ConfigError",
@@ -317,7 +318,8 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                                   f"{1.0 / s.table['mu']:.6g}, got {s.table['m']}"),
                lambda s: check_decohere_band(s.grid_n, s.grid_length,
                                              decohere_pairs(s.table)[0]),
-               lambda s: [_as_config_error("stepper", StepperConfig.spanning, t_end, s.dt)
+               lambda s: [_as_config_error("stepper", StepperConfig.spanning, t_end, s.dt,
+                                           s.record_every)
                           for pair in decohere_pairs(s.table)[0].values()
                           for t_end in pair["t_internal"].values()])),
     "growth": KindDeclaration(
@@ -358,6 +360,12 @@ class ExperimentSpec:
     def physical_params(self) -> PhysicalParams:
         # validation holds theta..nu at the unit defaults under any preset but physical
         return PhysicalParams(self.theta, self.gamma, self.omega, self.beta, self.nu)
+
+    def coefficients(self) -> GeneralCoefficients:
+        """The run's coefficient record: the one place a preset becomes one."""
+        if self.preset == "normalized":
+            return normalized_coefficients()
+        return coefficients_from_params(self.physical_params())
 
 
 def default_spec(kind: str) -> ExperimentSpec:
@@ -505,14 +513,12 @@ def emit_config(spec: ExperimentSpec) -> str:
 # -- validation -----------------------------------------------------------------
 
 def _shared_rules(spec: ExperimentSpec) -> None:
-    """The rules every kind shares: [params] and [stepper] are checked by
-    constructing what they configure, a stepper entry the kind never reads
-    held at a value that passes, and distinct s values need distinct columns."""
-    _as_config_error("params", spec.physical_params)
-    given = zip((spec.dt, spec.t_end, spec.record_every), DECLARATIONS[spec.kind].stepper)
-    dt, t_end, every = (fill if default is None else value
-                        for (value, default), fill in zip(given, (1.0, 0.0, 1)))
-    _as_config_error("stepper", StepperConfig, dt, t_end, every)
+    """The rules every kind shares: [params] and, where the kind reads t_end,
+    [stepper] are checked by building what the run builds (inflate's and
+    decohere's own rules build theirs), and distinct s values need distinct columns."""
+    _as_config_error("params", spec.coefficients)
+    if DECLARATIONS[spec.kind].stepper[1] is not None:
+        _as_config_error("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every)
     s_list = set(spec.table.get("s_list", ())) | ({1.0} if spec.kind == "growth" else set())
     _require(len(hs_columns(s_list)) == len(s_list), f"experiment.s_list values "
              f"{sorted(s_list)} share a HsB_<s:g> column (growth adds its audited 1)")

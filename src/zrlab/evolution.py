@@ -27,7 +27,7 @@ invariant under the rotation, so the kick (which depends on B only through
 time-reversible.  Mass sum|B|^2 dx is conserved to machine precision by
 construction.
 
-`strang_step` is the unfused reference: 4 complex and 10 real transforms.
+`strang_step` is the unfused reference: 4 complex and 14 real transforms.
 `evolve` fuses the loop: the half-steps that meet between steps are merged,
 psi1 and psi2 stay half spectra, and one inverse of p+ psi1^ + p- psi2^ (at
 the midpoint kick) gives the psi part of V.  A potential travelling at a
@@ -96,13 +96,9 @@ class StepperConfig:
     steps: int = field(init=False)  # the number of steps spanning [0, t_end]
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.dt) or self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not np.isfinite(self.t_end) or self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        steps = round(_quotient(self.t_end, self.dt))
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        steps = round(_quotient(self.t_end, self.dt))
         if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
         object.__setattr__(self, "steps", steps)
@@ -117,7 +113,12 @@ class StepperConfig:
 
 
 def _quotient(t_end: float, dt: float) -> float:
-    """t_end / dt, the unrounded step count; a ValueError when it overflows."""
+    """t_end / dt, the unrounded step count; a ValueError unless dt is positive,
+    t_end nonnegative and both finite, or when the quotient overflows."""
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite(t_end) or t_end < 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} overflows the step count")
     return t_end / dt

@@ -34,9 +34,8 @@ from .closed_forms import expected_c2_slope, expected_inflation_slope
 from .config import ConfigError, ExperimentSpec, check_decohere_band, decohere_pairs
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_fast_len
-from .model import (FieldState, GeneralCoefficients, coefficients_from_params,
-                    conserved_quantities, hs_columns, modified_system_coefficients,
-                    normalized_coefficients, plane_wave_state)
+from .model import (FieldState, GeneralCoefficients, conserved_quantities, hs_columns,
+                    modified_system_coefficients, plane_wave_state)
 from .records import RunRecord
 
 __all__ = [
@@ -198,12 +197,6 @@ def _sweep_slope(result: ExperimentResult, name: str, table: list[dict], column:
 
 # -- shared data builders ------------------------------------------------------------
 
-def _coeffs_for(spec: ExperimentSpec) -> GeneralCoefficients:
-    if spec.preset == "normalized":
-        return normalized_coefficients()
-    return coefficients_from_params(spec.physical_params())
-
-
 def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
                    amplitude: float, width: float, real: bool) -> np.ndarray:
     """Band-limited random field with Gaussian spectral envelope."""
@@ -254,7 +247,7 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     the invariant observer, recording at the spec's record times, and
     returns (final state, record)."""
     grid = SpectralGrid(spec.grid_length, spec.grid_n)
-    coeffs = _coeffs_for(spec)
+    coeffs = spec.coefficients()
     state0, omega_freq = _initial_state(spec, grid, coeffs)
     frac = grid.boundary_mass_fraction(state0.b)
     result.info["boundary_mass_fraction"] = frac
@@ -424,7 +417,7 @@ def run_inflate(spec: ExperimentSpec, result: ExperimentResult) -> None:
             "the regime the reduction argument targets; slope taken from the "
             "same formula and flagged here")
 
-    coeffs = _coeffs_for(spec)
+    coeffs = spec.coefficients()
 
     def worker(n_freq: int) -> dict:
         member = inflate_member(n_freq, k, l, t["t_probe"], spec.dt, variant,

@@ -67,9 +67,9 @@ class PhysicalParams:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = (self.theta, self.gamma, self.omega, self.beta, self.nu)
+        vals = (self.theta, self.gamma, self.omega, self.beta, self.nu * self.nu)  # nu**2 raises
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError("physical parameters must be finite")
+            raise ValueError("physical parameters and nu^2 must be finite")
         if self.theta == 0.0:
             raise ValueError("theta must be nonzero")
         if self.beta <= 0.0:

@@ -7,6 +7,7 @@ CSV/fit files plus a JSON manifest with content digests.
 
 import hashlib
 import json
+import logging
 import math
 import re
 import warnings
@@ -31,7 +32,7 @@ from zrlab.config import (
 )
 from zrlab import experiments
 from zrlab.evolution import BlowUpError, StepperConfig
-from zrlab.experiments import _coeffs_for, fit_loglog
+from zrlab.experiments import fit_loglog
 from zrlab.grid import GRID_SIZE_RULE, SpectralGrid
 from zrlab.records import (
     RunRecord,
@@ -285,7 +286,7 @@ def test_initial_keys_match_initial_state(kind, initial):
             table.update(initial=initial, kappa=2.0 * math.pi / 64.0)
         spec = replace(spec, table=Recorder(table))
         experiments._initial_state(spec, SpectralGrid(spec.grid_length, spec.grid_n),
-                                   _coeffs_for(spec))
+                                   spec.coefficients())
         read = {entry.removeprefix("experiment.") for entry in read_entries(spec)}
         assert seen == psi_keys == read & set().union(*_INITIAL_KEYS.values())
 
@@ -363,7 +364,7 @@ def test_preset_config_agrees_with_runner(kind, preset, tmp_path):
         assert main([kind, "--set", overrides[0], "--set", f"output.dir={tmp_path}"]) == 1
         assert not any(tmp_path.iterdir())
     else:
-        _coeffs_for(apply_overrides(default_spec(kind), overrides))
+        apply_overrides(default_spec(kind), overrides).coefficients()
 
 
 def test_validate_spec_direct():
@@ -499,6 +500,50 @@ def test_tiny_dt_is_a_config_error(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "overflows the step count" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind, entries, message", [
+    ("conserve", ("params.preset=physical", "params.theta=1e-320"),
+     "[params]: coefficient speed_plus must be finite"),
+    ("growth", ("params.preset=physical", "params.gamma=1e200"),
+     "[params]: coefficient cubic must be finite"),
+    ("conserve", ("params.preset=physical", "params.nu=1e200"),
+     "[params]: physical parameters and nu^2 must be finite"),
+    ("inflate", ("stepper.dt=-0.001",), "[stepper]: dt must be positive, got -0.001"),
+    ("inflate", ("stepper.dt=0",), "[stepper]: dt must be positive, got 0.0"),
+    ("decohere", ("stepper.dt=-0.005",), "[stepper]: dt must be positive, got -0.005"),
+    ("decohere", ("stepper.dt=0",), "[stepper]: dt must be positive, got 0.0"),
+    ("decohere", ("stepper.record_every=0",), "[stepper]: record_every must be >= 1"),
+])
+def test_refused_with_the_runs_builders(kind, entries, message, tmp_path, capsys):
+    """Validation builds what the run builds, with the run's builders, and a
+    refusal exits 1 with the builder's text and no output directory: the
+    coefficient record (`ExperimentSpec.coefficients`), whose entries must be
+    finite where PhysicalParams accepts the constants (1 / theta, gamma q)
+    and whose nu^2 must be finite (Python's float ** raises on overflow),
+    and the `StepperConfig.spanning` step configs of inflate and decohere,
+    which read dt (decohere record_every too) but not t_end."""
+    out = tmp_path / "out"
+    args = [kind, *(arg for entry in entries for arg in ("--set", entry))]
+    assert main([*args, "--set", f"output.dir={out}"]) == 1
+    assert capsys.readouterr().err == f"zrlab: config error: {message}\n"
+    assert not out.exists()
+
+
+def test_verbosity_applies_to_every_main_call(tmp_path, caplog):
+    """-v/-vv set the level of zrlab's loggers on every `main` call, also
+    when the root logger already has a handler (a second call in one process,
+    or under pytest), where `logging.basicConfig` does nothing: the stepper's
+    DEBUG lines appear for the -vv call only."""
+    args = ["simulate", "--set", "stepper.t_end=0.01", "--set", f"output.dir={tmp_path}"]
+    try:
+        for flags, debug in (([], False), (["-vv"], True), ([], False)):
+            caplog.clear()
+            assert main([*flags, *args]) == 0
+            assert debug == any(r.name == "zrlab.evolution" and r.levelno == logging.DEBUG
+                                for r in caplog.records)
+    finally:
+        logging.getLogger("zrlab").setLevel(logging.NOTSET)
 
 
 def test_growth_underflowed_norm_is_inconclusive_with_manifest(tmp_path):

@@ -163,6 +163,15 @@ def test_stepper_config_validation():
     assert StepperConfig(dt=0.1, t_end=0.0).steps == 0
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+def test_spanning_refuses_a_bad_dt(dt):
+    """`StepperConfig.spanning` checks dt as the constructor does, instead of
+    spanning [0, t_end] in one step (dt < 0 or inf), dividing by zero or
+    reporting an overflowed step count (NaN)."""
+    with pytest.raises(ValueError, match=f"^dt must be positive, got {dt}$"):
+        StepperConfig.spanning(0.1, dt)
+
+
 def test_evolve_records_and_preserves_input(setup):
     grid, coeffs, state = setup
     before = state.copy()

@@ -14,6 +14,12 @@ compares, kind by kind:
 - the printed lines, with the wall time cut from the `verdict:` line;
 - the manifest, with `wall_time_s` removed.
 
+Each kind also runs, from each tree, one config it refuses: `--set
+stepper.dt=-0.001`, or `--set stepper.dt=0` for c2probe, which reads no dt.
+The exit code and the error lines must agree, and neither tree may create
+the output directory: a change to validation then shows every refusal text
+it alters.
+
 It prints one line per kind and each tree's `zrlab/*.py` line count, and
 exits 1 naming every drift, 0 when none.
 Inflate's default sweep takes about 10 s per tree.
@@ -31,15 +37,18 @@ from itertools import zip_longest
 from pathlib import Path
 
 KINDS = ("simulate", "conserve", "inflate", "c2probe", "decohere", "growth")
+# one --set item each kind refuses
+REFUSALS = {kind: "stepper.dt=0" if kind == "c2probe" else "stepper.dt=-0.001" for kind in KINDS}
 
 
-def run_kind(src: Path, kind: str, cwd: Path) -> dict:
-    """Run `zrlab <kind>` at defaults from `src` in `cwd`; return its exit code,
-    printed lines, artifact bytes and manifest."""
+def run_kind(src: Path, kind: str, cwd: Path, *extra: str) -> dict:
+    """Run `zrlab <kind>` at defaults, plus the `extra` arguments, from `src`
+    in `cwd`; return its exit code, printed and error lines, whether it
+    created the output directory, its artifact bytes and manifest."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     (cwd / "defaults.cfg").write_text(f"[output]\nprefix = {kind}\n")
     proc = subprocess.run([sys.executable, "-m", "zrlab.cli", kind, "--config", "defaults.cfg",
-                           "--set", "output.dir=runs"],
+                           "--set", "output.dir=runs", *extra],
                           cwd=cwd, env=env, capture_output=True, text=True)
     lines = [re.sub(r"^verdict: (\w+) \(.*\)$", r"verdict: \1", line)
              for line in proc.stdout.splitlines()]
@@ -51,7 +60,19 @@ def run_kind(src: Path, kind: str, cwd: Path) -> dict:
     if manifest_path.is_file():
         manifest = json.loads(manifest_path.read_text())
         manifest.pop("wall_time_s", None)
-    return {"code": proc.returncode, "lines": lines, "files": files, "manifest": manifest}
+    return {"code": proc.returncode, "lines": lines, "errors": proc.stderr.splitlines(),
+            "wrote_dir": runs.is_dir(), "files": files, "manifest": manifest}
+
+
+def compare_refusal(kind: str, old: dict, new: dict) -> list[str]:
+    """Every difference between two runs of one kind's refused config."""
+    drift = []
+    if old["code"] != new["code"]:
+        drift.append(f"{kind} refusal: exit code {old['code']} -> {new['code']}")
+    if old["errors"] != new["errors"]:
+        drift.append(f"{kind} refusal: error lines {old['errors']!r} -> {new['errors']!r}")
+    return drift + [f"{kind} refusal: the {tree} tree created the output directory"
+                    for tree, run in (("first", old), ("second", new)) if run["wrote_dir"]]
 
 
 def compare(kind: str, old: dict, new: dict) -> list[str]:
@@ -85,16 +106,19 @@ def main(argv: list[str]) -> int:
             return 1
     drift = []
     with tempfile.TemporaryDirectory(prefix="compare_defaults_") as tmp:
+        def fresh(name: str) -> Path:
+            (Path(tmp) / name).mkdir()
+            return Path(tmp) / name
+
         for kind in KINDS:
-            runs = []
-            for i, tree in enumerate(trees):
-                cwd = Path(tmp) / f"{kind}_{i}"
-                cwd.mkdir()
-                runs.append(run_kind(tree, kind, cwd))
-            found = compare(kind, *runs)
+            runs = [run_kind(tree, kind, fresh(f"{kind}_{i}")) for i, tree in enumerate(trees)]
+            refusals = [run_kind(tree, kind, fresh(f"{kind}_refused_{i}"), "--set", REFUSALS[kind])
+                        for i, tree in enumerate(trees)]
+            found = compare(kind, *runs) + compare_refusal(kind, *refusals)
             n_files = len(runs[1]["files"])
             checks = sum(line.startswith("[") for line in runs[1]["lines"])
-            print(f"{kind}: exit {runs[1]['code']}, {n_files} CSV/.fit files, {checks} check lines: "
+            print(f"{kind}: exit {runs[1]['code']}, {n_files} CSV/.fit files, {checks} check lines, "
+                  f"{REFUSALS[kind]} exit {refusals[1]['code']}: "
                   + ("identical" if not found else f"{len(found)} drift(s)"))
             drift += found
     for line in drift:
