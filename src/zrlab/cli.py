@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import (DECLARATIONS, ConfigError, ExperimentSpec, apply_overrides,
                      emit_config, parse_config)
-from .experiments import ExperimentResult, run_experiment
+from .experiments import ExperimentResult, pool_cap, run_experiment
 from .records import write_fit_file, write_manifest, write_record_csv
 
 __all__ = ["main", "build_parser", "parse_config", "apply_overrides"]
@@ -100,6 +100,7 @@ def main(argv=None) -> int:
     try:
         text = "" if args.config is None else args.config.read_text(encoding="utf-8-sig")
         spec = parse_config(text, args.kind, args.overrides)
+        pool_cap()  # a malformed ZRLAB_THREADS is refused before anything is written
     except (OSError, UnicodeError) as exc:
         return _fail(f"error: cannot read config: {exc}")
     except ConfigError as exc:
@@ -112,8 +113,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         result = run_experiment(spec)
-    except ConfigError as exc:
-        return _fail(f"config error: {exc}")
     except (ValueError, RuntimeError) as exc:
         return _fail(f"run failed: {exc}")
     wall = time.perf_counter() - start

@@ -129,10 +129,7 @@ def build_fN(n_freq: int, k: float, variant: str = "inflation_f") -> tuple[HatDa
                     (resonant with the speed -1 transport field)
       c2_B0       : chi_[0, 1/N]   (single bump at the origin)
     """
-    if n_freq < 2:
-        raise ValueError(f"N must be >= 2, got {n_freq}")
-    big_n = float(n_freq)
-    amp = big_n ** (0.5 - k)
+    amp, big_n = _amplitude(n_freq, k, "k"), float(n_freq)
     if variant == "inflation_f":
         return (HatDatum(-big_n - 1.0 / big_n, -big_n, amp),
                 HatDatum(big_n + 1.0, big_n + 1.0 + 1.0 / big_n, amp))
@@ -146,10 +143,20 @@ def build_fN(n_freq: int, k: float, variant: str = "inflation_f") -> tuple[HatDa
 
 def build_c2_psi10(n_freq: int, l: float) -> tuple[HatDatum, ...]:
     """Transport-field bump chi_[-1/N, 1/N] with amplitude N^{1/2-l}."""
+    amp, big_n = _amplitude(n_freq, l, "l"), float(n_freq)
+    return (HatDatum(-1.0 / big_n, 1.0 / big_n, amp),)
+
+
+def _amplitude(n_freq: int, s: float, name: str) -> float:
+    """N^(1/2 - s), s named `name`; a ValueError when it or its square (in a norm) overflows."""
     if n_freq < 2:
         raise ValueError(f"N must be >= 2, got {n_freq}")
-    big_n = float(n_freq)
-    return (HatDatum(-1.0 / big_n, 1.0 / big_n, big_n ** (0.5 - l)),)
+    try:
+        amp = float(n_freq) ** (0.5 - s)
+        amp**2  # as hat_sobolev_norm squares it: float ** raises on overflow
+        return amp
+    except OverflowError:
+        raise ValueError(f"amplitude N^(1/2 - {name}) = {n_freq}^{0.5-s!r} or its square overflows")
 
 
 def _check_disjoint(hats: Sequence[HatDatum]) -> None:
@@ -188,8 +195,8 @@ def hat_sobolev_norm(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> flo
 def normalize_hats(hats: Sequence[HatDatum], s: float, nodes: int = 64) -> tuple[HatDatum, ...]:
     """Rescale amplitudes so the hat-integral H^s norm is exactly 1."""
     norm = hat_sobolev_norm(hats, s, nodes)
-    if norm == 0.0:
-        raise ValueError("cannot normalize zero data")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalize data of H^{s:g} norm {norm}")
     return tuple(HatDatum(h.lo, h.hi, h.amplitude / norm) for h in hats)
 
 

@@ -16,8 +16,11 @@ the kind never reads must keep its default — experiment validity hinges on
 exact hypothesis ranges, so silent typos and no-op settings are not an
 option.  Each entry's rule is declared next to it (`Key`), and each
 kind's rules that span several entries next to its keys
-(`KindDeclaration.rules`); `validate_spec` runs them all.  `read_entries`
-alone says which entries a spec reads.  `parse_config` applies the file and
+(`KindDeclaration.rules`); `validate_spec` runs them all.  Each kind's last
+rule but inflate's (whose runs build their data per member) is its setup:
+all its run builds before the first step or quadrature, which the run then
+takes from it, so a config that parses also runs.  `read_entries` alone
+says which entries a spec reads.  `parse_config` applies the file and
 then the --set items to the kind's defaults and validates once; `emit_config`
 writes a spec's read entries so that parse_config(emit_config(spec)) == spec.
 """
@@ -30,11 +33,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .closed_forms import expected_c2_slope, expected_inflation_slope, modulated_sinc
+from . import closed_forms as cf
 from .evolution import StepperConfig
 from .grid import GRID_SIZE_RULE, SpectralGrid, dealiased_band, is_grid_size
-from .model import (GeneralCoefficients, PhysicalParams, check_plane_wave,
-                    coefficients_from_params, hs_columns, normalized_coefficients)
+from .model import (INITIAL_KEYS, FieldState, GeneralCoefficients, PhysicalParams,
+                    coefficients_from_params, hs_columns, initial_state,
+                    modified_system_coefficients, normalized_coefficients)
 
 __all__ = [
     "ConfigError",
@@ -45,8 +49,9 @@ __all__ = [
     "default_spec",
     "Key",
     "read_entries",
-    "decohere_pairs",
-    "check_decohere_band",
+    "preset_setup",
+    "c2probe_setup",
+    "decohere_setup",
     "DECLARATIONS",
 ]
 
@@ -145,16 +150,6 @@ _T_PROBE = Key(_float, 0.1, _POSITIVE)
 _NODES = Key(_int, 64, (lambda v: v >= 16, "must be >= 16"))
 _WIDTH = Key(_float, 2.0, _POSITIVE)  # the Gaussian widths `width` and `psi_width`
 
-# the [experiment] keys each initial-data preset reads (`_initial_state`),
-# psi_width only with a nonzero psi_amplitude; growth, which has no
-# `initial` key, starts from the Gaussian
-_INITIAL_KEYS = {
-    "gaussian": ("amplitude", "width", "psi_amplitude", "psi_width"),
-    "plane_wave": ("amplitude", "kappa", "c1", "c2"),
-    "plateau": ("amplitude", "psi_amplitude", "psi_width"),
-    "random": ("seed", "amplitude", "width", "psi_amplitude", "psi_width"),
-}
-
 
 @dataclass(frozen=True)
 class KindDeclaration:
@@ -182,16 +177,34 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _as_config_error(section: str, build: Callable, *args) -> None:
-    """Call build(*args); a ValueError it raises becomes a ConfigError for [section]."""
+def _build(section: str, build: Callable, *args, of: str = ""):
+    """build(*args); a ValueError it raises becomes a ConfigError "[section]: <of><error>"."""
     try:
-        build(*args)
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}")
+        raise ConfigError(f"[{section}]: {of}{exc}")
 
 
-# The predicates below are shared by config validation and the runs, so a
-# config that parses also runs.
+def preset_setup(spec: ExperimentSpec) -> tuple:
+    """simulate's, conserve's and growth's setup: (initial state, plane-wave
+    Omega or None, coefficient record, step configs): the spec's, and for
+    conserve on a physical-parameter flow the dt/2 Richardson run's."""
+    configs = [_build("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every)]
+    if spec.kind == "conserve" and spec.preset == "physical":
+        configs.append(_build("stepper", StepperConfig, 0.5 * spec.dt, spec.t_end,
+                              2 * spec.record_every, of="the dt/2 run: "))
+    coeffs, grid = spec.coefficients(), SpectralGrid(spec.grid_length, spec.grid_n)
+    return (*_build("experiment", initial_state, grid, coeffs, spec.table), coeffs, configs)
+
+
+def c2probe_setup(spec: ExperimentSpec) -> dict[int, tuple[cf.HatDatum, cf.HatDatum]]:
+    """c2probe's setup: each N's hats, B0 normalized to unit H^k and the
+    transport bump psi10 of amplitude N^(1/2 - l)."""
+    t = spec.table
+    return _build("experiment", lambda: {n: (
+        cf.normalize_hats(cf.build_fN(n, t["k"], "c2_B0"), t["k"], t["nodes"])[0],
+        cf.build_c2_psi10(n, t["l"])[0]) for n in t["n_list"]})
+
 
 def _decohere_pair(mu: float, m_big: float) -> dict:
     """The (L1, L2) geometry for one mu: scales, horizon and internal times."""
@@ -202,32 +215,34 @@ def _decohere_pair(mu: float, m_big: float) -> dict:
             "theta_sq": mu / m_big, "t_internal": {"L1": l1**2 * big_t, "L2": l2**2 * big_t}}
 
 
-def decohere_pairs(table: dict) -> tuple[dict, list]:
-    """Every distinct (mu, M) pair of a decohere run, each run once: the main
-    pair and the mu-sweep's pairs, M_j = max(M, ceil(1/mu_j)).  Returns the
-    pairs' geometry by key, in key order, and the sweep's keys by mu."""
-    m_big = table["m"]
+def decohere_setup(spec: ExperimentSpec) -> tuple[dict, list, dict, tuple]:
+    """decohere's setup: the geometry of each distinct (mu, M) pair by key,
+    in key order (the main pair and the mu-sweep's, M_j = max(M, ceil(1/mu_j)));
+    the sweep's keys by mu; each run's (initial state, coefficients, step
+    config) by (key, tag L1 or L2); and (grid, B0, psi_plus0).  The grid's
+    band must hold each run's chirp, which grows like t max|psi_plus0'|."""
+    table, m_big = spec.table, spec.table["m"]
     try:
         sweep_keys = [(mu_j, max(m_big, float(math.ceil(1.0 / mu_j))))
                       for mu_j in sorted(set(table["mu_list"]))]
-        keys = sorted({(table["mu"], m_big), *sweep_keys})
-        return {key: _decohere_pair(*key) for key in keys}, sweep_keys
+        pairs = {key: _decohere_pair(*key) for key in sorted({(table["mu"], m_big), *sweep_keys})}
     except ArithmeticError:  # M^2 or 1/mu_j beyond the float range
         raise ConfigError(f"decohere scales overflow (m = {m_big}, mu_list = {table['mu_list']})")
-
-
-def check_decohere_band(grid_n: int, grid_length: float, pairs: dict) -> None:
-    """Raise ConfigError unless the dealiased band of the grid (n, length)
-    holds decohere's data band plus the chirp of every run of `pairs`: the
-    phase gradient grows at most like t * max|psi'| over an internal horizon t."""
-    band = dealiased_band(grid_n, grid_length)
-    grid = SpectralGrid(grid_length, grid_n)
-    slope = float(np.max(np.abs(grid.derivative(modulated_sinc(grid.x)))))
+    grid = SpectralGrid(spec.grid_length, spec.grid_n)
+    b0, psi_plus0 = cf.smooth_plateau(grid.x), cf.modulated_sinc(grid.x)
+    band = dealiased_band(grid.n, grid.length)
     horizon = max(t for pair in pairs.values() for t in pair["t_internal"].values())
-    need = 8.0 + horizon * slope
-    _require(band >= need, f"under-resolved small-dispersion run: grid (n = {grid_n}, length = "
-                           f"{grid_length}) has dealiased band {band:.1f} < {need:.1f} needed "
+    need = 8.0 + horizon * float(np.max(np.abs(grid.derivative(psi_plus0))))
+    _require(band >= need, f"under-resolved small-dispersion run: grid (n = {grid.n}, length = "
+                           f"{grid.length}) has dealiased band {band:.1f} < {need:.1f} needed "
                            f"for internal horizon {horizon:.3f}")
+    runs = {(key, tag): (FieldState(grid, b0, psi_plus0, np.zeros(grid.n), 0.0),
+                         modified_system_coefficients(pair["mu"], pair[tag], table["c"],
+                                                      pair["theta_sq"]),
+                         _build("stepper", StepperConfig.spanning, pair["t_internal"][tag],
+                                spec.dt, spec.record_every))
+            for key, pair in pairs.items() for tag in ("L1", "L2")}
+    return pairs, sweep_keys, runs, (grid, b0, psi_plus0)
 
 
 def _global_existence(spec: ExperimentSpec) -> None:
@@ -243,7 +258,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         preset="normalized", grid=(512, 64.0), stepper=(1e-3, 1.0, 10),
         keys={
             "seed": Key(_int, 0, _NONNEGATIVE),
-            "initial": Key(str, "gaussian", _one_of(*_INITIAL_KEYS)),
+            "initial": Key(str, "gaussian", _one_of(*INITIAL_KEYS)),
             "amplitude": Key(_float, 1.0),
             "width": _WIDTH,
             "kappa": Key(_float, 1.0),
@@ -253,8 +268,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "psi_width": _WIDTH,
             "s_list": Key(_list_of(_float), (1.0,), _NONEMPTY),
         },
-        rules=(lambda s: s.table["initial"] != "plane_wave" or _as_config_error(
-            "experiment", check_plane_wave, s.table["kappa"], s.grid_n, s.grid_length),)),
+        rules=(preset_setup,)),
     "conserve": KindDeclaration(
         help="audit Q1-Q4 drift (mass to round-off, energy to o(dt^2))",
         preset="physical", grid=(512, 64.0), stepper=(1e-3, 5.0, 50),
@@ -267,7 +281,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "psi_width": replace(_WIDTH, default=4.0),
             "s_list": Key(_list_of(_float), (1.0,)),
         },
-        rules=(_global_existence,)),
+        rules=(_global_existence, preset_setup)),
     "inflate": KindDeclaration(
         help="frequency-sweep norm inflation of the transport field",
         # t_end comes from t_probe; each member sizes its own grid
@@ -283,23 +297,23 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "nodes": _NODES,
         },
         rules=(lambda s: _require(
-                   expected_inflation_slope(s.table["k"], s.table["l"]) >= 0,
+                   cf.expected_inflation_slope(s.table["k"], s.table["l"]) >= 0,
                    f"inflation hypothesis l >= 2k - 1/2 violated (k={s.table['k']} -> "
                    f"need l >= {2.0 * s.table['k'] - 0.5}, got l={s.table['l']})"),
-               lambda s: _as_config_error("stepper", StepperConfig.spanning,
-                                          s.table["t_probe"], s.dt))),
+               lambda s: _build("stepper", StepperConfig.spanning, s.table["t_probe"], s.dt))),
     "c2probe": KindDeclaration(
         help="bilinear-kernel growth probe (smoothness failure), quadrature only",
         # pure quadrature: grid, params and stepper unused
         preset=None, grid=(None, None), stepper=(None, None, None),
         keys={
             "k": Key(_float, 0.0),
-            "l": Key(_float, -1.0, (lambda l: expected_c2_slope(l) >= 0, "must be <= -1/2: the "
+            "l": Key(_float, -1.0, (lambda l: cf.expected_c2_slope(l) >= 0, "must be <= -1/2: the "
                                     "second-derivative probe requires l <= -1/2")),
             "n_list": replace(_N_LIST, default=(16, 32, 64, 128, 256)),
             "t_probe": replace(_T_PROBE, default=0.01),
             "nodes": _NODES,
-        }),
+        },
+        rules=(c2probe_setup,)),
     "decohere": KindDeclaration(
         help="small-dispersion pair drifting O(1) apart from identical data",
         # coefficients are built from (mu, m, c); dt is the internal-time step
@@ -316,12 +330,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
         rules=(lambda s: _require(s.table["m"] >= max(1.0, 1.0 / s.table["mu"]),
                                   f"experiment.m must satisfy m >= 1/mu = "
                                   f"{1.0 / s.table['mu']:.6g}, got {s.table['m']}"),
-               lambda s: check_decohere_band(s.grid_n, s.grid_length,
-                                             decohere_pairs(s.table)[0]),
-               lambda s: [_as_config_error("stepper", StepperConfig.spanning, t_end, s.dt,
-                                           s.record_every)
-                          for pair in decohere_pairs(s.table)[0].values()
-                          for t_end in pair["t_internal"].values()])),
+               decohere_setup)),
     "growth": KindDeclaration(
         help="long-horizon Sobolev growth against a priori envelopes",
         preset="physical", grid=(512, 64.0), stepper=(1e-3, 50.0, 50),
@@ -334,7 +343,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
             "s_list": Key(_list_of(_float), (1.0, 3.0),
                           (lambda v: all(1.0 <= s <= 8.0 for s in v), "must lie within [1, 8]")),
         },
-        rules=(_global_existence,)),
+        rules=(_global_existence, preset_setup)),
 }
 
 @dataclass(frozen=True)
@@ -394,10 +403,10 @@ def read_entries(spec: ExperimentSpec) -> set[str]:
     params.preset = physical, and the kind's [experiment] keys but the
     initial-data keys the chosen `initial` preset does not read (psi_width
     too when psi_amplitude = 0)."""
-    chosen = _INITIAL_KEYS.get(spec.table.get("initial", "gaussian"), ())
+    chosen = INITIAL_KEYS.get(spec.table.get("initial", "gaussian"), ())
     if not spec.table.get("psi_amplitude"):  # psi_width only shapes a nonzero psi
         chosen = tuple(key for key in chosen if key != "psi_width")
-    unread = set().union(*_INITIAL_KEYS.values()).difference(chosen)  # other presets' keys
+    unread = set().union(*INITIAL_KEYS.values()).difference(chosen)  # other presets' keys
     return {f"{section}.{key}" for section, key, _, default in _entries(default_spec(spec.kind))
             if (spec.preset == "physical" if section == "params" and key != "preset"
                 else key not in unread if section == "experiment" else default is not None)}
@@ -513,12 +522,9 @@ def emit_config(spec: ExperimentSpec) -> str:
 # -- validation -----------------------------------------------------------------
 
 def _shared_rules(spec: ExperimentSpec) -> None:
-    """The rules every kind shares: [params] and, where the kind reads t_end,
-    [stepper] are checked by building what the run builds (inflate's and
-    decohere's own rules build theirs), and distinct s values need distinct columns."""
-    _as_config_error("params", spec.coefficients)
-    if DECLARATIONS[spec.kind].stepper[1] is not None:
-        _as_config_error("stepper", StepperConfig, spec.dt, spec.t_end, spec.record_every)
+    """The rules every kind shares: [params] is checked by building the run's
+    coefficient record, and distinct s values need distinct columns."""
+    _build("params", spec.coefficients)
     s_list = set(spec.table.get("s_list", ())) | ({1.0} if spec.kind == "growth" else set())
     _require(len(hs_columns(s_list)) == len(s_list), f"experiment.s_list values "
              f"{sorted(s_list)} share a HsB_<s:g> column (growth adds its audited 1)")

@@ -107,9 +107,11 @@ class StepperConfig:
     def spanning(cls, t_end: float, dt: float,
                  record_every: Optional[int] = None) -> "StepperConfig":
         """The fewest equal steps of at most dt (to within 1e-9 of a step), at
-        least one, spanning [0, t_end]; recording at both ends only by default."""
+        least one, spanning [0, t_end], or none of dt when t_end = 0; recording
+        at both ends only by default."""
         steps = max(1, math.ceil(_quotient(t_end, dt) - 1e-9))
-        return cls(t_end / steps, t_end, steps if record_every is None else record_every)
+        return cls(t_end / steps if t_end else dt, t_end,
+                   steps if record_every is None else record_every)
 
 
 def _quotient(t_end: float, dt: float) -> float:

@@ -1,9 +1,9 @@
 """Preset experiment pipelines.
 
-Each run_* function consumes a validated ExperimentSpec and returns an
-ExperimentResult bundling time-series records, log-log fits, and a verdict
-made of named checks; a blow-up ends the run with a failed completion
-check.  A scaling claim is a least-squares log-log slope; its verdict needs
+Each run_* function but inflate's takes its inputs from its kind's setup in
+`config`, which validation calls, and returns an ExperimentResult: records,
+log-log fits, and a verdict of named checks (a blow-up fails the completion
+check).  A scaling claim is a least-squares log-log slope; its verdict needs
 four or more samples, all positive and finite, and a rate check (a sweep
 against its predicted slope) r^2 >= 0.98 too, else it reads "inconclusive".
 Growth's exponent caps a running maximum instead: a bounded, flat envelope
@@ -31,11 +31,10 @@ import numpy as np
 
 from . import closed_forms as cf
 from .closed_forms import expected_c2_slope, expected_inflation_slope
-from .config import ConfigError, ExperimentSpec, check_decohere_band, decohere_pairs
+from .config import ConfigError, ExperimentSpec, c2probe_setup, decohere_setup, preset_setup
 from .evolution import BlowUpError, StepperConfig, evolve, evolve_members
 from .grid import SpectralGrid, next_fast_len
-from .model import (FieldState, GeneralCoefficients, conserved_quantities, hs_columns,
-                    modified_system_coefficients, plane_wave_state)
+from .model import FieldState, GeneralCoefficients, conserved_quantities, hs_columns
 from .records import RunRecord
 
 __all__ = [
@@ -52,6 +51,7 @@ __all__ = [
     "run_decohere",
     "run_growth",
     "run_experiment",
+    "pool_cap",
 ]
 
 logger = logging.getLogger(__name__)
@@ -151,15 +151,18 @@ def _slope_check(result: ExperimentResult, name: str, x: Sequence[float],
 
 # -- sweep parallelism -------------------------------------------------------------
 
-def _max_workers(n_tasks: int) -> int:
+def pool_cap() -> int:
+    """ZRLAB_THREADS if positive, else one worker per core up to 4; a ConfigError unless an int."""
     raw = os.environ.get("ZRLAB_THREADS", "0").strip()
     try:
         cap = int(raw) if raw else 0
     except ValueError:
         raise ConfigError(f"ZRLAB_THREADS must be an integer, got {raw!r}")
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+    return cap if cap > 0 else min(4, os.cpu_count() or 1)
+
+
+def _max_workers(n_tasks: int) -> int:
+    return max(1, min(pool_cap(), n_tasks))
 
 
 def _run_sweep(keys: Sequence, worker: Callable) -> list:
@@ -195,43 +198,7 @@ def _sweep_slope(result: ExperimentResult, name: str, table: list[dict], column:
     return values
 
 
-# -- shared data builders ------------------------------------------------------------
-
-def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
-                   amplitude: float, width: float, real: bool) -> np.ndarray:
-    """Band-limited random field with Gaussian spectral envelope."""
-    envelope = np.exp(-((grid.wavenumbers * width / 4.0) ** 2))
-    coeffs = envelope * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    values = grid.inverse(coeffs * grid.dealias_mask)
-    if real:
-        values = values.real
-    return values * (amplitude / grid.sobolev_norm(values, 0.0))
-
-
-def _initial_state(spec: ExperimentSpec, grid: SpectralGrid,
-                   coeffs: GeneralCoefficients) -> tuple[FieldState, Optional[float]]:
-    """Initial data for simulate/conserve/growth; returns (state, plane-wave Omega).
-    growth has no `initial` key and always starts from the Gaussian."""
-    t = spec.table
-    x = grid.x
-    kind_initial = t.get("initial", "gaussian")
-    if kind_initial == "plane_wave":
-        return plane_wave_state(grid, coeffs, t["amplitude"], t["kappa"], t["c1"], t["c2"])
-    if kind_initial in ("gaussian", "plateau"):
-        shape = np.exp(-((x / t["width"]) ** 2)) if kind_initial == "gaussian" \
-            else cf.smooth_plateau(x)
-        psi_amp = t["psi_amplitude"]
-        psi = psi_amp * np.exp(-((x / t["psi_width"]) ** 2)) if psi_amp else np.zeros(grid.n)
-        return FieldState(grid, t["amplitude"] * shape, psi, psi, 0.0), None
-    if kind_initial == "random":
-        rng = np.random.default_rng(t["seed"])
-        b = _smooth_random(grid, rng, t["amplitude"], t["width"], real=False)
-        psi_amp = t["psi_amplitude"]
-        psi1, psi2 = (_smooth_random(grid, rng, psi_amp, t["psi_width"], real=True)
-                      if psi_amp else np.zeros(grid.n) for _ in range(2))
-        return FieldState(grid, b, psi1, psi2, 0.0), None
-    raise ConfigError(f"unknown initial preset {kind_initial!r}")
-
+# -- shared run plumbing ------------------------------------------------------------
 
 def _rel_drift(series: Sequence[float]) -> float:
     arr = np.asarray(series, dtype=np.float64)
@@ -241,15 +208,11 @@ def _rel_drift(series: Sequence[float]) -> float:
 
 
 def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence[float]):
-    """Set up a simulate/conserve/growth run: build the initial data (noting
-    its boundary mass in `result`) and return (initial state, plane-wave
-    Omega or None, run), where run(dt) evolves the data with step dt under
-    the invariant observer, recording at the spec's record times, and
-    returns (final state, record)."""
-    grid = SpectralGrid(spec.grid_length, spec.grid_n)
-    coeffs = spec.coefficients()
-    state0, omega_freq = _initial_state(spec, grid, coeffs)
-    frac = grid.boundary_mass_fraction(state0.b)
+    """A simulate/conserve/growth run's `preset_setup`, with the initial data's
+    boundary mass noted in `result`: (initial state, plane-wave Omega or None,
+    step configs, run), run(config) evolving it under the invariant observer."""
+    state0, omega_freq, coeffs, configs = preset_setup(spec)
+    frac = state0.grid.boundary_mass_fraction(state0.b)
     result.info["boundary_mass_fraction"] = frac
     if frac > 1e-8:
         logger.warning("initial data carries %.2e of its mass near the boundary "
@@ -261,12 +224,10 @@ def _preset_run(spec: ExperimentSpec, result: ExperimentResult, s_list: Sequence
     def observe(state: FieldState) -> dict[str, float]:
         return conserved_quantities(state, params, s_list)
 
-    def run(dt: float) -> tuple[FieldState, RunRecord]:
-        steps_per_record = max(1, int(round(spec.record_every * spec.dt / dt)))
-        config = StepperConfig(dt=dt, t_end=spec.t_end, record_every=steps_per_record)
+    def run(config: StepperConfig) -> tuple[FieldState, RunRecord]:
         return evolve(state0, coeffs, config, observers=(observe,))
 
-    return state0, omega_freq, run
+    return state0, omega_freq, configs, run
 
 
 # -- runners and dispatch -----------------------------------------------------------
@@ -309,8 +270,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 @_runner
 def run_simulate(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Plain evolution with invariant/norm recording; verdict = completion."""
-    _, omega_freq, run = _preset_run(spec, result, spec.table["s_list"])
-    final, record = run(spec.dt)
+    _, omega_freq, (config,), run = _preset_run(spec, result, spec.table["s_list"])
+    final, record = run(config)
     result.records["series"] = record
     result.add("completion", True, f"reached t = {final.time:.6g}", f"t_end = {spec.t_end}")
     if omega_freq is not None:
@@ -322,28 +283,25 @@ def run_simulate(spec: ExperimentSpec, result: ExperimentResult) -> None:
 @_runner
 def run_conserve(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Invariant-drift audit: Q1 to near round-off, Q4 to o(dt^2)."""
-    _, _, run = _preset_run(spec, result, spec.table["s_list"])
-
-    # Q3/Q4 back a verdict only when the run is an actual physical-parameter
-    # flow with the global-existence signs; the normalized preset gets the
-    # structural Q1 check alone.
-    physical_flow = spec.preset != "normalized" and spec.physical_params().global_existence
-
-    _, record = run(spec.dt)
+    # the setup adds a dt/2 run where Q3/Q4 back a verdict, on a physical-parameter
+    # flow (with the global-existence signs conserve requires); the normalized preset
+    # gets the structural Q1 check alone
+    _, _, (config, *half_dt), run = _preset_run(spec, result, spec.table["s_list"])
+    _, record = run(config)
     result.records["series"] = record
 
     q1_drift = _rel_drift(record.column("Q1"))
     result.add("q1_drift", q1_drift < 1e-10, f"{q1_drift:.3e}", "< 1e-10")
     result.info["q1_drift"] = q1_drift
 
-    if physical_flow:
+    if half_dt:
         q4_drift = _rel_drift(record.column("Q4"))
         result.add("q4_drift", q4_drift < 1e-6, f"{q4_drift:.3e}", "< 1e-06")
         result.info["q4_drift"] = q4_drift
         result.info["q2_drift"] = _rel_drift(record.column("Q2"))
         result.info["q3_drift"] = _rel_drift(record.column("Q3"))
 
-        _, record_half = run(0.5 * spec.dt)
+        _, record_half = run(*half_dt)
         result.records["series_half_dt"] = record_half
         half_drift = _rel_drift(record_half.column("Q4"))
         ratio = q4_drift / half_drift if half_drift > 0 else None  # no drift, no order
@@ -449,10 +407,8 @@ def run_c2probe(spec: ExperimentSpec, result: ExperimentResult) -> None:
     k, l, t_probe, nodes = t["k"], t["l"], t["t_probe"], t["nodes"]
     expected = expected_c2_slope(l)
 
-    # the hat data, and with it the cached GL rule, built once here, not per worker;
-    # one task per (time nodes, N): the costlier dual-route tasks start first
-    data = {n: (cf.normalize_hats(cf.build_fN(n, k, "c2_B0"), k, nodes)[0],
-                cf.build_c2_psi10(n, l)[0]) for n in t["n_list"]}
+    # one task per (time nodes, N) on the setup's hats: the costlier dual-route tasks start first
+    data = c2probe_setup(spec)
     keys = [(time_nodes, n) for time_nodes in (0, 64) for n in data]
     norms = dict(zip(sorted(keys), _run_sweep(keys, lambda key: cf.l_hat_norm(
         t_probe, *data[key[1]], k, nodes, key[0]))))
@@ -494,19 +450,9 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
     then the runs step as one batch per pool worker, each run's result bit
     for bit what a lone `evolve` returns, whatever batch it lands in.
     """
-    t = spec.table
-    mu, m_big, c, k_reg = t["mu"], t["m"], t["c"], t["k_reg"]
-    grid = SpectralGrid(spec.grid_length, spec.grid_n)
-    b0, psi_plus0 = cf.smooth_plateau(grid.x), cf.modulated_sinc(grid.x)
-
-    pairs, sweep_keys = decohere_pairs(t)
+    mu, m_big, k_reg = spec.table["mu"], spec.table["m"], spec.table["k_reg"]
+    pairs, sweep_keys, runs, (grid, b0, psi_plus0) = decohere_setup(spec)
     mu_list = [mu_j for mu_j, _ in sweep_keys]
-    check_decohere_band(grid.n, grid.length, pairs)
-    runs = [(pair, tag) for pair in pairs.values() for tag in ("L1", "L2")]
-    members = [(FieldState(grid, b0, psi_plus0, np.zeros(grid.n), 0.0),
-                modified_system_coefficients(pair["mu"], pair[tag], c, pair["theta_sq"]),
-                StepperConfig.spanning(pair["t_internal"][tag], spec.dt, spec.record_every))
-               for pair, tag in runs]
 
     def observe(st: FieldState) -> dict[str, float]:  # Q1 as conserved_quantities forms it
         diff = grid.forward(st.b - cf.small_dispersion_solution(b0, psi_plus0, st.time))
@@ -514,27 +460,27 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
                 "devA_L2": grid.sobolev_norm_coeffs(diff, 0.0),
                 "devA_Hk": grid.sobolev_norm_coeffs(diff, k_reg)}
 
-    outcomes = _run_batched(members, lambda member: member[2].steps,
-                            lambda batch: evolve_members(*zip(*batch), observers=(observe,)))
-    for (pair, tag), (state, _, config), (final, record) in zip(runs, members, outcomes):
-        diag = {"dt": config.dt, "steps": config.steps,
-                "q1_drift": _rel_drift(record.column("Q1")),
-                "dev_sup_L2": float(np.max(record.column("devA_L2"))),
-                "dev_sup_Hk": float(np.max(record.column("devA_Hk")))}
-        pair.setdefault("runs", {})[tag] = {"record": record, "initial": state,
-                                            "final": final, "diag": diag}
+    stepped = _run_batched(list(runs.values()), lambda member: member[2].steps,
+                           lambda batch: evolve_members(*zip(*batch), observers=(observe,)))
+    outcomes = dict(zip(runs, stepped))
+    diags = {run: {"dt": config.dt, "steps": config.steps,
+                   "q1_drift": _rel_drift(record.column("Q1")),
+                   "dev_sup_L2": float(np.max(record.column("devA_L2"))),
+                   "dev_sup_Hk": float(np.max(record.column("devA_Hk")))}
+             for (run, (_, _, config)), (_, record) in zip(runs.items(), outcomes.values())}
     target = grid.sobolev_norm((np.exp(1j * 0.5 * math.pi * psi_plus0) - 1.0) * b0, 0.0)
-    for pair in pairs.values():
-        one, two = pair["runs"]["L1"], pair["runs"]["L2"]
-        pair["analytic_target"] = target
-        pair["separation_final"] = grid.sobolev_norm(two["final"].b - one["final"].b, 0.0)
-        pair["separation_initial"] = grid.sobolev_norm(two["initial"].b - one["initial"].b, 0.0)
-        for norm in ("Hk", "L2"):
-            pair[f"dev_over_mu_{norm}"] = max(run["diag"][f"dev_sup_{norm}"]
-                                              for run in (one, two)) / pair["mu"]
-    pair = pairs[(mu, m_big)]
+    rows = {key: {**pair, "analytic_target": target,  # each pair's geometry and outcome
+                  "separation_final": grid.sobolev_norm(
+                      outcomes[key, "L2"][0].b - outcomes[key, "L1"][0].b, 0.0),
+                  "separation_initial": grid.sobolev_norm(
+                      runs[key, "L2"][0].b - runs[key, "L1"][0].b, 0.0),
+                  **{f"dev_over_mu_{norm}": max(diags[key, tag][f"dev_sup_{norm}"]
+                                                for tag in ("L1", "L2")) / pair["mu"]
+                     for norm in ("Hk", "L2")}}
+            for key, pair in pairs.items()}
+    main, pair = (mu, m_big), rows[mu, m_big]
     for tag in ("L1", "L2"):
-        result.records[f"series_{tag}"] = pair["runs"][tag]["record"]
+        result.records[f"series_{tag}"] = outcomes[main, tag][1]
 
     # exact structural relations of the parameter scheme
     gap = (pair["L2"] ** 2 - pair["L1"] ** 2) * pair["T"]
@@ -543,7 +489,7 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
     ok_theta = pair["theta_sq"] == mu / m_big
     result.add("theta_relation", ok_theta, f"Theta^2 = {pair['theta_sq']!r}", "mu/M exactly")
 
-    q1_worst = max(pair["runs"][tag]["diag"]["q1_drift"] for tag in ("L1", "L2"))
+    q1_worst = max(diags[main, tag]["q1_drift"] for tag in ("L1", "L2"))
     result.add("q1_drift", q1_worst <= 1e-10, f"{q1_worst:.3e}", "<= 1e-10 per run")
 
     sep, target = pair["separation_final"], pair["analytic_target"]
@@ -555,8 +501,8 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
     result.add("initial_separation", init_ok,
                f"{pair['separation_initial']:.3e}", f"< 0.1 x final = {0.1 * sep:.3e}")
 
-    result.info["pair"] = {k: v for k, v in pair.items() if k != "runs"}
-    result.info["run_diagnostics"] = {tag: pair["runs"][tag]["diag"] for tag in ("L1", "L2")}
+    result.info["pair"] = pair
+    result.info["run_diagnostics"] = {tag: diags[main, tag] for tag in ("L1", "L2")}
     result.info["asymptotic_regime"] = {
         "L1_ge_mu^-5": pair["L1"] >= mu**-5,
         "T_le_log": pair["T"] <= abs(math.log(mu)),
@@ -564,7 +510,7 @@ def run_decohere(spec: ExperimentSpec, result: ExperimentResult) -> None:
 
     columns = ("mu", "m", "dev_over_mu_Hk", "dev_over_mu_L2", "separation_final",
                "analytic_target")
-    table = [{name: pairs[key][name] for name in columns} for key in sweep_keys]
+    table = [{name: rows[key][name] for name in columns} for key in sweep_keys]
     result.info["mu_sweep"] = table
     cs = [row["dev_over_mu_Hk"] for row in table]
     stability = max(cs) / min(cs) if min(cs) > 0 else math.inf
@@ -581,9 +527,9 @@ def run_growth(spec: ExperimentSpec, result: ExperimentResult) -> None:
     """Long-horizon Sobolev growth audit against a priori envelopes."""
     # H^1 is always audited; s_list's entries lie in [1, 8]
     columns = hs_columns((1.0, *spec.table["s_list"]))
-    state0, _, run = _preset_run(spec, result, tuple(columns.values()))
+    state0, _, (config,), run = _preset_run(spec, result, tuple(columns.values()))
     grid = state0.grid
-    final, record = run(spec.dt)
+    final, record = run(config)
     result.records["series"] = record
     times = np.asarray(record.column("t"))
 

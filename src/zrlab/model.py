@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .closed_forms import smooth_plateau
 from .grid import SpectralGrid
 
 __all__ = [
@@ -47,8 +48,9 @@ __all__ = [
     "FieldState",
     "hs_columns",
     "conserved_quantities",
-    "check_plane_wave",
     "plane_wave_state",
+    "INITIAL_KEYS",
+    "initial_state",
 ]
 
 
@@ -255,24 +257,14 @@ def conserved_quantities(state: FieldState, params: PhysicalParams,
             "Hpsi2": g.sobolev_norm(state.psi2, psi_index)}
 
 
-def check_plane_wave(kappa: float, n: int, length: float) -> None:
-    """Raise ValueError unless kappa is a wavenumber of the grid (n, length)
-    inside its resolved band (shared by config validation and plane_wave_state)."""
-    j = kappa * length / (2.0 * np.pi)
-    if not abs(j - np.round(j)) <= 1e-9:
-        raise ValueError(f"kappa = {kappa} is not a grid wavenumber (mode index {j:.6f})")
-    if not -n / 2 <= np.round(j) < n / 2:
-        raise ValueError(f"kappa = {kappa} lies outside the resolved band")
-
-
 def plane_wave_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
                      amplitude: float, kappa: float,
                      c1: float = 0.0, c2: float = 0.0) -> tuple[FieldState, float]:
     """Exact plane-wave solution B = A exp(i(kappa x - Omega t)), psi constant.
 
-    kappa must be a grid wavenumber.  Substituting into the B equation with
-    constant potentials V = potential_plus*c1 + potential_minus*c2 + cubic*A^2
-    gives
+    kappa must be a wavenumber of the grid inside its resolved band, and
+    Omega finite.  Substituting into the B equation with constant
+    potentials V = potential_plus*c1 + potential_minus*c2 + cubic*A^2 gives
 
         Omega = dispersion * kappa^2 + V
 
@@ -280,10 +272,58 @@ def plane_wave_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
     psi equations hold with both sides zero).  Returns the t = 0 state and
     Omega.
     """
-    check_plane_wave(kappa, grid.n, grid.length)
-    b = amplitude * np.exp(1j * kappa * grid.x)
-    psi1 = np.full(grid.n, c1)
-    psi2 = np.full(grid.n, c2)
-    v = coeffs.potential_plus * c1 + coeffs.potential_minus * c2 + coeffs.cubic * amplitude**2
+    j = kappa * grid.length / (2.0 * np.pi)
+    if not abs(j - np.round(j)) <= 1e-9:
+        raise ValueError(f"kappa = {kappa} is not a grid wavenumber (mode index {j:.6f})")
+    if not -grid.n / 2 <= np.round(j) < grid.n / 2:
+        raise ValueError(f"kappa = {kappa} lies outside the resolved band")
+    v = (coeffs.potential_plus * c1 + coeffs.potential_minus * c2
+         + coeffs.cubic * (amplitude * amplitude))  # amplitude**2 raises on overflow
     omega_freq = coeffs.dispersion * kappa**2 + v
-    return FieldState(grid, b, psi1, psi2, 0.0), omega_freq
+    if not math.isfinite(omega_freq):
+        raise ValueError(f"plane-wave frequency Omega = {omega_freq} is not finite")
+    return FieldState(grid, amplitude * np.exp(1j * kappa * grid.x), np.full(grid.n, c1),
+                      np.full(grid.n, c2), 0.0), omega_freq
+
+
+# the table keys each initial-data preset reads (`initial_state`; the Gaussian
+# without an `initial` key), psi_width only with a nonzero psi_amplitude
+INITIAL_KEYS = {
+    "gaussian": ("amplitude", "width", "psi_amplitude", "psi_width"),
+    "plane_wave": ("amplitude", "kappa", "c1", "c2"),
+    "plateau": ("amplitude", "psi_amplitude", "psi_width"),
+    "random": ("seed", "amplitude", "width", "psi_amplitude", "psi_width"),
+}
+
+
+def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
+                   amplitude: float, width: float, real: bool) -> np.ndarray:
+    """Band-limited random field with Gaussian spectral envelope."""
+    envelope = np.exp(-((grid.wavenumbers * width / 4.0) ** 2))
+    coeffs = envelope * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    values = grid.inverse(coeffs * grid.dealias_mask)
+    if real:
+        values = values.real
+    return values * (amplitude / grid.sobolev_norm(values, 0.0))
+
+
+def initial_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
+                  table: dict) -> tuple[FieldState, float | None]:
+    """(state, plane-wave Omega or None) of the initial-data preset an experiment
+    table names, built from the table's keys (INITIAL_KEYS)."""
+    initial, x = table.get("initial", "gaussian"), grid.x
+    if initial == "plane_wave":
+        return plane_wave_state(grid, coeffs, table["amplitude"], table["kappa"],
+                                table["c1"], table["c2"])
+    psi_amp = table["psi_amplitude"]
+    if initial == "random":
+        rng = np.random.default_rng(table["seed"])
+        b = _smooth_random(grid, rng, table["amplitude"], table["width"], real=False)
+        psi1, psi2 = (_smooth_random(grid, rng, psi_amp, table["psi_width"], real=True)
+                      if psi_amp else np.zeros(grid.n) for _ in range(2))
+        return FieldState(grid, b, psi1, psi2, 0.0), None
+    if initial not in ("gaussian", "plateau"):
+        raise ValueError(f"unknown initial preset {initial!r}")
+    shape = np.exp(-((x / table["width"]) ** 2)) if initial == "gaussian" else smooth_plateau(x)
+    psi = psi_amp * np.exp(-((x / table["psi_width"]) ** 2)) if psi_amp else np.zeros(grid.n)
+    return FieldState(grid, table["amplitude"] * shape, psi, psi, 0.0), None

@@ -18,12 +18,11 @@ import pytest
 
 from zrlab.cli import main
 from zrlab.config import (
-    _INITIAL_KEYS,
     _SCHEMAS,
     DECLARATIONS,
     ConfigError,
     apply_overrides,
-    decohere_pairs,
+    decohere_setup,
     default_spec,
     emit_config,
     parse_config,
@@ -34,6 +33,7 @@ from zrlab import experiments
 from zrlab.evolution import BlowUpError, StepperConfig
 from zrlab.experiments import fit_loglog
 from zrlab.grid import GRID_SIZE_RULE, SpectralGrid
+from zrlab.model import INITIAL_KEYS, initial_state
 from zrlab.records import (
     RunRecord,
     format_float,
@@ -263,12 +263,12 @@ def test_unread_entries_rejected(kind, entries, tmp_path):
         assert f"\n{entry.split('=')[0].split('.')[1]} = " not in emitted
 
 
-@pytest.mark.parametrize("kind, initial", [("simulate", name) for name in _INITIAL_KEYS]
+@pytest.mark.parametrize("kind, initial", [("simulate", name) for name in INITIAL_KEYS]
                          + [("conserve", "gaussian"), ("conserve", "random"),
                             ("growth", None)])
 def test_initial_keys_match_initial_state(kind, initial):
     """The initial-data keys a spec reads (`read_entries`) are the keys the
-    run's `_initial_state` looks up for it (growth has no `initial` key and
+    run's `initial_state` looks up for it (growth has no `initial` key and
     starts from the Gaussian): with a nonzero psi_amplitude all the keys
     config declares for the preset, with psi_amplitude = 0 all but
     psi_width, which only shapes a nonzero psi."""
@@ -277,7 +277,7 @@ def test_initial_keys_match_initial_state(kind, initial):
             seen.add(key)
             return super().__getitem__(key)
 
-    declared = set(_INITIAL_KEYS[initial or "gaussian"])
+    declared = set(INITIAL_KEYS[initial or "gaussian"])
     for psi_amplitude, psi_keys in ((0.0, declared - {"psi_width"}), (0.5, declared)):
         seen = set()
         spec = default_spec(kind)
@@ -285,10 +285,10 @@ def test_initial_keys_match_initial_state(kind, initial):
         if initial is not None:
             table.update(initial=initial, kappa=2.0 * math.pi / 64.0)
         spec = replace(spec, table=Recorder(table))
-        experiments._initial_state(spec, SpectralGrid(spec.grid_length, spec.grid_n),
-                                   spec.coefficients())
+        initial_state(SpectralGrid(spec.grid_length, spec.grid_n), spec.coefficients(),
+                      spec.table)
         read = {entry.removeprefix("experiment.") for entry in read_entries(spec)}
-        assert seen == psi_keys == read & set().union(*_INITIAL_KEYS.values())
+        assert seen == psi_keys == read & set().union(*INITIAL_KEYS.values())
 
 
 @pytest.mark.parametrize("kind, initial, entry", [
@@ -316,7 +316,7 @@ def test_unread_initial_keys_rejected(kind, initial, entry):
                                           f"with initial = {initial}"):
         apply_overrides(default_spec(kind), [*chosen(initial), f"experiment.{entry}"])
     assert f"\n{key} = " not in emit_config(apply_overrides(default_spec(kind), chosen(initial)))
-    reader = next(name for name, keys in _INITIAL_KEYS.items() if key in keys)
+    reader = next(name for name, keys in INITIAL_KEYS.items() if key in keys)
     psi = ["experiment.psi_amplitude=0.5"] if key == "psi_width" else []
     spec = apply_overrides(default_spec(kind), [*chosen(reader), *psi, f"experiment.{entry}"])
     assert f"\n{entry.replace('=', ' = ')}\n" in emit_config(spec)
@@ -396,6 +396,8 @@ RULE_CASES = {
     "conserve.width": (["experiment.width=-2"], None),
     "conserve.psi_width": (["experiment.psi_amplitude=0.5", "experiment.psi_width=0"], None),
     "conserve.rules[0]": (["params.preset=physical", "params.omega=-1"], "global-existence"),
+    "conserve.rules[1]": (["stepper.dt=5e-324", "stepper.t_end=2.5e-322",
+                           "stepper.record_every=1"], "the dt/2 run: dt must be positive"),
     "inflate.k": (["experiment.k=1.0", "experiment.l=2.0"], None),
     "inflate.n_list": (["experiment.n_list=64,32"], None),
     "inflate.t_probe": (["experiment.t_probe=0"], None),
@@ -409,18 +411,19 @@ RULE_CASES = {
     "c2probe.n_list": (["experiment.n_list=16"], None),
     "c2probe.t_probe": (["experiment.t_probe=-0.01"], None),
     "c2probe.nodes": (["experiment.nodes=15"], None),
+    "c2probe.rules[0]": (["experiment.k=-1000"], re.escape("amplitude N^(1/2 - k) = 16^1000.5")),
     "decohere.mu": (["experiment.mu=1.0"], None),
     "decohere.c": (["experiment.c=0"], None),
     "decohere.k_reg": (["experiment.k_reg=-1"], None),
     "decohere.mu_list": (["experiment.mu_list=0.1,1.5"], None),
     "decohere.rules[0]": (["experiment.mu=0.1", "experiment.m=2"], "m must satisfy m >= 1/mu"),
     "decohere.rules[1]": (["grid.n=256"], r"under-resolved small-dispersion run: grid \(n = 256"),
-    "decohere.rules[2]": (["stepper.dt=1e-320"], "overflows the step count"),
     "growth.amplitude": (["experiment.amplitude=0"], None),
     "growth.width": (["experiment.width=0"], None),
     "growth.psi_width": (["experiment.psi_width=-2"], None),
     "growth.s_list": (["experiment.s_list=0.5"], None),
     "growth.rules[0]": (["params.preset=physical", "params.nu=1.5"], "global-existence"),
+    "growth.rules[1]": (["stepper.t_end=0.0015"], "is not an integer multiple of dt"),
 }
 
 
@@ -527,6 +530,49 @@ def test_refused_with_the_runs_builders(kind, entries, message, tmp_path, capsys
     args = [kind, *(arg for entry in entries for arg in ("--set", entry))]
     assert main([*args, "--set", f"output.dir={out}"]) == 1
     assert capsys.readouterr().err == f"zrlab: config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, entries, message", [
+    ("simulate", ("experiment.initial=plane_wave", f"experiment.kappa={math.pi / 32.0!r}",
+                  "experiment.amplitude=1e200"),
+     "[experiment]: plane-wave frequency Omega = inf is not finite"),
+    ("conserve", ("stepper.dt=5e-324", "stepper.t_end=2.5e-322", "stepper.record_every=1"),
+     "[stepper]: the dt/2 run: dt must be positive, got 0.0"),
+    ("c2probe", ("experiment.k=-1000",),
+     "[experiment]: amplitude N^(1/2 - k) = 16^1000.5 or its square overflows"),
+    ("c2probe", ("experiment.l=-1000",),
+     "[experiment]: amplitude N^(1/2 - l) = 16^1000.5 or its square overflows"),
+    ("c2probe", ("experiment.l=-100",),
+     "[experiment]: amplitude N^(1/2 - l) = 64^100.5 or its square overflows"),
+    ("c2probe", ("experiment.k=400",), "[experiment]: cannot normalize data of H^400 norm 0.0"),
+])
+def test_refused_by_the_kinds_setup(kind, entries, message, tmp_path, capsys):
+    """Validation calls the setup the run takes its inputs from, so what the
+    setup cannot build is refused at parse time: exit 1, one config error
+    line and no output directory, where these configs used to create it and
+    then die mid-run.  The plane wave's Omega overflows (A^2 = 1e400); the
+    dt/2 companion of conserve's Richardson check rounds dt = 5e-324 to 0;
+    a c2probe hat amplitude N^(1/2 - k) or N^(1/2 - l), or the square its
+    norm takes, overflows (l = -100 only from N = 64 on); B0 at k = 400
+    underflows to zero data, which cannot be normalized to unit H^k."""
+    out = tmp_path / "out"
+    args = [kind, *(arg for entry in entries for arg in ("--set", entry))]
+    assert main([*args, "--set", f"output.dir={out}"]) == 1
+    assert capsys.readouterr().err == f"zrlab: config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["c2probe", "simulate"])
+def test_malformed_thread_count_refused_before_output(kind, tmp_path, capsys, monkeypatch):
+    """A ZRLAB_THREADS that is not an integer is refused with the pool's text
+    before the output directory is made, for every kind: simulate, which
+    starts no pool, refuses it too."""
+    monkeypatch.setenv("ZRLAB_THREADS", "abc")
+    out = tmp_path / "out"
+    assert main([kind, "--set", f"output.dir={out}"]) == 1
+    assert capsys.readouterr().err == ("zrlab: config error: ZRLAB_THREADS must be an integer, "
+                                       "got 'abc'\n")
     assert not out.exists()
 
 
@@ -983,7 +1029,7 @@ def test_cli_sweep_blow_up_leaves_manifest(kind, overrides, tmp_path, monkeypatc
     disk whose last check is the failed completion check.  Decohere's batch
     holding the longest run blows up: with one worker the lone batch, with
     two only that batch, while the other steps to its end."""
-    pairs = decohere_pairs(default_spec("decohere").table)[0]
+    pairs = decohere_setup(default_spec("decohere"))[0]
     longest = max(t for pair in pairs.values() for t in pair["t_internal"].values())
     stepped = []
 

@@ -172,6 +172,17 @@ def test_spanning_refuses_a_bad_dt(dt):
         StepperConfig.spanning(0.1, dt)
 
 
+def test_spanning_zero_t_end_takes_no_step():
+    """Spanning [0, 0] is the zero-step config of step dt, not one step of
+    0 refused for blaming the valid dt; a negative t_end is refused by its own
+    name, and a tiny positive one still takes one step."""
+    config = StepperConfig.spanning(0.0, 0.1)
+    assert (config.dt, config.t_end, config.steps, config.record_every) == (0.1, 0.0, 0, 1)
+    with pytest.raises(ValueError, match="^t_end must be nonnegative, got -0.1$"):
+        StepperConfig.spanning(-0.1, 0.1)
+    assert StepperConfig.spanning(5e-324, 0.1).steps == 1
+
+
 def test_evolve_records_and_preserves_input(setup):
     grid, coeffs, state = setup
     before = state.copy()

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zrlab.config import DECLARATIONS, ConfigError, decohere_pairs, default_spec
+from zrlab.config import DECLARATIONS, ConfigError, decohere_setup, default_spec
 from zrlab.experiments import (
     CheckResult,
     ExperimentResult,
@@ -614,7 +614,7 @@ def test_decohere_initial_separation_can_fail(monkeypatch):
     real_evolve_members = experiments.evolve_members
     spec = default_spec("decohere")
     spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=(0.25, 0.2)))
-    horizon = decohere_pairs(spec.table)[0][(0.2, 5.0)]["t_internal"]
+    horizon = decohere_setup(spec)[0][(0.2, 5.0)]["t_internal"]
     perturbed = []
 
     def evolve_perturbing_l2(states, coeffs, configs, observers=()):
@@ -693,7 +693,7 @@ def test_decohere_runs_each_pair_once(monkeypatch):
     monkeypatch.setattr(experiments, "evolve_members", counting_evolve_members)
     spec = default_spec("decohere")
     spec = replace(spec, table=dict(spec.table, mu=0.2, m=5.0, mu_list=(0.25, 0.2)))
-    pairs = decohere_pairs(spec.table)[0]
+    pairs = decohere_setup(spec)[0]
     runs = sorted(t for pair in pairs.values() for t in pair["t_internal"].values())
     assert len(pairs) == 2 and len(set(runs)) == 4  # two pairs of (L1, L2) runs
     for threads in ("1", "2"):

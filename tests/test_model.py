@@ -1,5 +1,7 @@
 """Parameter mapping, change of variables, invariants, plane waves."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -169,6 +171,18 @@ def test_plane_wave_rejects_bad_kappa():
         plane_wave_state(g, co, 1.0, kappa=2.5)  # not a lattice frequency
     with pytest.raises(ValueError):
         plane_wave_state(g, co, 1.0, kappa=40.0)  # beyond the band
+
+
+@pytest.mark.parametrize("amplitude, c1", [(1e200, 0.0), (1.0, 1.5e308)])
+def test_plane_wave_refuses_a_non_finite_omega(amplitude, c1):
+    """A plane wave whose frequency Omega leaves the float range (A^2 or the
+    potentials overflow) is refused by name, not with an OverflowError from
+    amplitude**2; a huge finite Omega is returned as is."""
+    g = SpectralGrid(2.0 * np.pi, 64)
+    co = normalized_coefficients()
+    with pytest.raises(ValueError, match="^plane-wave frequency Omega = inf is not finite$"):
+        plane_wave_state(g, co, amplitude, kappa=3.0, c1=c1, c2=c1)
+    assert plane_wave_state(g, co, 1e150, kappa=3.0)[1] == 9.0 + 1e150 * 1e150 < math.inf
 
 
 def _exact_invariant_drifts(params, dt, theta_less=False):

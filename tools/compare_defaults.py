@@ -14,11 +14,14 @@ compares, kind by kind:
 - the printed lines, with the wall time cut from the `verdict:` line;
 - the manifest, with `wall_time_s` removed.
 
-Each kind also runs, from each tree, one config it refuses: `--set
-stepper.dt=-0.001`, or `--set stepper.dt=0` for c2probe, which reads no dt.
-The exit code and the error lines must agree, and neither tree may create
-the output directory: a change to validation then shows every refusal text
-it alters.
+Each kind also runs, from each tree, two configs it refuses, one `--set`
+item each: `stepper.dt=-0.001` (`stepper.dt=0` for c2probe, which reads no
+dt), and one refused by a kind's setup or rule, or an entry rule
+(simulate's off-lattice plane wave, a t_end that is no multiple of dt for
+conserve and growth, decohere's under-resolved grid, inflate's k = 0.5
+against the inflation hypothesis, c2probe's node count under 16).  The exit code and
+the error lines must agree, and neither tree may create the output
+directory: a change to validation then shows every refusal text it alters.
 
 It prints one line per kind and each tree's `zrlab/*.py` line count, and
 exits 1 naming every drift, 0 when none.
@@ -37,8 +40,15 @@ from itertools import zip_longest
 from pathlib import Path
 
 KINDS = ("simulate", "conserve", "inflate", "c2probe", "decohere", "growth")
-# one --set item each kind refuses
-REFUSALS = {kind: "stepper.dt=0" if kind == "c2probe" else "stepper.dt=-0.001" for kind in KINDS}
+# --set items each kind refuses, one refused run each
+REFUSALS = {
+    "simulate": ("stepper.dt=-0.001", "experiment.initial=plane_wave"),
+    "conserve": ("stepper.dt=-0.001", "stepper.t_end=0.0015"),
+    "inflate": ("stepper.dt=-0.001", "experiment.k=0.5"),
+    "c2probe": ("stepper.dt=0", "experiment.nodes=15"),
+    "decohere": ("stepper.dt=-0.001", "grid.n=256"),
+    "growth": ("stepper.dt=-0.001", "stepper.t_end=0.0015"),
+}
 
 
 def run_kind(src: Path, kind: str, cwd: Path, *extra: str) -> dict:
@@ -64,14 +74,15 @@ def run_kind(src: Path, kind: str, cwd: Path, *extra: str) -> dict:
             "wrote_dir": runs.is_dir(), "files": files, "manifest": manifest}
 
 
-def compare_refusal(kind: str, old: dict, new: dict) -> list[str]:
-    """Every difference between two runs of one kind's refused config."""
+def compare_refusal(kind: str, item: str, old: dict, new: dict) -> list[str]:
+    """Every difference between two runs of one kind's config refused for `item`."""
     drift = []
     if old["code"] != new["code"]:
-        drift.append(f"{kind} refusal: exit code {old['code']} -> {new['code']}")
+        drift.append(f"{kind} refusal of {item}: exit code {old['code']} -> {new['code']}")
     if old["errors"] != new["errors"]:
-        drift.append(f"{kind} refusal: error lines {old['errors']!r} -> {new['errors']!r}")
-    return drift + [f"{kind} refusal: the {tree} tree created the output directory"
+        drift.append(f"{kind} refusal of {item}: error lines {old['errors']!r} -> "
+                     f"{new['errors']!r}")
+    return drift + [f"{kind} refusal of {item}: the {tree} tree created the output directory"
                     for tree, run in (("first", old), ("second", new)) if run["wrote_dir"]]
 
 
@@ -112,13 +123,17 @@ def main(argv: list[str]) -> int:
 
         for kind in KINDS:
             runs = [run_kind(tree, kind, fresh(f"{kind}_{i}")) for i, tree in enumerate(trees)]
-            refusals = [run_kind(tree, kind, fresh(f"{kind}_refused_{i}"), "--set", REFUSALS[kind])
+            found = compare(kind, *runs)
+            refused = []
+            for j, item in enumerate(REFUSALS[kind]):
+                pair = [run_kind(tree, kind, fresh(f"{kind}_refused_{j}_{i}"), "--set", item)
                         for i, tree in enumerate(trees)]
-            found = compare(kind, *runs) + compare_refusal(kind, *refusals)
+                found += compare_refusal(kind, item, *pair)
+                refused.append(f"{item} exit {pair[1]['code']}")
             n_files = len(runs[1]["files"])
             checks = sum(line.startswith("[") for line in runs[1]["lines"])
             print(f"{kind}: exit {runs[1]['code']}, {n_files} CSV/.fit files, {checks} check lines, "
-                  f"{REFUSALS[kind]} exit {refusals[1]['code']}: "
+                  f"{', '.join(refused)}: "
                   + ("identical" if not found else f"{len(found)} drift(s)"))
             drift += found
     for line in drift:
