@@ -12,6 +12,10 @@ Fourier/norm conventions on the line:
     fhat(xi) = int f(x) exp(-i x xi) dx
     ||f||_{H^s} = sqrt( int (1+|xi|)^{2s} |fhat(xi)|^2 dxi )
 
+so a product transforms to a convolution with a factor 1/(2 pi),
+(f g)^ = (1/2pi) fhat * ghat, which the quadratic responses `l_hat` and
+`first_order_psi1` both carry.
+
 With these, H^0 is sqrt(2*pi) times the physical L^2 norm; a band-limited
 function synthesized on a periodic grid via c_j = fhat(xi_j)/L therefore has
 grid Sobolev norm equal to the hat-integral norm divided by sqrt(2*pi).
@@ -238,71 +242,40 @@ def resonance_phi(t: float, a) -> np.ndarray:
     return t * (np.sinc(ta / np.pi) + 0.5j * ta * half * half)
 
 
-def _phi(t: float, a: np.ndarray, time_nodes: int) -> np.ndarray:
-    """resonance_phi(t, a) for time_nodes = 0; otherwise the dual route, a
-    brute-force time_nodes-point GL quadrature of int_0^t exp(i t' a) dt'.
-
-    The rule is folded on its node symmetry: _gl's rule is mirrored bit for
-    bit, so with t' = (t/2)(1 + x_k) the same sum is exp(i a t/2) times the
-    cosine sum over the non-negative half of _gl_half, whose weights are
-    doubled but for the centre node x_k = 0 of an odd count.
-
-    The cosines and the rotation come from tangents of half angles:
-    sum w cos = sum w 2 / (1 + u^2) - sum w and exp(i m) = (1 + i u) / (1 - i u),
-    u = tan of half the angle.  numpy vectorises float64 tan but runs cos and
-    sin one value at a time, 5-10 times slower.  That is ceil(n/2) + 1
-    tangents per phase value instead of 2n cosines and sines (numpy has no
-    vectorised complex exp)."""
-    if not time_nodes:
-        return resonance_phi(t, a)
-    x, w = _gl_half(time_nodes)
-    mid = 0.5 * t * a
-    half = np.multiply.outer(0.5 * mid, x)  # becomes 1 + u^2, then 2 / (1 + u^2), in place
-    np.square(np.tan(half, out=half), out=half)
-    half += 1.0
-    folded = np.divide(2.0, half, out=half) @ w - w.sum()
-    u = np.tan(0.5 * mid)
-    return 0.5 * t * ((1.0 + 1j * u) / (1.0 - 1j * u)) * folded
-
-
-def _overlap_integral(t: float, lo: np.ndarray, hi: np.ndarray, a, nodes: int,
-                      time_nodes: int) -> np.ndarray:
-    """Row-wise int_lo^hi phi(t, a(xi_1)) d xi_1 by a nodes-point
-    Gauss-Legendre rule, phi as in _phi; a row with hi <= lo is empty and
-    gives 0.  `a` maps the (rows, nodes) array of xi_1 nodes to the phase."""
+def _overlap_integral(t: float, lo: np.ndarray, hi: np.ndarray, a, nodes: int) -> np.ndarray:
+    """Row-wise int_lo^hi resonance_phi(t, a(xi_1)) d xi_1 by a nodes-point
+    Gauss-Legendre rule; a row with hi <= lo is empty and gives 0.  `a` maps
+    the (rows, nodes) array of xi_1 nodes to the phase."""
     half = np.maximum(0.0, 0.5 * (hi - lo))
     x, w = _gl(nodes)
     xi1 = (0.5 * (lo + hi))[:, None] + half[:, None] * x
-    return half * np.sum(w * _phi(t, a(xi1), time_nodes), axis=1)
+    return half * np.sum(w * resonance_phi(t, a(xi1)), axis=1)
 
 
 # -- second-derivative (bilinear) kernel ---------------------------------------
 
-def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64,
-          time_nodes: int = 0) -> np.ndarray:
+def l_hat(xi, t: float, b0: HatDatum, psi10: HatDatum, nodes: int = 64) -> np.ndarray:
     """Bilinear Duhamel kernel
 
-        Lhat(xi, t) = exp(-i t xi^2) *
+        Lhat(xi, t) = exp(-i t xi^2) * (1/2pi) *
             int B0hat(xi_1) psi10hat(xi - xi_1) phi(t, a) d xi_1,
         a = (xi - xi_1)(xi + xi_1 - 1),
 
     i.e. the second derivative (in the data pair) of the solution map at zero,
     under the free Schrodinger phase exp(-i t' xi^2) for B and the speed +1
-    transport phase exp(-i t' xi) for the coupling field.  time_nodes = 0
-    takes phi from the resonance_phi closed form; time_nodes > 0 is the dual
-    route, a time_nodes-point quadrature of the t' integral, independent of it.
+    transport phase exp(-i t' xi) for the coupling field: the normalized
+    flow's term bilinear in (B0, psi10) is -i Lhat.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     col = xi[:, None]
     # xi_1 runs over supp(B0hat) cap (xi - supp(psi10hat))
     inner = _overlap_integral(t, np.maximum(b0.lo, xi - psi10.hi), np.minimum(b0.hi, xi - psi10.lo),
-                              lambda xi1: (col - xi1) * (col + xi1 - 1.0), nodes, time_nodes)
-    return np.exp(-1j * t * xi**2) * b0.amplitude * psi10.amplitude * inner
+                              lambda xi1: (col - xi1) * (col + xi1 - 1.0), nodes)
+    return np.exp(-1j * t * xi**2) * b0.amplitude * psi10.amplitude * inner / (2.0 * np.pi)
 
 
-def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
-               nodes: int = 64, time_nodes: int = 0) -> float:
-    """||L(.,t)||_{H^k} in the hat-integral convention (time_nodes as in l_hat).
+def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float, nodes: int = 64) -> float:
+    """||L(.,t)||_{H^k} in the hat-integral convention.
 
     The output support is [b0.lo + psi10.lo, b0.hi + psi10.hi]; the overlap
     length is piecewise linear with kinks at the two interior corners, so the
@@ -310,7 +283,7 @@ def l_hat_norm(t: float, b0: HatDatum, psi10: HatDatum, k: float,
     breaks = (b0.lo + psi10.lo, b0.lo + psi10.hi, b0.hi + psi10.lo, b0.hi + psi10.hi)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge t reads inf or nan, not warns
         return math.sqrt(_panel_integral(
-            breaks, k, lambda xi: np.abs(l_hat(xi, t, b0, psi10, nodes, time_nodes)) ** 2, nodes))
+            breaks, k, lambda xi: np.abs(l_hat(xi, t, b0, psi10, nodes)) ** 2, nodes))
 
 
 def expected_c2_slope(l: float) -> float:
@@ -345,7 +318,7 @@ def first_order_psi1(t: float, hats: Sequence[HatDatum], l: float,
                 hi = np.minimum(hi_hat.hi, xi + hj_hat.hi)
                 if np.any(hi > lo):
                     acc += hi_hat.amplitude * hj_hat.amplitude * _overlap_integral(
-                        t, lo, hi, lambda xi1: col * (col - 2.0 * xi1 + speed), nodes, 0)
+                        t, lo, hi, lambda xi1: col * (col - 2.0 * xi1 + speed), nodes)
         return (np.abs(xi) * np.abs(acc) / (2.0 * np.pi)) ** 2 * source**2
 
     # the pair overlaps kink where xi is a difference of two hat edges

@@ -146,7 +146,6 @@ _SPEC_FIELD = {("grid", "n"): "grid_n", ("grid", "length"): "grid_length",
 _N_LIST = Key(_list_of(_int), (), (
     lambda v: len(v) >= 2 and v[0] >= 2 and all(a < b for a, b in zip(v, v[1:])),
     "must be strictly ascending, with at least two entries, each >= 2"))
-_T_PROBE = Key(_float, 0.1, _POSITIVE)
 _NODES = Key(_int, 64, (lambda v: v >= 16, "must be >= 16"))
 _WIDTH = Key(_float, 2.0, _POSITIVE)  # the Gaussian widths `width` and `psi_width`
 
@@ -197,13 +196,28 @@ def preset_setup(spec: ExperimentSpec) -> tuple:
     return (*_build("experiment", initial_state, grid, coeffs, spec.table), coeffs, configs)
 
 
-def c2probe_setup(spec: ExperimentSpec) -> dict[int, tuple[cf.HatDatum, cf.HatDatum]]:
-    """c2probe's setup: each N's hats, B0 normalized to unit H^k and the
-    transport bump psi10 of amplitude N^(1/2 - l)."""
+# c2probe's solver route: lattice points per 1/N, its data pair's scale eps, its step
+C2_MODES, C2_EPS, C2_DT = 16, 1e-2, 1e-3
+
+
+def c2probe_setup(spec: ExperimentSpec) -> dict[int, tuple]:
+    """c2probe's setup: each N's hats, B0 normalized to unit H^k and psi10
+    of amplitude N^(1/2 - l), its solver route's data pair +-eps (B0,
+    Re psi10, 0) of the hats at unit amplitude, on C2_MODES lattice points
+    per 1/N and a band that their bilinear term does not wrap, and the step
+    config spanning t_probe."""
     t = spec.table
-    return _build("experiment", lambda: {n: (
-        cf.normalize_hats(cf.build_fN(n, t["k"], "c2_B0"), t["k"], t["nodes"])[0],
-        cf.build_c2_psi10(n, t["l"])[0]) for n in t["n_list"]})
+
+    def member(n: int) -> tuple:
+        b0 = cf.normalize_hats(cf.build_fN(n, t["k"], "c2_B0"), t["k"], t["nodes"])[0]
+        psi10 = cf.build_c2_psi10(n, t["l"])[0]
+        grid = SpectralGrid(2.0 * math.pi * C2_MODES * n, 4 * C2_MODES)
+        b, psi = (cf.synthesize_hat_field(grid, [replace(h, amplitude=1.0)]) for h in (b0, psi10))
+        states = [FieldState(grid, eps * b, eps * psi.real, np.zeros(grid.n))
+                  for eps in (C2_EPS, -C2_EPS)]
+        return b0, psi10, states, StepperConfig.spanning(t["t_probe"], C2_DT)
+
+    return _build("experiment", lambda: {n: member(n) for n in t["n_list"]})
 
 
 def _decohere_pair(mu: float, m_big: float) -> dict:
@@ -291,7 +305,7 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                                     "must satisfy the inflation hypothesis 0 < k < 1")),
             "l": Key(_float, 0.25),
             "n_list": replace(_N_LIST, default=(32, 64, 128, 256)),
-            "t_probe": _T_PROBE,
+            "t_probe": Key(_float, 0.1, _POSITIVE),
             "variant": Key(str, "f", _one_of("f", "g")),
             "modes_per_hat": Key(_int, 4, (lambda v: v >= 1, "must be >= 1")),
             "nodes": _NODES,
@@ -302,15 +316,16 @@ DECLARATIONS: dict[str, KindDeclaration] = {
                    f"need l >= {2.0 * s.table['k'] - 0.5}, got l={s.table['l']})"),
                lambda s: _build("stepper", StepperConfig.spanning, s.table["t_probe"], s.dt))),
     "c2probe": KindDeclaration(
-        help="bilinear-kernel growth probe (smoothness failure), quadrature only",
-        # pure quadrature: grid, params and stepper unused
+        help="bilinear-kernel growth probe (smoothness failure), checked against the flow",
+        # the setup fixes each N's grid, coefficients and step: grid, params and stepper unused
         preset=None, grid=(None, None), stepper=(None, None, None),
         keys={
             "k": Key(_float, 0.0),
             "l": Key(_float, -1.0, (lambda l: cf.expected_c2_slope(l) >= 0, "must be <= -1/2: the "
                                     "second-derivative probe requires l <= -1/2")),
             "n_list": replace(_N_LIST, default=(16, 32, 64, 128, 256)),
-            "t_probe": replace(_T_PROBE, default=0.01),
+            # the solver route takes at most 1 000 steps of C2_DT
+            "t_probe": Key(_float, 0.01, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
             "nodes": _NODES,
         },
         rules=(c2probe_setup,)),

@@ -299,7 +299,8 @@ INITIAL_KEYS = {
 def _smooth_random(grid: SpectralGrid, rng: np.random.Generator,
                    amplitude: float, width: float, real: bool) -> np.ndarray:
     """Band-limited random field with Gaussian spectral envelope."""
-    envelope = np.exp(-((grid.wavenumbers * width / 4.0) ** 2))
+    with np.errstate(over="ignore"):  # (xi width)^2 past the float range: exp(-inf) = 0
+        envelope = np.exp(-((grid.wavenumbers * width / 4.0) ** 2))
     coeffs = envelope * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     values = grid.inverse(coeffs * grid.dealias_mask)
     if real:
@@ -324,6 +325,7 @@ def initial_state(grid: SpectralGrid, coeffs: GeneralCoefficients,
         return FieldState(grid, b, psi1, psi2, 0.0), None
     if initial not in ("gaussian", "plateau"):
         raise ValueError(f"unknown initial preset {initial!r}")
-    shape = np.exp(-((x / table["width"]) ** 2)) if initial == "gaussian" else smooth_plateau(x)
-    psi = psi_amp * np.exp(-((x / table["psi_width"]) ** 2)) if psi_amp else np.zeros(grid.n)
+    with np.errstate(over="ignore"):  # (x / width)^2 past the float range: exp(-inf) = 0
+        shape = np.exp(-((x / table["width"]) ** 2)) if initial == "gaussian" else smooth_plateau(x)
+        psi = psi_amp * np.exp(-((x / table["psi_width"]) ** 2)) if psi_amp else np.zeros(grid.n)
     return FieldState(grid, table["amplitude"] * shape, psi, psi, 0.0), None

@@ -136,17 +136,18 @@ def test_criterion_5_c2_failure_probe(acceptance_report):
     wall = time.perf_counter() - start
 
     fit = result.fits.get("c2")
-    dual = result.info["dual_route_max_rel_diff"]
     slope = fit.slope if fit else float("nan")
-    ok = (fit is not None and abs(slope - 0.5) <= 0.1 and dual <= 1e-6
+    ratios = [m["solver_ratio"] for m in result.info["members"]]
+    worst = max(abs(r - 1.0) for r in ratios) if None not in ratios else float("nan")
+    ok = (fit is not None and abs(slope - 0.5) <= 0.1 and worst <= 1e-3
           and result.status == "pass" and wall < budget)
     _emit(acceptance_report, "criterion-5 c2-failure", ok,
           f"slope {slope:.4f} (r^2 {fit.r_squared if fit else 0:.4f}), "
-          f"dual-route rel diff {dual:.3e}",
-          "slope 0.5 +/- 0.1, dual routes agree to 1e-6", wall, budget)
+          f"solver ratios within {worst:.3e} of 1",
+          "slope 0.5 +/- 0.1, solver/kernel L2 ratios within 1e-3 of 1", wall, budget)
     assert fit is not None
     assert abs(slope - 0.5) <= 0.1
-    assert dual <= 1e-6
+    assert worst <= 1e-3
     assert result.status == "pass"
     assert wall < budget
 

@@ -6,6 +6,7 @@ CSV/fit files plus a JSON manifest with content digests.
 """
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -616,13 +617,14 @@ def test_conserve_without_drift_is_inconclusive_with_manifest(entry, tmp_path):
     assert verdict["info"]["richardson_ratio"] is None and "Infinity" not in text
 
 
-@pytest.mark.parametrize("t_probe", ["1e-300", "1e300"])
+@pytest.mark.parametrize("t_probe", ["1e-300"])
 def test_c2probe_zero_or_overflowed_norms_are_inconclusive_with_manifest(t_probe, tmp_path):
-    """Kernel norms that underflow to zero or overflow to inf support no
-    verdict: every check reads inconclusive (exit 2) and says why, none passes
-    on zero norms, a zero norm leaves no relative difference, no quadrature
-    warning reaches stderr (from either sweep thread), and the run leaves its
-    manifest instead of a failed fit."""
+    """Kernel norms that underflow to zero support no verdict: every check
+    reads inconclusive (exit 2) and says why, none passes on zero norms, a
+    bilinear term under the flow's round-off leaves no solver ratio, no
+    quadrature or stepper warning reaches stderr (from any sweep thread), and
+    the run leaves its manifest instead of a failed fit.  (The t_probe =
+    1e300 that overflowed them is refused at parse time, as outside (0, 1].)"""
     args = ["c2probe", "--set", f"experiment.t_probe={t_probe}", "--set", f"output.dir={tmp_path}"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -630,12 +632,25 @@ def test_c2probe_zero_or_overflowed_norms_are_inconclusive_with_manifest(t_probe
     assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
     verdict = json.loads((tmp_path / "c2probe_manifest.json").read_text())["verdict"]
     checks = {c["name"]: (c["status"], c["observed"]) for c in verdict["checks"]}
-    assert checks == {"dual_route": ("inconclusive", "5 of 5 norms zero or not finite"),
+    assert checks == {**{f"solver_ratio_N{n}": ("inconclusive", "bilinear term under round-off")
+                         for n in (16, 32, 64, 128, 256)},
                       "c2_slope": ("inconclusive", "0 of 5 samples positive and finite"),
                       "unbounded_growth": ("inconclusive", "5 of 5 norms zero or not finite")}
-    assert verdict["info"]["dual_route_max_rel_diff"] is None
-    if t_probe == "1e-300":
-        assert [m["dual_rel_diff"] for m in verdict["info"]["members"]] == [None] * 5
+    assert [m["solver_ratio"] for m in verdict["info"]["members"]] == [None] * 5
+
+
+@pytest.mark.parametrize("t_probe", ["1e300", "0"])
+def test_c2probe_t_probe_outside_unit_interval_refused(t_probe, tmp_path, capsys):
+    """c2probe's t_probe must lie in (0, 1], where its solver route takes at
+    most 1 000 steps: outside it the run stops at parse time, exit 1 with one
+    config error line and no output directory; t_probe = 1 parses."""
+    out = tmp_path / "out"
+    assert main(["c2probe", "--set", f"experiment.t_probe={t_probe}",
+                 "--set", f"output.dir={out}"]) == 1
+    assert capsys.readouterr().err == (f"zrlab: config error: experiment.t_probe must lie in "
+                                       f"(0, 1], got {float(t_probe)!r}\n")
+    assert not out.exists()
+    assert apply_overrides(default_spec("c2probe"), ["experiment.t_probe=1"]).table["t_probe"] == 1
 
 
 def _strict_json(text):
@@ -646,7 +661,6 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("kind, overrides, nonfinite", [
-    ("c2probe", ["experiment.t_probe=1e300"], 15),
     ("c2probe", ["experiment.t_probe=1e-300"], 0),
     ("inflate", ["experiment.t_probe=1e-300", "experiment.n_list=8,16"], 2),
 ])
@@ -727,7 +741,9 @@ def test_format_float_roundtrips():
 def test_record_csv_bit_roundtrip(tmp_path):
     """Every finite float (signed zeros and subnormals included) under any
     comma-free column names reads back bit for bit, and the returned digest
-    is that of the file; the header keeps the row's column order."""
+    is that of the file; the header keeps the row's column order.  Each
+    example writes a file of its own: replacing a just-written file can
+    cost a filesystem tens of milliseconds."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # a column name is one line of printable text without commas
@@ -737,6 +753,7 @@ def test_record_csv_bit_roundtrip(tmp_path):
                       st.text(printable, min_size=1),
                       st.text(printable).map(lambda c: "HsB_" + c))
     specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+    examples = itertools.count()
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.example([" a", "b "], [])  # spaces at both ends of the header
@@ -747,7 +764,7 @@ def test_record_csv_bit_roundtrip(tmp_path):
         rec.append({name: specials[i % len(specials)] for i, name in enumerate(columns)})
         for start in range(0, len(values) - len(columns) + 1, len(columns)):
             rec.append(dict(zip(columns, values[start:])))
-        path = tmp_path / "series.csv"
+        path = tmp_path / f"series_{next(examples)}.csv"
         digest = write_record_csv(rec, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert path.read_text().splitlines()[0] == ",".join(columns)

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,9 @@ from zrlab import (HatDatum, SpectralGrid, as_grid_norm, build_c2_psi10, build_f
                    first_order_psi1, hat_sobolev_norm, l_hat, l_hat_norm, modulated_sinc,
                    normalize_hats, resonance_phi, small_dispersion_solution, smooth_plateau,
                    synthesize_hat_field)
-from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _gl_half, _phi
+from zrlab import closed_forms
+from zrlab.closed_forms import GRID_NORM_FACTOR, _gl, _gl_half
+from reference_quadrature import time_phi
 
 
 # -- resonance kernel ---------------------------------------------------------
@@ -300,32 +301,35 @@ def test_l_hat_vanishes_off_support():
 
 
 def test_l_hat_small_time_is_convolution():
-    # as t -> 0, Lhat(xi, t)/t -> (B0hat * psi10hat)(xi) = amp_b amp_p |overlap|
+    # as t -> 0, Lhat(xi, t)/t -> (1/2pi)(B0hat * psi10hat)(xi) = amp_b amp_p |overlap| / 2pi
     n = 8.0
     b0 = HatDatum(0.0, 1 / n, 2.0)
     psi10 = HatDatum(-1 / n, 1 / n, 3.0)
     t = 1e-5
     val = l_hat(np.array([0.0]), t, b0, psi10)[0]
     overlap = 1 / n  # [0,1/n] cap [-1/n, 1/n]
-    assert val / t == pytest.approx(2.0 * 3.0 * overlap, rel=1e-4)
+    assert val / t == pytest.approx(2.0 * 3.0 * overlap / (2.0 * np.pi), rel=1e-4)
     # half-way into the support the overlap shrinks linearly
     val2 = l_hat(np.array([1 / n]), t, b0, psi10)[0]
-    assert abs(val2) / t == pytest.approx(2.0 * 3.0 * overlap, rel=1e-4)
+    assert abs(val2) / t == pytest.approx(2.0 * 3.0 * overlap / (2.0 * np.pi), rel=1e-4)
     val3 = l_hat(np.array([2 / n]), t, b0, psi10)[0]
     assert_allclose(abs(val3), 0.0, atol=1e-18)
 
 
-def test_l_hat_dual_routes_agree():
+def test_l_hat_dual_routes_agree(monkeypatch):
+    """The kernel with resonance_phi's closed form and with the reference's
+    64-node time rule in its place (tests/reference_quadrature.py)."""
     b0 = HatDatum(0.0, 0.25, 1.3)
     psi10 = HatDatum(-0.25, 0.25, 0.9)
     xi = np.linspace(-0.3, 0.55, 7)
     a = l_hat(xi, 0.3, b0, psi10)
-    b = l_hat(xi, 0.3, b0, psi10, time_nodes=64)
+    monkeypatch.setattr(closed_forms, "resonance_phi", time_phi)
+    b = l_hat(xi, 0.3, b0, psi10)
     assert_allclose(a, b, rtol=1e-10, atol=1e-15)
 
 
 def _unfolded_phi(t, a, time_nodes):
-    """The dual route's rule before the fold: the same time_nodes-point GL rule
+    """The reference's time rule before the fold: the same time_nodes-point GL rule
     on [0, t], summed over every node as cos + i sin of long double angles, so
     the reference's own angle rounding stays well below the fold's."""
     x, w = (v.astype(np.longdouble) for v in _gl(time_nodes))
@@ -334,7 +338,7 @@ def _unfolded_phi(t, a, time_nodes):
 
 
 def test_phi_time_quadrature_matches_complex_exp_reference():
-    """The dual route's folded GL rule equals the same rule summed over every
+    """The reference's folded GL rule equals the same rule summed over every
     node as a complex exp, for |t a| in the series range, near 1 and up to
     1e3, and for odd counts (1, 3, 63), whose centre node x = 0 keeps its
     single weight, as for even ones.  Both sum the same rule with weights of
@@ -354,41 +358,19 @@ def test_phi_time_quadrature_matches_complex_exp_reference():
                       st.sampled_from([1, 2, 3, 63, 64]))
     def matches(t, ta_rows, time_nodes):
         a = np.array(ta_rows) / t
-        got = _phi(t, a, time_nodes)
+        got = time_phi(t, a, time_nodes)
         assert got.shape == a.shape
         assert np.max(np.abs(got - _unfolded_phi(t, a, time_nodes))) <= 1e-13 * t
 
     matches()
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_phi_time_quadrature_peak_memory():
-    """One dual-route call on a 64 x 64 panel of phases at 64 time nodes peaks
-    under 1.5 MiB: the folded rule holds one (64, 64, 32) real angle array
-    (1 MiB) and takes its cosine in place.  The unfolded rule goes
-    past the same bound (negative control): it holds 64 x 64 x 64 angles and
-    their cosines and sines (4 MiB each in long double)."""
-    t = 0.01
-    a = np.random.default_rng(0).uniform(-1e3, 1e3, (64, 64)) / t
-    bound = 1.5 * 2**20
-    _phi(t, a, 64)  # builds the cached rule outside the traced calls
-    assert _peak_bytes(_phi, t, a, 64) < bound
-    assert _peak_bytes(_unfolded_phi, t, a, 64) > bound
-
-
-def test_l_hat_norm_dual_routes():
+def test_l_hat_norm_dual_routes(monkeypatch):
     (b0,) = normalize_hats(build_fN(16, 0.0, "c2_B0"), 0.0)
     (psi10,) = build_c2_psi10(16, -1.0)
     v = l_hat_norm(0.01, b0, psi10, 0.0)
-    w = l_hat_norm(0.01, b0, psi10, 0.0, time_nodes=64)
+    monkeypatch.setattr(closed_forms, "resonance_phi", time_phi)
+    w = l_hat_norm(0.01, b0, psi10, 0.0)
     assert v > 0
     assert abs(v - w) / v < 1e-10
 

@@ -491,33 +491,36 @@ def test_inflate_regime_note(monkeypatch):
 
 # -- c2probe -----------------------------------------------------------------------
 
-# N: (norm, dual_route) of the default c2probe run, as recorded before the
-# dual route's time rule was folded on its node symmetry
+# N: kernel norm of the default c2probe run; each is the norm recorded before
+# l_hat carried the 1/(2 pi) of the convolution theorem, divided by 2 pi, to
+# within 2.2e-16 relative (0.051639777586892234 / (2 pi) at N = 16)
 C2PROBE_DEFAULT_MEMBERS = {
-    16: (0.051639777586892234, 0.051639777586892234),
-    32: (0.07302967419732233, 0.07302967419732233),
-    64: (0.10327955584897609, 0.10327955584897609),
-    128: (0.14605934865012624, 0.14605934865012624),
-    256: (0.206559111791344, 0.206559111791344),
+    16: 0.008218725863119968,
+    32: 0.011623033640894495,
+    64: 0.016437451833700018,
+    128: 0.023246067322450145,
+    256: 0.03287490368226381,
 }
 
 
 def test_c2probe_default_member_table_is_pinned():
     """The default run's member table keeps its recorded values: each N's
-    closed-form and dual-route kernel norms within 1e-13 relative, a bound
-    for round-off across machines rather than a bitwise pin."""
+    kernel norm within 1e-13 relative, a bound for round-off across machines
+    rather than a bitwise pin, and each solver ratio sqrt(1 - 1/(10 m^2)),
+    about 1 - 1/(20 m^2), for m = 16 lattice points per 1/N, within 1e-8 (it
+    is within 4.3e-10)."""
     members = run_c2probe(default_spec("c2probe")).info["members"]
     assert [m["N"] for m in members] == list(C2PROBE_DEFAULT_MEMBERS)
     for m in members:
-        norm, dual = C2PROBE_DEFAULT_MEMBERS[m["N"]]
-        assert m["norm"] == pytest.approx(norm, rel=1e-13, abs=0.0)
-        assert m["dual_route"] == pytest.approx(dual, rel=1e-13, abs=0.0)
+        assert m["norm"] == pytest.approx(C2PROBE_DEFAULT_MEMBERS[m["N"]], rel=1e-13, abs=0.0)
+        assert m["solver_ratio"] == pytest.approx(math.sqrt(1.0 - 1.0 / (10 * 16**2)), abs=1e-8)
 
 
 def test_c2probe_unbounded_growth_can_fail(monkeypatch):
     """Negative control: the kernel norm grows with N over a small sweep, and a
-    stand-in l_hat_norm that shrinks with N (the B0 bump is [0, 1/N]) fails
-    unbounded_growth."""
+    stand-in l_hat_norm that shrinks like N^-3 (the B0 bump is [0, 1/N]) fails
+    unbounded_growth: the run scales it by the hat amplitudes, N^(1/2) N^(3/2),
+    to a norm 1/N."""
     import zrlab.experiments as experiments
 
     spec = default_spec("c2probe")
@@ -525,47 +528,69 @@ def test_c2probe_unbounded_growth_can_fail(monkeypatch):
     statuses = {c.name: c.status for c in run_c2probe(spec).checks}
     assert statuses["unbounded_growth"] == "pass"
 
-    def shrinking_norm(t, b0, psi10, k, nodes=64, time_nodes=0):
-        return b0.hi
+    def shrinking_norm(t, b0, psi10, k, nodes=64):
+        return b0.hi**3
 
     monkeypatch.setattr(experiments.cf, "l_hat_norm", shrinking_norm)
     result = run_c2probe(spec)
     statuses = {c.name: c.status for c in result.checks}
     assert statuses["unbounded_growth"] == "fail"
-    assert statuses["dual_route"] == "pass"
-    assert [m["norm"] for m in result.info["members"]] == [1 / 8, 1 / 16, 1 / 32]
+    assert [m["norm"] for m in result.info["members"]] == pytest.approx([1 / 8, 1 / 16, 1 / 32])
 
 
-def test_c2probe_dual_route_can_fail(monkeypatch):
-    """Negative control: a stand-in time rule over [0, t/2] instead of [0, t]
-    halves the quadrature route's kernel, so dual_route fails while the
-    closed-form route is untouched."""
-    import zrlab.experiments as experiments
+def _l_hat_sign_mutant(xi, t, b0, psi10, nodes=64):
+    """l_hat with the phase a = (xi - xi_1)(xi + xi_1 + 1) instead of
+    (xi - xi_1)(xi + xi_1 - 1)."""
+    import zrlab.closed_forms as cf
+
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    col = xi[:, None]
+    inner = cf._overlap_integral(t, np.maximum(b0.lo, xi - psi10.hi),
+                                 np.minimum(b0.hi, xi - psi10.lo),
+                                 lambda xi1: (col - xi1) * (col + xi1 + 1.0), nodes)
+    return np.exp(-1j * t * xi**2) * b0.amplitude * psi10.amplitude * inner / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("mutant", ["two-pi", "half-horizon", "kernel-sign"])
+def test_c2probe_solver_ratio_can_fail(mutant, monkeypatch):
+    """Negative controls: each kernel mutant fails every solver_ratio_N* that
+    passes without it.  `two-pi` is l_hat without its 1/(2 pi) (ratio
+    1/(2 pi)); `half-horizon` takes resonance_phi over [0, t/2] (ratio about
+    2).  `kernel-sign` is almost the conjugate kernel, whose norm is the
+    same: it moves the norm by 2e-9 at N = 16 and t_probe = 0.01, so it is
+    probed where the phases are large, at N = 2 and 4 and t_probe = 1, where
+    it moves the ratio by 1e-2 and 2.8e-3."""
+    import zrlab.closed_forms as cf
 
     spec = default_spec("c2probe")
-    spec = replace(spec, table=dict(spec.table, n_list=(8, 16, 32)))
+    table = ({"n_list": (2, 4), "t_probe": 1.0} if mutant == "kernel-sign"
+             else {"n_list": (8, 16, 32)})
+    spec = replace(spec, table=dict(spec.table, **table))
+    names = [f"solver_ratio_N{n}" for n in spec.table["n_list"]]
+    statuses = {c.name: c.status for c in run_c2probe(spec).checks}
+    assert [statuses[name] for name in names] == ["pass"] * len(names)
+
+    if mutant == "two-pi":
+        l_hat = cf.l_hat
+        monkeypatch.setattr(cf, "l_hat", lambda *args: 2.0 * np.pi * l_hat(*args))
+    elif mutant == "half-horizon":
+        phi = cf.resonance_phi
+        monkeypatch.setattr(cf, "resonance_phi", lambda t, a: phi(0.5 * t, a))
+    else:
+        monkeypatch.setattr(cf, "l_hat", _l_hat_sign_mutant)
     result = run_c2probe(spec)
     statuses = {c.name: c.status for c in result.checks}
-    assert statuses["dual_route"] == "pass"
-    norms = [m["norm"] for m in result.info["members"]]
-
-    phi = experiments.cf._phi
-
-    def half_horizon(t, a, time_nodes):
-        return phi(0.5 * t if time_nodes else t, a, time_nodes)
-
-    monkeypatch.setattr(experiments.cf, "_phi", half_horizon)
-    result = run_c2probe(spec)
-    statuses = {c.name: c.status for c in result.checks}
-    assert statuses["dual_route"] == "fail"
-    assert [m["norm"] for m in result.info["members"]] == norms
-    assert 0.4 < result.info["dual_route_max_rel_diff"] < 0.6
+    assert [statuses[name] for name in names] == ["fail"] * len(names)
+    ratios = [m["solver_ratio"] for m in result.info["members"]]
+    if mutant == "two-pi":
+        assert ratios == pytest.approx([1.0 / (2.0 * np.pi)] * len(names), rel=1e-3)
+    elif mutant == "half-horizon":
+        assert all(1.9 < r < 2.1 for r in ratios)
 
 
 def test_c2_slope_can_fail(monkeypatch):
-    """Negative control: both routes of the kernel norm scaled by N^0.3 (the
-    B0 bump is [0, 1/N]) move the fitted slope 0.3 off -l - 1/2, so c2_slope
-    fails while dual_route, which compares the routes, still passes."""
+    """Negative control: the kernel norm scaled by N^0.3 (the B0 bump is
+    [0, 1/N]) moves the fitted slope 0.3 off -l - 1/2, so c2_slope fails."""
     import zrlab.experiments as experiments
 
     spec = default_spec("c2probe")
@@ -574,13 +599,12 @@ def test_c2_slope_can_fail(monkeypatch):
 
     l_hat_norm = experiments.cf.l_hat_norm
 
-    def steeper(t, b0, psi10, k, nodes=64, time_nodes=0):
-        return l_hat_norm(t, b0, psi10, k, nodes, time_nodes) * (1.0 / b0.hi) ** 0.3
+    def steeper(t, b0, psi10, k, nodes=64):
+        return l_hat_norm(t, b0, psi10, k, nodes) * (1.0 / b0.hi) ** 0.3
 
     monkeypatch.setattr(experiments.cf, "l_hat_norm", steeper)
     statuses = {c.name: c.status for c in run_c2probe(spec).checks}
     assert statuses["c2_slope"] == "fail"
-    assert statuses["dual_route"] == "pass"
 
 
 # -- decohere ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parameter mapping, change of variables, invariants, plane waves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zrlab import (FieldState, PhysicalParams, SpectralGrid, StepperConfig,
                    coefficients_from_params, conserved_quantities, evolve,
                    modified_system_coefficients, normalized_coefficients,
                    plane_wave_state, unit_physical_params)
+from zrlab.model import initial_state
 
 
 def test_unit_physical_collapse():
@@ -233,3 +235,27 @@ def test_theta_less_momentum_drifts():
     params = PhysicalParams(1.3, 0.9, 0.8, 2.2, 0.7)
     assert _exact_invariant_drifts(params, 1e-2)["Q3"] < 1e-12
     assert _exact_invariant_drifts(params, 1e-2, theta_less=True)["Q3"] > 1e-6
+
+
+@pytest.mark.parametrize("initial, width", [("gaussian", 1e-310), ("random", 1e200)])
+@pytest.mark.parametrize("key", ["width", "psi_width"])
+def test_extreme_widths_warn_nothing(initial, width, key):
+    """A Gaussian width whose (x / width)^2 or (xi width)^2 overflows forms
+    its field without numpy's overflow RuntimeWarning (here an error) and
+    with the values the overflow gives, exp(-inf) = 0: a one-point spike
+    for the tiny width, the mean mode alone for the huge random one."""
+    grid = SpectralGrid(64.0, 128)
+    table = {"seed": 0, "amplitude": 1.0, "width": 2.0, "psi_amplitude": 0.5,
+             "psi_width": 2.0, "initial": initial, key: width}
+    with np.errstate(all="ignore"):
+        want, _ = initial_state(grid, normalized_coefficients(), table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state, _ = initial_state(grid, normalized_coefficients(), table)
+    for got, expected in ((state.b, want.b), (state.psi1, want.psi1), (state.psi2, want.psi2)):
+        assert np.array_equal(got, expected)
+    field = state.b if key == "width" else state.psi1
+    if initial == "gaussian":
+        assert np.count_nonzero(field) == 1
+    else:
+        assert np.ptp(field) <= 1e-12 * np.max(np.abs(field))

@@ -8,9 +8,12 @@ strictly alternating fresh processes: pair i runs the parent first for even
 i and the change first for odd i, so drift in the host's load falls on both
 sides alike.  Each tree gets its own bytecode cache (PYTHONPYCACHEPREFIX,
 with PYTHONDONTWRITEBYTECODE unset), filled by one untimed run, so no
-sample pays for compiling zrlab.  Each process times `zrlab.cli.main`
-itself, as `bench/run.py` times `verdict_s`: wall time (perf_counter) and
-CPU time (process_time, every thread).
+sample pays for compiling zrlab.  Each run writes to an output directory
+of its own, as `bench/run.py` samples do: replacing a just-written file can
+cost a filesystem 40-60 ms, which would otherwise land on every sample but
+the first.  Each process times `zrlab.cli.main` itself, as `bench/run.py`
+times `verdict_s`: wall time (perf_counter) and CPU time (process_time,
+every thread).
 
 It prints each side's median and quartiles of wall and CPU time, the median
 of the per-pair wall ratio change / parent, and how many pairs the change
@@ -42,11 +45,12 @@ print(json.dumps({"code": code, "wall_s": time.perf_counter() - wall,
 
 
 def timed_run(src: Path, kind: str, work: Path) -> dict:
-    """One fresh process running `zrlab <kind>` from `src`, writing under `work`."""
+    """One fresh process running `zrlab <kind>` from `src`, writing to a new
+    directory under `work`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     env.update(PYTHONPATH=str(src.resolve()), PYTHONPYCACHEPREFIX=str(work / "pycache"))
-    proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, kind, "--set",
-                           f"output.dir={work / 'runs'}"],
+    out = tempfile.mkdtemp(prefix="runs_", dir=work)
+    proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, kind, "--set", f"output.dir={out}"],
                           cwd=work, env=env, capture_output=True, text=True)
     try:
         return json.loads(proc.stdout.splitlines()[-1])
