@@ -660,9 +660,11 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# explicit ids keep each case's name when a case before it leaves the list
 @pytest.mark.parametrize("kind, overrides, nonfinite", [
-    ("c2probe", ["experiment.t_probe=1e-300"], 0),
-    ("inflate", ["experiment.t_probe=1e-300", "experiment.n_list=8,16"], 2),
+    pytest.param("c2probe", ["experiment.t_probe=1e-300"], 0, id="c2probe-overrides1-0"),
+    pytest.param("inflate", ["experiment.t_probe=1e-300", "experiment.n_list=8,16"], 2,
+                 id="inflate-overrides2-2"),
 ])
 def test_edge_run_manifests_are_strict_json(kind, overrides, nonfinite, tmp_path, monkeypatch):
     """The manifests of runs whose norms underflow or overflow parse under a
